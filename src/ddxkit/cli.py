@@ -200,6 +200,9 @@ def cmd_predict(args) -> int:
     return 0
 
 
+THREADS_HELP = "accepted for compatibility; the work runs in one thread and output does not depend on it"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ddx", description="Differential-diagnosis toolkit")
     parser.add_argument("--version", action="version", version=f"ddx {__version__}")
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--min-per-disease", type=int, default=50, help="per-disease case floor")
     p_sim.add_argument("--ddx-top-k", type=int, default=5, help="differential size kept by the expert engine")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_sim.add_argument("--out", required=True, help="output case file (jsonl)")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -248,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kb", default=None, help="knowledge base (for --engine expert)")
         p.add_argument("--cases", nargs="+", action="extend", required=True, help="case files (repeatable)")
         p.add_argument("--ddx-top-k", type=int, default=5, help="ranking depth; 0 ranks every disease")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
         p.add_argument("--out", default=None)
         if name == "eval":
             p.add_argument("--topk", default="1,3,5", help="comma-separated accuracy depths")

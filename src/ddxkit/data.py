@@ -152,10 +152,7 @@ def normalize_ddx(weights: list[tuple[str, float]]) -> DifferentialDiagnosis:
     if abs(total - 1.0) <= _SUM_TOL:
         scaled = positive
     order = sorted(range(len(scaled)), key=lambda i: (-scaled[i][1], scaled[i][0]))
-    return DifferentialDiagnosis(
-        entries=tuple(scaled[i] for i in order),
-        raw_scores=tuple(positive[i][1] for i in order),
-    )
+    return DifferentialDiagnosis(entries=tuple(scaled[i] for i in order))
 
 
 def case_to_dict(case: ClinicalCase) -> dict:

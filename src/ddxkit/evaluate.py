@@ -8,7 +8,6 @@ same harness produces their report tables.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -131,7 +130,11 @@ def evaluate(
     truth: str = "argmax",
     threads: int = 1,
 ) -> EvalReport:
-    """Score every case and aggregate hit rates at each requested depth."""
+    """Score every case and aggregate hit rates at each requested depth.
+
+    `threads` is accepted for compatibility and ignored: cases are scored
+    in one thread, and the report never depends on it.
+    """
     if len(cases) == 0:
         raise ValueError("empty case set")
     if not ks or any(k < 1 for k in ks):
@@ -141,15 +144,12 @@ def evaluate(
     ks = sorted(set(ks))
     depth = max(ks + [5])
 
-    def run(case: ClinicalCase) -> tuple[list[str], int]:
+    predictions = []
+    skipped_total = 0
+    for case in cases:
         ranked, skipped = predictor(case.pos, case.neg)
-        return [d for d, _ in ranked], skipped
-
-    if threads <= 1:
-        results = [run(c) for c in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, cases.cases))
+        predictions.append([d for d, _ in ranked])
+        skipped_total += skipped
 
     truths = []
     for case in cases:
@@ -160,8 +160,6 @@ def evaluate(
         else:
             truths.append(truth_label(case))
 
-    predictions = [ranked for ranked, _ in results]
-    skipped_total = sum(s for _, s in results)
     accuracy = {k: top_k_accuracy(predictions, truths, k) for k in ks}
     target_accuracy = None
     if target is not None:

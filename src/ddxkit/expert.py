@@ -10,6 +10,8 @@ disease outright (score -inf): a patient whose demographics a disease has
 never been seen with cannot have it. The differential diagnosis keeps the
 top-k finite-scored diseases and renormalizes their raw scores with a
 softmax, mirroring how a short retained list is reported as probabilities.
+The ln terms are read from the KB's compiled tables (kb.scoring_tables),
+built once per knowledge base.
 
 This is a simple, monotone, brute-force-verifiable scoring rule, not a
 reconstruction of any production inference engine.
@@ -17,31 +19,27 @@ reconstruction of any production inference engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .kb import DEMOGRAPHIC, KnowledgeBase, frequency
+import numpy as np
 
-SMOOTHING_EPS = 1e-3
+from .kb import SMOOTHING_EPS, KnowledgeBase, scoring_tables  # noqa: F401
+
 DEFAULT_DDX_TOP_K = 5
 _PROB_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class DifferentialDiagnosis:
-    """Ranked (disease id, probability) pairs with the raw scores behind them.
+    """Ranked (disease id, probability) pairs.
 
     Probabilities are positive, sum to 1 within 1e-9, and are ordered by
-    descending probability with ties broken by ascending disease id. The
-    raw scores are kept for inspection but are not part of a differential's
-    identity; serialized case records store probabilities only.
+    descending probability with ties broken by ascending disease id.
     """
 
     entries: tuple[tuple[str, float], ...]
-    raw_scores: tuple[float, ...] = field(compare=False)
 
     def __post_init__(self):
-        if len(self.entries) != len(self.raw_scores):
-            raise ValueError("entries and raw_scores must be parallel")
         if not self.entries:
             raise ValueError("empty differential")
         total = 0.0
@@ -71,23 +69,34 @@ class DifferentialDiagnosis:
         return self.entries[0][0]
 
 
+def score_all_diseases(
+    kb: KnowledgeBase, pos: set[str] | frozenset[str], neg: set[str] | frozenset[str]
+) -> np.ndarray:
+    """Raw expert score of every disease, in kb.diseases order.
+
+    One table row is added per finding, sorted positives then sorted
+    negatives, starting from 0.0: each entry is the same float sum the
+    scoring rule above spells out. Excluded diseases score -inf.
+    """
+    overlap = set(pos) & set(neg)
+    if overlap:
+        raise ValueError(f"findings in both pos and neg: {sorted(overlap)}")
+    tables = scoring_tables(kb)
+    score = np.zeros(len(kb.diseases))
+    for table, fids in ((tables.log_present, pos), (tables.log_absent, neg)):
+        for fid in sorted(fids):
+            score += table[tables.row(fid)]
+    return score
+
+
 def score_disease(
     kb: KnowledgeBase, disease_id: str, pos: set[str] | frozenset[str], neg: set[str] | frozenset[str]
 ) -> float:
     """Raw expert score of one disease; -inf when a demographic excludes it."""
-    overlap = set(pos) & set(neg)
-    if overlap:
-        raise ValueError(f"findings in both pos and neg: {sorted(overlap)}")
-    score = 0.0
-    for fid in sorted(pos):
-        q = frequency(kb, disease_id, fid)
-        if q == 0.0 and kb.finding(fid).kind == DEMOGRAPHIC:
-            return -math.inf
-        score += math.log(SMOOTHING_EPS + q)
-    for fid in sorted(neg):
-        q = frequency(kb, disease_id, fid)
-        score += math.log(SMOOTHING_EPS + 1.0 - q)
-    return score
+    if not kb.has_disease(disease_id):
+        raise KeyError(f"unknown disease id: {disease_id!r}")
+    column = next(c for c, d in enumerate(kb.diseases) if d.id == disease_id)
+    return float(score_all_diseases(kb, pos, neg)[column])
 
 
 def softmax_normalize(scores: list[float]) -> list[float]:
@@ -119,17 +128,19 @@ def expert_inference(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scored = [(d.id, score_disease(kb, d.id, pos, neg)) for d in kb.diseases]
-    finite = [(did, s) for did, s in scored if s != -math.inf]
-    if not finite:
+    scores = score_all_diseases(kb, pos, neg)
+    finite = np.flatnonzero(scores != -math.inf)
+    if not finite.size:
         raise ValueError("all diseases excluded: empty differential")
-    finite.sort(key=lambda t: (-t[1], t[0]))
-    kept = finite[:k]
+    if k < finite.size:
+        # Keep the k best plus every score tied with the k-th; the id
+        # tie-break below decides which of those survive.
+        kth = -np.partition(-scores[finite], k - 1)[k - 1]
+        finite = finite[scores[finite] >= kth]
+    ranked = finite[np.lexsort((scoring_tables(kb).disease_rank[finite], -scores[finite]))][:k]
+    kept = [(kb.diseases[c].id, float(scores[c])) for c in ranked]
     probs = softmax_normalize([s for _, s in kept])
     # A retained score hundreds of nats below the best underflows to exactly
     # 0 in the softmax; such entries carry no differential mass and are dropped.
     order = sorted((i for i in range(len(kept)) if probs[i] > 0.0), key=lambda i: (-probs[i], kept[i][0]))
-    return DifferentialDiagnosis(
-        entries=tuple((kept[i][0], probs[i]) for i in order),
-        raw_scores=tuple(kept[i][1] for i in order),
-    )
+    return DifferentialDiagnosis(entries=tuple((kept[i][0], probs[i]) for i in order))

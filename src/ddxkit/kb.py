@@ -15,11 +15,15 @@ patient; every demographic finding must carry one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 DEMOGRAPHIC = "demographic"
 CLINICAL = "clinical"
 FINDING_KINDS = (DEMOGRAPHIC, CLINICAL)
+SMOOTHING_EPS = 1e-3
 
 
 class KBError(ValueError):
@@ -53,6 +57,30 @@ class ValidationReport:
         return [f"error: {e}" for e in self.errors] + [f"warning: {w}" for w in self.warnings]
 
 
+@dataclass(frozen=True)
+class ScoringTables:
+    """The KB compiled for the expert scoring rule.
+
+    Row r of each table belongs to finding `findings[r]`, column c to
+    disease `diseases[c]`. `log_present` holds ln(eps + FREQ) and
+    `log_absent` ln(eps + 1 - FREQ); a demographic finding a disease never
+    has is -inf in `log_present`, so summing its row excludes the disease.
+    `disease_rank[c]` is the position of disease c's id in ascending id
+    order, the tie-break among equal scores.
+    """
+
+    finding_row: dict[str, int]
+    log_present: np.ndarray
+    log_absent: np.ndarray
+    disease_rank: np.ndarray
+
+    def row(self, fid: str) -> int:
+        try:
+            return self.finding_row[fid]
+        except KeyError:
+            raise KeyError(f"unknown finding id: {fid!r}") from None
+
+
 @dataclass
 class KnowledgeBase:
     """Immutable after construction; safe for concurrent reads."""
@@ -63,11 +91,13 @@ class KnowledgeBase:
     _disease_ids: frozenset[str] = field(init=False, repr=False, compare=False)
     _findings_by_id: dict[str, Finding] = field(init=False, repr=False, compare=False)
     _sorted_cache: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _tables: ScoringTables | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._disease_ids = frozenset(d.id for d in self.diseases)
         self._findings_by_id = {f.id: f for f in self.findings}
         self._sorted_cache = {}
+        self._tables = None
 
     def finding(self, fid: str) -> Finding:
         try:
@@ -120,6 +150,34 @@ def sorted_findings(kb: KnowledgeBase, disease_id: str) -> list[str]:
     return list(order)
 
 
+def scoring_tables(kb: KnowledgeBase) -> ScoringTables:
+    """The KB's scoring tables, built on first use and cached on the KB."""
+    if kb._tables is None:
+        kb._tables = _build_scoring_tables(kb)
+    return kb._tables
+
+
+def _build_scoring_tables(kb: KnowledgeBase) -> ScoringTables:
+    finding_row = {f.id: r for r, f in enumerate(kb.findings)}
+    disease_col = {d.id: c for c, d in enumerate(kb.diseases)}
+    shape = (len(kb.findings), len(kb.diseases))
+    # Unstored pairs have FREQ 0: ln(eps) when present, -inf for a
+    # demographic finding, and ln(eps + 1) when absent.
+    log_present = np.full(shape, math.log(SMOOTHING_EPS))
+    log_present[[r for r, f in enumerate(kb.findings) if f.kind == DEMOGRAPHIC]] = -math.inf
+    log_absent = np.full(shape, math.log(SMOOTHING_EPS + 1.0))
+    for (did, fid), q in kb.frequencies.items():
+        if q == 0.0 or did not in disease_col or fid not in finding_row:
+            continue
+        r, c = finding_row[fid], disease_col[did]
+        log_present[r, c] = math.log(SMOOTHING_EPS + q)
+        log_absent[r, c] = math.log(SMOOTHING_EPS + 1.0 - q)
+    by_id = sorted(range(len(kb.diseases)), key=lambda c: kb.diseases[c].id)
+    disease_rank = np.empty(len(kb.diseases), dtype=np.int64)
+    disease_rank[by_id] = np.arange(len(kb.diseases))
+    return ScoringTables(finding_row, log_present, log_absent, disease_rank)
+
+
 def _check_object(obj, allowed: dict[str, type], required: set[str], where: str) -> list[str]:
     errors = []
     if not isinstance(obj, dict):
@@ -131,8 +189,10 @@ def _check_object(obj, allowed: dict[str, type], required: set[str], where: str)
         if key not in obj:
             errors.append(f"{where}: missing field {key!r}")
     for key, typ in allowed.items():
-        if key in obj and not isinstance(obj[key], typ):
-            errors.append(f"{where}: field {key!r} must be {typ.__name__}")
+        # JSON true/false decode to bool, which Python counts as an int.
+        if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], typ)):
+            names = " or ".join(t.__name__ for t in (typ if isinstance(typ, tuple) else (typ,)))
+            errors.append(f"{where}: field {key!r} must be {names}")
     return errors
 
 
@@ -169,6 +229,9 @@ def _collect_parts(doc) -> tuple[list[Disease], list[Finding], dict[tuple[str, s
             Finding(id=obj["id"], display_name=obj["name"], kind=obj["kind"], mutex_group=obj.get("mutex_group"))
         )
 
+    disease_ids = {d.id for d in diseases}
+    finding_ids = {f.id for f in findings}
+
     for i, obj in enumerate(doc.get("frequencies", [])):
         where = f"frequencies[{i}]"
         errs = _check_object(
@@ -185,9 +248,9 @@ def _collect_parts(doc) -> tuple[list[Disease], list[Finding], dict[tuple[str, s
         if q == 0.0:
             # Zero entries are equivalent to absent ones; check references, drop.
             did, fid = key
-            if not any(d.id == did for d in diseases):
+            if did not in disease_ids:
                 errors.append(f"{where}: unknown disease")
-            if not any(f.id == fid for f in findings):
+            if fid not in finding_ids:
                 errors.append(f"{where}: unknown finding")
             zero_keys.add(key)
             continue

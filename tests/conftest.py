@@ -1,8 +1,24 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
 from ddxkit.kb import CLINICAL, DEMOGRAPHIC, Disease, Finding, KnowledgeBase
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a `python -m ddxkit` child run from any directory.
+
+    A relative PYTHONPATH entry such as `src` does not resolve from a test's
+    tmp_path, so the absolute source path goes first.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def make_kb(diseases, findings, freqs) -> KnowledgeBase:

@@ -25,7 +25,7 @@ from ddxkit.simulate import SimConfig, simulate_dataset
 from ddxkit.synthetic import make_novel_disease_cases, make_separable_kb
 from ddxkit.train import Gradients, TrainConfig, backward, kl_loss, train
 
-from conftest import make_kb, oracle_inference
+from conftest import make_kb, oracle_inference, subprocess_env
 
 SIM_SEED = 11
 SPLIT_SEED = 13
@@ -306,7 +306,9 @@ def test_criterion_6_simulator_statistics():
 
 
 def run_cli(*args, cwd):
-    return subprocess.run([sys.executable, "-m", "ddxkit", *args], cwd=cwd, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-m", "ddxkit", *args], cwd=cwd, env=subprocess_env(), capture_output=True, text=True
+    )
 
 
 def test_criterion_7_cli_determinism(tmp_path):

@@ -7,11 +7,14 @@ import pytest
 from ddxkit.kb import serialize_knowledge_base
 from ddxkit.synthetic import make_separable_kb
 
+from conftest import subprocess_env
+
 
 def ddx(*args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "ddxkit", *args],
         cwd=cwd,
+        env=subprocess_env(),
         capture_output=True,
         text=True,
     )

@@ -9,10 +9,14 @@ from ddxkit.expert import (
     DifferentialDiagnosis,
     SMOOTHING_EPS,
     expert_inference,
+    score_all_diseases,
     score_disease,
     softmax_normalize,
 )
-from ddxkit.kb import DEMOGRAPHIC
+from ddxkit import kb as kb_module
+from ddxkit.kb import DEMOGRAPHIC, parse_knowledge_base, serialize_knowledge_base
+from ddxkit.simulate import SimConfig, simulate_dataset
+from ddxkit.synthetic import make_separable_kb
 
 from conftest import make_kb, oracle_inference, oracle_score
 
@@ -193,10 +197,48 @@ def test_raising_a_positive_frequency_never_hurts_rank(case, salt):
 
 def test_differential_invariants_are_enforced():
     with pytest.raises(ValueError, match="sum"):
-        DifferentialDiagnosis(entries=(("a", 0.5), ("b", 0.4)), raw_scores=(0.0, 0.0))
+        DifferentialDiagnosis(entries=(("a", 0.5), ("b", 0.4)))
     with pytest.raises(ValueError, match="sorted"):
-        DifferentialDiagnosis(entries=(("a", 0.3), ("b", 0.7)), raw_scores=(0.0, 0.0))
+        DifferentialDiagnosis(entries=(("a", 0.3), ("b", 0.7)))
     with pytest.raises(ValueError, match="> 0"):
-        DifferentialDiagnosis(entries=(("a", 1.0), ("b", 0.0)), raw_scores=(0.0, 0.0))
+        DifferentialDiagnosis(entries=(("a", 1.0), ("b", 0.0)))
     with pytest.raises(ValueError, match="empty"):
-        DifferentialDiagnosis(entries=(), raw_scores=())
+        DifferentialDiagnosis(entries=())
+
+
+def test_table_scores_equal_the_oracle_exactly_on_simulated_cases():
+    kb = make_separable_kb(200)
+    cases = simulate_dataset(kb, SimConfig(cases_total=200, seed=5, min_cases_per_disease=0))
+    n = len(kb.diseases)
+    for case in cases:
+        # The oracle adds terms in argument order; sorted lists match the engine's order.
+        pos, neg = sorted(case.pos), sorted(case.neg)
+        scores = score_all_diseases(kb, case.pos, case.neg)
+        assert scores.tolist() == [oracle_score(kb, d.id, pos, neg) for d in kb.diseases]
+        ddx = expert_inference(kb, case.pos, case.neg, k=n)
+        assert ddx.diseases == tuple(d for d, _ in oracle_inference(kb, pos, neg, k=n))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_top_k_cut_through_a_tie_keeps_the_lowest_ids(k):
+    # d1..d4 score identically, below d0 and above d5; KB order is shuffled.
+    tied = {(d, "f"): 0.5 for d in ("d4", "d2", "d3", "d1")}
+    kb = make_kb(["d4", "d0", "d3", "d5", "d1", "d2"], ["f"], tied | {("d0", "f"): 0.9, ("d5", "f"): 0.1})
+    ddx = expert_inference(kb, {"f"}, set(), k=k)
+    assert ddx.diseases == ("d0", "d1", "d2", "d3")[:k]
+    assert [d for d, _ in oracle_inference(kb, {"f"}, set(), k=k)] == list(ddx.diseases)
+
+
+def test_scoring_tables_are_built_once_per_knowledge_base(monkeypatch):
+    builds = []
+    build = kb_module._build_scoring_tables
+    monkeypatch.setattr(kb_module, "_build_scoring_tables", lambda kb: builds.append(kb) or build(kb))
+    kb = parse_knowledge_base(serialize_knowledge_base(make_separable_kb(4)))
+    assert builds == []  # parsing does not compile
+    for _ in range(3):
+        expert_inference(kb, {"d00_f0"}, set())
+    score_disease(kb, "d00", {"d00_f0"}, set())
+    assert builds == [kb]
+    other = parse_knowledge_base(serialize_knowledge_base(kb))
+    expert_inference(other, {"d00_f0"}, set())
+    assert len(builds) == 2 and builds[1] is other

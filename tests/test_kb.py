@@ -47,6 +47,10 @@ def doc(diseases=None, findings=None, frequencies=None, **extra):
     return json.dumps(base)
 
 
+FEVER = {"disease": "flu", "finding": "fever", "freq": 0.8}
+FREQ_TYPE = r"frequencies\[0\]: field 'freq' must be int or float"
+
+
 @pytest.mark.parametrize(
     "text,match",
     [
@@ -61,6 +65,17 @@ def doc(diseases=None, findings=None, frequencies=None, **extra):
         (doc(frequencies=[{"disease": "nope", "finding": "fever", "freq": 0.5}]), "unknown disease"),
         (doc(frequencies=[{"disease": "flu", "finding": "nope", "freq": 0.5}]), "unknown finding"),
         (doc(frequencies=[{"disease": "nope", "finding": "fever", "freq": 0.0}]), "unknown disease"),
+        (
+            doc(frequencies=[FEVER, {"disease": "nope", "finding": "fever", "freq": 0.0}]),
+            r"frequencies\[1\]: unknown disease",
+        ),
+        (
+            doc(frequencies=[FEVER, {"disease": "flu", "finding": "nope", "freq": 0}]),
+            r"frequencies\[1\]: unknown finding",
+        ),
+        # JSON true decodes to bool, which Python counts as an int.
+        (doc(frequencies=[{"disease": "flu", "finding": "fever", "freq": True}]), FREQ_TYPE),
+        (doc(frequencies=[{"disease": "flu", "finding": "fever", "freq": "0.5"}]), FREQ_TYPE),
         (doc(extra_field=[]), "unknown field"),
         (doc(diseases=[{"id": "flu", "name": "Flu", "color": "red"}]), "unknown field"),
         (doc(findings=[{"id": "f", "name": "a", "kind": "viral"}]), "kind"),
