@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expert import DifferentialDiagnosis
-from .kb import CLINICAL, KnowledgeBase
+from .kb import CLINICAL, KnowledgeBase, check_object
 from .simulate import CASE_SOURCES, ClinicalCase
 
 _SUM_TOL = 1e-9
@@ -48,6 +48,8 @@ class Vocabulary:
             raise ValueError("duplicate finding ids in vocabulary")
         if len(set(self.diseases)) != len(self.diseases):
             raise ValueError("duplicate disease ids in vocabulary")
+        if list(self.findings) != sorted(self.findings) or list(self.diseases) != sorted(self.diseases):
+            raise ValueError("vocabulary findings and diseases must be in ascending id order")
         if not self.diseases:
             raise ValueError("vocabulary has no diseases")
         if not self.demographic_ids <= set(self.findings):
@@ -93,7 +95,16 @@ class Vocabulary:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Vocabulary":
+    def from_dict(cls, doc: dict, where: str = "vocab") -> "Vocabulary":
+        """Inverse of to_dict; raises ValueError naming a field it cannot use."""
+        lists = dict.fromkeys(("findings", "diseases", "demographic_ids"), list)
+        errors = check_object(doc, lists | {"mutex_groups": dict}, set(lists), where)
+        if not errors and not all(isinstance(f, str) for key in lists for f in doc[key]):
+            errors.append(f"{where}: findings, diseases and demographic_ids must hold ids")
+        if not errors and not all(isinstance(g, str) for g in doc.get("mutex_groups", {}).values()):
+            errors.append(f"{where}: mutex_groups must map finding ids to group names")
+        if errors:
+            raise ValueError("; ".join(errors))
         groups: dict[str, str | None] = {f: None for f in doc["findings"]}
         groups.update(doc.get("mutex_groups", {}))
         return cls(
@@ -110,15 +121,11 @@ class CaseSet:
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
-        ids = [c.id for c in self.cases]
-        if len(set(ids)) != len(ids):
-            seen, dup = set(), None
-            for i in ids:
-                if i in seen:
-                    dup = i
-                    break
-                seen.add(i)
-            raise ValueError(f"duplicate case id: {dup!r}")
+        seen: set[str] = set()
+        for case in self.cases:
+            if case.id in seen:
+                raise ValueError(f"duplicate case id: {case.id!r}")
+            seen.add(case.id)
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -176,28 +183,23 @@ def write_cases(cases: list[ClinicalCase] | CaseSet) -> str:
 
 def _case_from_dict(doc: dict, where: str) -> ClinicalCase:
     allowed = {"id": str, "pos": list, "neg": list, "ddx": list, "source": str, "seed_disease": str}
-    required = {"id", "pos", "neg", "ddx", "source"}
-    if not isinstance(doc, dict):
-        raise CaseFormatError(f"{where}: expected an object")
-    for key in doc:
-        if key not in allowed:
-            raise CaseFormatError(f"{where}: unknown field {key!r}")
-    for key in required:
-        if key not in doc:
-            raise CaseFormatError(f"{where}: missing field {key!r}")
-    for key, typ in allowed.items():
-        if key in doc and not isinstance(doc[key], typ):
-            raise CaseFormatError(f"{where}: field {key!r} must be {typ.__name__}")
-    for key in ("pos", "neg"):
-        if not all(isinstance(f, str) for f in doc[key]):
-            raise CaseFormatError(f"{where}: {key} must contain finding ids")
-    weights = []
-    for entry in doc["ddx"]:
-        if not isinstance(entry, dict) or set(entry) != {"disease", "p"}:
-            raise CaseFormatError(f"{where}: ddx entries must be objects with fields 'disease' and 'p'")
-        if not isinstance(entry["disease"], str) or not isinstance(entry["p"], (int, float)):
-            raise CaseFormatError(f"{where}: bad ddx entry types")
-        weights.append((entry["disease"], float(entry["p"])))
+    errors = check_object(doc, allowed, {"id", "pos", "neg", "ddx", "source"}, where)
+    if not errors:
+        for key in ("pos", "neg"):
+            if not all(isinstance(f, str) for f in doc[key]):
+                errors.append(f"{where}: {key} must contain finding ids")
+            elif len(set(doc[key])) != len(doc[key]):
+                dup = min(f for f in doc[key] if doc[key].count(f) > 1)
+                errors.append(f"{where}: {key} repeats finding id {dup!r}")
+        for i, entry in enumerate(doc["ddx"]):
+            # Inline rather than check_object: this runs for every ddx entry of every case.
+            if not isinstance(entry, dict) or set(entry) != {"disease", "p"}:
+                errors.append(f"{where}: ddx[{i}] must be an object with fields 'disease' and 'p'")
+            elif not isinstance(entry["disease"], str) or type(entry["p"]) not in (int, float):
+                errors.append(f"{where}: ddx[{i}] needs a string 'disease' and a number 'p' (not a bool)")
+    if errors:
+        raise CaseFormatError(errors[0])
+    weights = [(entry["disease"], float(entry["p"])) for entry in doc["ddx"]]
     if doc["source"] not in CASE_SOURCES:
         raise CaseFormatError(f"{where}: source must be one of {CASE_SOURCES}")
     try:

@@ -42,32 +42,32 @@ class EvalReport:
     records: tuple[CaseRecord, ...] = ()
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "n_cases": self.n_cases,
             "truth_mode": self.truth_mode,
             "skipped_findings": self.skipped_findings,
-            "accuracy": {str(k): v for k, v in sorted(self.accuracy.items())},
+            "accuracy": _by_k(self.accuracy),
             "target_disease": self.target_disease,
-            "target_accuracy": None
-            if self.target_accuracy is None
-            else {str(k): v for k, v in sorted(self.target_accuracy.items())},
+            "target_accuracy": _by_k(self.target_accuracy),
             "cases": [
                 {
                     "id": r.case_id,
                     "truth": r.truth,
                     "top": list(r.top),
-                    "hits": {str(k): v for k, v in sorted(r.hits.items())},
-                    "target_hits": None
-                    if r.target_hits is None
-                    else {str(k): v for k, v in sorted(r.target_hits.items())},
+                    "hits": _by_k(r.hits),
+                    "target_hits": _by_k(r.target_hits),
                 }
                 for r in self.records
             ],
         }
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _by_k(values: dict | None) -> dict | None:
+    """A per-depth mapping as the report stores it: string keys in ascending k."""
+    return None if values is None else {str(k): v for k, v in sorted(values.items())}
 
 
 def truth_label(case: ClinicalCase) -> str:

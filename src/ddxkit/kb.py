@@ -178,7 +178,8 @@ def _build_scoring_tables(kb: KnowledgeBase) -> ScoringTables:
     return ScoringTables(finding_row, log_present, log_absent, disease_rank)
 
 
-def _check_object(obj, allowed: dict[str, type], required: set[str], where: str) -> list[str]:
+def check_object(obj, allowed: dict[str, type], required: set[str], where: str) -> list[str]:
+    """Shape errors of a decoded JSON object, each prefixed with `where`."""
     errors = []
     if not isinstance(obj, dict):
         return [f"{where}: expected an object, got {type(obj).__name__}"]
@@ -211,7 +212,7 @@ def _collect_parts(doc) -> tuple[list[Disease], list[Finding], dict[tuple[str, s
 
     for i, obj in enumerate(doc.get("diseases", [])):
         where = f"diseases[{i}]"
-        errs = _check_object(obj, {"id": str, "name": str}, {"id", "name"}, where)
+        errs = check_object(obj, {"id": str, "name": str}, {"id", "name"}, where)
         if errs:
             errors.extend(errs)
             continue
@@ -219,7 +220,7 @@ def _collect_parts(doc) -> tuple[list[Disease], list[Finding], dict[tuple[str, s
 
     for i, obj in enumerate(doc.get("findings", [])):
         where = f"findings[{i}]"
-        errs = _check_object(
+        errs = check_object(
             obj, {"id": str, "name": str, "kind": str, "mutex_group": str}, {"id", "name", "kind"}, where
         )
         if errs:
@@ -234,7 +235,7 @@ def _collect_parts(doc) -> tuple[list[Disease], list[Finding], dict[tuple[str, s
 
     for i, obj in enumerate(doc.get("frequencies", [])):
         where = f"frequencies[{i}]"
-        errs = _check_object(
+        errs = check_object(
             obj, {"disease": str, "finding": str, "freq": (int, float)}, {"disease", "finding", "freq"}, where
         )
         if errs:
@@ -310,30 +311,27 @@ def validate_knowledge_base(kb: KnowledgeBase, min_clinical_findings: int = 3) -
     return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
 
 
-def validate_kb_document(text: str, min_clinical_findings: int = 3) -> ValidationReport:
-    """Validate a raw KB document without constructing a KnowledgeBase."""
+def _read_document(text: str, min_clinical_findings: int) -> tuple[KnowledgeBase | None, ValidationReport]:
+    """Decode, shape-check and validate a KB document; no KB when the shape is wrong."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        return ValidationReport(errors=(f"syntax error at line {e.lineno} column {e.colno}: {e.msg}",))
+        return None, ValidationReport(errors=(f"syntax error at line {e.lineno} column {e.colno}: {e.msg}",))
     diseases, findings, freqs, shape_errors = _collect_parts(doc)
     if shape_errors:
-        return ValidationReport(errors=tuple(shape_errors))
+        return None, ValidationReport(errors=tuple(shape_errors))
     kb = KnowledgeBase(diseases=diseases, findings=findings, frequencies=freqs)
-    return validate_knowledge_base(kb, min_clinical_findings)
+    return kb, validate_knowledge_base(kb, min_clinical_findings)
+
+
+def validate_kb_document(text: str, min_clinical_findings: int = 3) -> ValidationReport:
+    """Validate a raw KB document."""
+    return _read_document(text, min_clinical_findings)[1]
 
 
 def parse_knowledge_base(text: str) -> KnowledgeBase:
     """Parse and validate a KB document; raises KBError on any violation."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise KBError(f"syntax error at line {e.lineno} column {e.colno}: {e.msg}") from None
-    diseases, findings, freqs, shape_errors = _collect_parts(doc)
-    if shape_errors:
-        raise KBError("; ".join(shape_errors))
-    kb = KnowledgeBase(diseases=diseases, findings=findings, frequencies=freqs)
-    report = validate_knowledge_base(kb)
+    kb, report = _read_document(text, min_clinical_findings=3)
     if not report.ok:
         raise KBError("; ".join(report.errors))
     return kb

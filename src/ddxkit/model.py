@@ -10,6 +10,11 @@ initialized to MASK at a disease the KB rules out pins that disease's
 probability near zero whenever the demographic is observed, while staying
 trainable.
 
+One forward path, `pooled_embedding` then `disease_log_probs`, runs on a
+batch in the embedding-bag layout (`Bags`: flat row ids plus per-case
+offsets) with one boolean dropout mask per batch; `forward` and
+`predict_topk` run it on a batch of one case.
+
 Checkpoints are a versioned JSON container with the vocabulary and the
 parameter blocks as base64 little-endian float64 in row-major order.
 """
@@ -18,15 +23,19 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .data import Vocabulary
-from .kb import KnowledgeBase, frequency
+from .kb import KnowledgeBase, check_object, frequency
 
 DEMOGRAPHIC_MASK = -30.0
 CHECKPOINT_FORMAT = "ddx-checkpoint"
 CHECKPOINT_VERSION = 1
+BLOCK_NAMES = ("finding_embeddings", "projection", "bias", "demographic_embeddings")
+DIM_NAMES = ("n_findings", "n_diseases", "dim", "n_demographics")  # checkpoint keys of ModelParameters.dims
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,11 @@ class ModelInput:
         return len(self.pos_clinical) + len(self.neg_clinical)
 
 
+def _block_shapes(K: int, L: int, D: int, M: int) -> dict[str, tuple[int, ...]]:
+    """Parameter block shapes, keyed like ModelParameters.blocks()."""
+    return dict(zip(BLOCK_NAMES, ((2 * K, D), (D, L), (L,), (M, L))))
+
+
 @dataclass
 class ModelParameters:
     finding_embeddings: np.ndarray  # [2K, D]
@@ -68,30 +82,13 @@ class ModelParameters:
         )
 
     def blocks(self) -> dict[str, np.ndarray]:
-        return {
-            "finding_embeddings": self.finding_embeddings,
-            "projection": self.projection,
-            "bias": self.bias,
-            "demographic_embeddings": self.demographic_embeddings,
-        }
+        return {name: getattr(self, name) for name in BLOCK_NAMES}
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters(
-            finding_embeddings=self.finding_embeddings.copy(),
-            projection=self.projection.copy(),
-            bias=self.bias.copy(),
-            demographic_embeddings=self.demographic_embeddings.copy(),
-            vocab=self.vocab,
-        )
+        return ModelParameters(**{name: a.copy() for name, a in self.blocks().items()}, vocab=self.vocab)
 
     def validate(self) -> None:
-        K, L, D, M = self.dims
-        expected = {
-            "finding_embeddings": (2 * K, D),
-            "projection": (D, L),
-            "bias": (L,),
-            "demographic_embeddings": (M, L),
-        }
+        expected = _block_shapes(*self.dims)
         for name, arr in self.blocks().items():
             if arr.shape != expected[name]:
                 raise ValueError(f"{name}: shape {arr.shape} != expected {expected[name]}")
@@ -135,58 +132,76 @@ def init_parameters(
     )
 
 
-@dataclass(frozen=True)
-class DropoutPlan:
-    """Fixed per-row element masks; rows follow pos_clinical then neg_clinical."""
+class Bags(NamedTuple):
+    """A batch in the embedding-bag layout: case b owns the finding-table rows
+    rows[offsets[b]:offsets[b + 1]] (2i for present finding i, then 2i+1 for
+    absent) and the demographic rows demo[demo_offsets[b]:demo_offsets[b + 1]]."""
 
-    rate: float
-    masks: np.ndarray  # [n_rows, D] of 0/1
+    rows: np.ndarray
+    offsets: list[int]
+    demo: np.ndarray
+    demo_offsets: list[int]
 
 
-def make_dropout_plan(x: ModelInput, dim: int, rate: float, rng: np.random.Generator) -> DropoutPlan:
+def bag(xs: Sequence[ModelInput]) -> Bags:
+    """The embedding-bag layout of a list of cases."""
+    rows = [[2 * i for i in x.pos_clinical] + [2 * i + 1 for i in x.neg_clinical] for x in xs]
+    return Bags(*_flat(rows), *_flat([x.demo for x in xs]))
+
+
+def _flat(lists: list) -> tuple[np.ndarray, list[int]]:
+    offsets = list(accumulate(map(len, lists), initial=0))
+    return np.array([i for ids in lists for i in ids], dtype=np.intp), offsets
+
+
+def make_dropout_plan(n_rows: int, dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Boolean keep-mask for a batch's `n_rows` gathered rows, one rng draw."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    masks = (rng.random(size=(x.n_rows, dim)) >= rate).astype(float)
-    return DropoutPlan(rate=rate, masks=masks)
-
-
-def gather_rows(x: ModelInput) -> list[int]:
-    """Embedding-table row ids: 2i for present finding i, 2i+1 for absent."""
-    return [2 * i for i in x.pos_clinical] + [2 * i + 1 for i in x.neg_clinical]
+    return rng.random(size=(n_rows, dim)) >= rate
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    m = np.max(z)
-    return z - (m + np.log(np.sum(np.exp(z - m))))
+    """Log-softmax over the last axis."""
+    m = z.max(axis=-1, keepdims=True)
+    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
-def pooled_embedding(p: ModelParameters, x: ModelInput, plan: DropoutPlan | None = None) -> np.ndarray:
-    """Mean of the case's gathered rows under inverted dropout; zero if none."""
-    rows = gather_rows(x)
-    if not rows:
-        return np.zeros(p.finding_embeddings.shape[1])
-    gathered = p.finding_embeddings[rows]
-    if plan is not None and plan.rate > 0.0:
-        gathered = gathered * plan.masks / (1.0 - plan.rate)
-    return gathered.mean(axis=0)
+def _bag_sums(gathered: np.ndarray, offsets: list[int], mean: bool) -> np.ndarray:
+    # Sums over slices, not np.add.reduceat, whose summation order differs
+    # from a slice's and would move trained bytes.
+    out = np.zeros((len(offsets) - 1, gathered.shape[1]))
+    for b, (s, e) in enumerate(zip(offsets, offsets[1:])):
+        if e > s:
+            out[b] = gathered[s:e].mean(axis=0) if mean else gathered[s:e].sum(axis=0)
+    return out
 
 
-def demographic_logits(p: ModelParameters, x: ModelInput) -> np.ndarray:
-    if not x.demo:
-        return np.zeros(p.vocab.n_diseases)
-    return p.demographic_embeddings[list(x.demo)].sum(axis=0)
+def pooled_embedding(
+    p: ModelParameters, bags: Bags, mask: np.ndarray | None = None, rate: float = 0.0
+) -> np.ndarray:
+    """Per-case mean of the gathered finding rows, (B, D); zero for a case
+    with none. `mask` is a make_dropout_plan draw for `rate`: dropped
+    entries are zeroed and kept ones scaled by 1/(1 - rate)."""
+    gathered = p.finding_embeddings[bags.rows]
+    if mask is not None:
+        gathered *= mask
+        gathered /= 1.0 - rate
+    return _bag_sums(gathered, bags.offsets, mean=True)
 
 
-def forward(p: ModelParameters, x: ModelInput, plan: DropoutPlan | None = None) -> np.ndarray:
-    """Log-probability vector over the vocabulary's diseases.
+def disease_log_probs(p: ModelParameters, bags: Bags, h: np.ndarray) -> np.ndarray:
+    """Log-probabilities over the vocabulary's diseases, (B, L), from pooled
+    embeddings `h`: the finding stream's log-softmax plus the demographic
+    stream's, renormalized."""
+    u = _bag_sums(p.demographic_embeddings[bags.demo], bags.demo_offsets, mean=False)
+    return log_softmax(log_softmax(h @ p.projection + p.bias) + log_softmax(u))
 
-    Passing a DropoutPlan is train mode; omitting it is inference. A plan
-    with rate 0 is exactly inference.
-    """
-    h = pooled_embedding(p, x, plan)
-    lf = log_softmax(h @ p.projection + p.bias)
-    ld = log_softmax(demographic_logits(p, x))
-    return log_softmax(lf + ld)
+
+def forward(p: ModelParameters, x: ModelInput) -> np.ndarray:
+    """Log-probability vector over the vocabulary's diseases for one case."""
+    bags = bag([x])
+    return disease_log_probs(p, bags, pooled_embedding(p, bags))[0]
 
 
 def predict_topk(p: ModelParameters, x: ModelInput, k: int) -> list[tuple[str, float]]:
@@ -195,8 +210,9 @@ def predict_topk(p: ModelParameters, x: ModelInput, k: int) -> list[tuple[str, f
     if not (1 <= k <= L):
         raise ValueError(f"k must be in [1, {L}], got {k}")
     probs = np.exp(forward(p, x))
-    order = sorted(range(L), key=lambda j: (-probs[j], p.vocab.diseases[j]))
-    return [(p.vocab.diseases[j], float(probs[j])) for j in order[:k]]
+    # The vocabulary's diseases ascend by id, so a stable sort breaks ties by id.
+    order = np.argsort(-probs, kind="stable")[:k]
+    return [(p.vocab.diseases[j], prob) for j, prob in zip(order.tolist(), probs[order].tolist())]
 
 
 def encode_case(
@@ -239,19 +255,29 @@ def _encode_array(a: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _decode_array(s: str, shape: tuple[int, ...]) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype="<f8").reshape(shape).astype(float)
+def _decode_array(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    try:
+        return np.frombuffer(base64.b64decode(arrays[name]), dtype="<f8").reshape(shape).astype(float)
+    except ValueError:
+        raise ValueError(f"checkpoint arrays: field {name!r} is not {shape} float64 values in base64") from None
+
+
+def _checked(obj, fields: dict[str, type], where: str):
+    """`obj`, which must be an object with exactly these typed fields."""
+    errors = check_object(obj, fields, set(fields), where)
+    if errors:
+        raise ValueError("; ".join(errors))
+    return obj
 
 
 def checkpoint_to_json(p: ModelParameters) -> str:
     p.validate()
-    K, L, D, M = p.dims
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "byte_order": "little",
         "dtype": "float64",
-        "dims": {"n_findings": K, "n_diseases": L, "dim": D, "n_demographics": M},
+        "dims": dict(zip(DIM_NAMES, p.dims)),
         "vocab": p.vocab.to_dict(),
         "arrays": {name: _encode_array(a) for name, a in p.blocks().items()},
     }
@@ -259,26 +285,31 @@ def checkpoint_to_json(p: ModelParameters) -> str:
 
 
 def checkpoint_from_json(text: str) -> ModelParameters:
-    doc = json.loads(text)
+    """Parse a checkpoint; input it cannot use raises ValueError naming the field."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"checkpoint: parse error at line {e.lineno} column {e.colno}: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint: expected an object, got {type(doc).__name__}")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}, expected {CHECKPOINT_VERSION}")
     if doc.get("byte_order") != "little" or doc.get("dtype") != "float64":
         raise ValueError("unsupported checkpoint encoding")
-    vocab = Vocabulary.from_dict(doc["vocab"])
-    dims = doc["dims"]
-    K, L, D, M = dims["n_findings"], dims["n_diseases"], dims["dim"], dims["n_demographics"]
+    header = {"format": str, "version": int, "byte_order": str, "dtype": str}
+    _checked(doc, header | {"dims": dict, "vocab": dict, "arrays": dict}, "checkpoint")
+    vocab = Vocabulary.from_dict(doc["vocab"], where="checkpoint vocab")
+    dims = _checked(doc["dims"], dict.fromkeys(DIM_NAMES, int), "checkpoint dims")
+    K, L, D, M = (dims[name] for name in DIM_NAMES)
     if (K, L, M) != (vocab.n_findings, vocab.n_diseases, vocab.n_demographics):
         raise ValueError("checkpoint dims disagree with its vocabulary")
-    arrays = doc["arrays"]
-    p = ModelParameters(
-        finding_embeddings=_decode_array(arrays["finding_embeddings"], (2 * K, D)),
-        projection=_decode_array(arrays["projection"], (D, L)),
-        bias=_decode_array(arrays["bias"], (L,)),
-        demographic_embeddings=_decode_array(arrays["demographic_embeddings"], (M, L)),
-        vocab=vocab,
-    )
+    if D < 1:
+        raise ValueError("checkpoint dims: field 'dim' must be >= 1")
+    shapes = _block_shapes(K, L, D, M)
+    arrays = _checked(doc["arrays"], dict.fromkeys(shapes, str), "checkpoint arrays")
+    p = ModelParameters(**{name: _decode_array(arrays, name, shape) for name, shape in shapes.items()}, vocab=vocab)
     p.validate()
     return p
 

@@ -8,6 +8,9 @@ to zero, it passes through both inner log-softmax layers unchanged, and
 the remaining chain rule is plain linear algebra over the projection, the
 pooling mean, the dropout scaling, and the embedding gathers. Gradients
 are validated against central finite differences in the test suite.
+
+`backward` scatters row gradients through a minibatch's flat row ids;
+gradients and Adam moments are dicts keyed like `ModelParameters.blocks()`.
 """
 from __future__ import annotations
 
@@ -18,12 +21,12 @@ import numpy as np
 
 from .data import CaseSet
 from .model import (
-    DropoutPlan,
     ModelInput,
     ModelParameters,
+    bag,
+    disease_log_probs,
     encode_case,
     encode_target,
-    gather_rows,
     make_dropout_plan,
     pooled_embedding,
 )
@@ -51,35 +54,20 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-@dataclass
-class Gradients:
-    finding_embeddings: np.ndarray
-    projection: np.ndarray
-    bias: np.ndarray
-    demographic_embeddings: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, p: ModelParameters) -> "Gradients":
-        return cls(**{name: np.zeros_like(a) for name, a in p.blocks().items()})
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        return {
-            "finding_embeddings": self.finding_embeddings,
-            "projection": self.projection,
-            "bias": self.bias,
-            "demographic_embeddings": self.demographic_embeddings,
-        }
+def zero_grads(p: ModelParameters) -> dict[str, np.ndarray]:
+    """Zero arrays keyed and shaped like p.blocks()."""
+    return {name: np.zeros_like(a) for name, a in p.blocks().items()}
 
 
 @dataclass
 class AdamState:
-    m: Gradients
-    v: Gradients
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     t: int = 0
 
     @classmethod
     def init(cls, p: ModelParameters) -> "AdamState":
-        return cls(m=Gradients.zeros_like(p), v=Gradients.zeros_like(p), t=0)
+        return cls(m=zero_grads(p), v=zero_grads(p), t=0)
 
 
 def kl_loss(target: np.ndarray, logprobs: np.ndarray) -> float:
@@ -94,41 +82,27 @@ def kl_loss(target: np.ndarray, logprobs: np.ndarray) -> float:
     return float(np.sum(t * (np.log(t) - logprobs[support])))
 
 
-def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1, keepdims=True)
-    return z - (m + np.log(np.exp(z - m).sum(axis=1, keepdims=True)))
-
-
 def backward(
     p: ModelParameters,
     batch: list[tuple[ModelInput, np.ndarray]],
-    plans: list[DropoutPlan | None] | None = None,
-) -> tuple[Gradients, float]:
-    """Mean loss gradient over a batch, with dropout masks fixed per call.
+    mask: np.ndarray | None = None,
+    rate: float = 0.0,
+) -> tuple[dict[str, np.ndarray], float]:
+    """Mean loss gradient over a batch, with one dropout mask fixed per call.
 
-    Returns (gradients, mean KL loss). `plans` aligns with `batch`; None
-    entries (or a None list) run without dropout.
+    Returns (gradients keyed like p.blocks(), mean KL loss). `mask` is a
+    make_dropout_plan draw at `rate` over the batch's rows; None runs
+    without dropout.
     """
     if not batch:
         raise ValueError("empty batch")
-    if plans is None:
-        plans = [None] * len(batch)
+    xs, targets = zip(*batch)
+    bags = bag(xs)
     B = len(batch)
-    D, L = p.projection.shape
+    P = np.array(targets)
 
-    H = np.empty((B, D))
-    U = np.zeros((B, L))
-    P = np.empty((B, L))
-    for i, (x, target) in enumerate(batch):
-        H[i] = pooled_embedding(p, x, plans[i])
-        if x.demo:
-            U[i] = p.demographic_embeddings[list(x.demo)].sum(axis=0)
-        P[i] = target
-
-    LF = _log_softmax_rows(H @ p.projection + p.bias)
-    LD = _log_softmax_rows(U)
-    C = LF + LD
-    O = _log_softmax_rows(C)
+    H = pooled_embedding(p, bags, mask, rate)
+    O = disease_log_probs(p, bags, H)
     Q = np.exp(O)
 
     with np.errstate(divide="ignore"):
@@ -138,36 +112,32 @@ def backward(
     # d(loss)/dC = Q - P sums to zero per case, so it is also the gradient
     # at both inner log-softmax inputs.
     G_C = (Q - P) / B
-    grads = Gradients.zeros_like(p)
-    grads.projection[:] = H.T @ G_C
-    grads.bias[:] = G_C.sum(axis=0)
     G_H = G_C @ p.projection.T
+    grads = zero_grads(p) | {"projection": H.T @ G_C, "bias": G_C.sum(axis=0)}
 
-    for i, (x, _) in enumerate(batch):
-        rows = gather_rows(x)
-        if rows:
-            n = len(rows)
-            plan = plans[i]
-            if plan is not None and plan.rate > 0.0:
-                contrib = (G_H[i] * plan.masks) / ((1.0 - plan.rate) * n)
-            else:
-                contrib = np.tile(G_H[i] / n, (n, 1))
-            grads.finding_embeddings[rows] += contrib
-        for m in x.demo:
-            grads.demographic_embeddings[m] += G_C[i]
+    # A row's gradient is its case's pooled gradient through the mask, over
+    # (1 - rate) * n; added case by case, as np.add.at is exact but slower.
+    counts = np.diff(bags.offsets)
+    case = np.repeat(np.arange(B), counts)
+    contrib = G_H[case] if mask is None else G_H[case] * mask
+    contrib /= ((1.0 if mask is None else 1.0 - rate) * counts)[case, None]
+    for s, e in zip(bags.offsets, bags.offsets[1:]):
+        grads["finding_embeddings"][bags.rows[s:e]] += contrib[s:e]
+    demo_case = np.repeat(np.arange(B), np.diff(bags.demo_offsets))
+    np.add.at(grads["demographic_embeddings"], bags.demo, G_C[demo_case])
     return grads, mean_loss
 
 
 def adam_step(
-    p: ModelParameters, g: Gradients, s: AdamState, cfg: TrainConfig
+    p: ModelParameters, g: dict[str, np.ndarray], s: AdamState, cfg: TrainConfig
 ) -> tuple[ModelParameters, AdamState]:
     """Bias-corrected Adam update, applied in place."""
     s.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     for name, theta in p.blocks().items():
-        grad = g.blocks()[name]
-        m = s.m.blocks()[name]
-        v = s.v.blocks()[name]
+        grad = g[name]
+        m = s.m[name]
+        v = s.v[name]
         m *= b1
         m += (1.0 - b1) * grad
         v *= b2
@@ -210,8 +180,8 @@ def train(
     """Run the full optimization; p0 is left untouched.
 
     Every epoch reshuffles with the config-seeded stream, walks batches of
-    cfg.batch_size (the final short batch is kept), resamples dropout masks
-    per case, and records the mean training loss. With a holdout set the
+    cfg.batch_size (the final short batch is kept), draws a new dropout
+    mask per batch, and records the mean training loss. With a holdout set the
     record also carries top-1/3/5 accuracy against the argmax of each
     case's differential label.
     """
@@ -223,6 +193,7 @@ def train(
         logger.warning("training encode skipped %d findings outside the vocabulary", skipped)
     n = len(inputs)
     D = p.projection.shape[0]
+    rate = cfg.dropout_rate
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.init(p)
     history: list[EpochRecord] = []
@@ -234,11 +205,8 @@ def train(
         for start in range(0, n, cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
             batch = [(inputs[i], targets[i]) for i in chunk]
-            if cfg.dropout_rate > 0.0:
-                plans = [make_dropout_plan(x, D, cfg.dropout_rate, rng) for x, _ in batch]
-            else:
-                plans = None
-            grads, loss = backward(p, batch, plans)
+            mask = make_dropout_plan(sum(x.n_rows for x, _ in batch), D, rate, rng) if rate > 0.0 else None
+            grads, loss = backward(p, batch, mask, rate)
             adam_step(p, grads, state, cfg)
             total += loss * len(chunk)
         holdout_topk = _holdout_metrics(p, holdout) if holdout is not None else None

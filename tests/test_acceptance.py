@@ -23,7 +23,7 @@ from ddxkit.kb import serialize_knowledge_base
 from ddxkit.model import ModelInput, forward, init_parameters
 from ddxkit.simulate import SimConfig, simulate_dataset
 from ddxkit.synthetic import make_novel_disease_cases, make_separable_kb
-from ddxkit.train import Gradients, TrainConfig, backward, kl_loss, train
+from ddxkit.train import TrainConfig, backward, kl_loss, train
 
 from conftest import make_kb, oracle_inference, subprocess_env
 
@@ -132,7 +132,7 @@ def test_criterion_1_gradient_oracle():
         analytic, _ = backward(p, batch)
         for name, theta in p.blocks().items():
             flat = theta.reshape(-1)
-            a_flat = analytic.blocks()[name].reshape(-1)
+            a_flat = analytic[name].reshape(-1)
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + h

@@ -57,6 +57,10 @@ def test_read_empty_document():
         (line(source="guess"), "source"),
         (line(ddx=[{"disease": "flu", "p": 1.0}, {"disease": "flu", "p": 1.0}]), "duplicate disease"),
         ('{"id": "c1"}', "missing field"),
+        (line(ddx=[{"disease": "flu", "p": True}]), r":1: ddx\[0\] needs a string 'disease' and a number 'p'"),
+        (line(ddx=[{"disease": "cold", "p": 1.0}, {"disease": "flu", "p": False}]), r":1: ddx\[1\] needs a string 'disease' and a number 'p'"),
+        (line(pos=["fever", "cough", "fever"]), ":1: pos repeats finding id 'fever'"),
+        (line(neg=["rash", "rash"]), ":1: neg repeats finding id 'rash'"),
     ],
 )
 def test_read_rejects_bad_lines(text, match):

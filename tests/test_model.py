@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,16 +8,19 @@ from ddxkit.data import Vocabulary
 from ddxkit.kb import DEMOGRAPHIC
 from ddxkit.model import (
     DEMOGRAPHIC_MASK,
+    bag,
     ModelInput,
     ModelParameters,
     checkpoint_from_json,
     checkpoint_to_json,
+    disease_log_probs,
     encode_case,
     encode_target,
     forward,
     init_parameters,
     load_checkpoint,
     make_dropout_plan,
+    pooled_embedding,
     predict_topk,
     save_checkpoint,
 )
@@ -126,8 +130,8 @@ def test_dropout_rate_zero_is_exactly_inference():
     vocab = small_vocab()
     p = init_parameters(vocab, dim=8, seed=2)
     x = ModelInput((0, 2), (1,), (1,))
-    plan = make_dropout_plan(x, 8, 0.0, np.random.default_rng(0))
-    assert np.array_equal(forward(p, x, plan), forward(p, x))
+    mask = make_dropout_plan(x.n_rows, 8, 0.0, np.random.default_rng(0))
+    assert np.array_equal(disease_log_probs(p, bag([x]), pooled_embedding(p, bag([x]), mask, 0.0))[0], forward(p, x))
 
 
 def test_dropout_scaling_is_unbiased():
@@ -136,11 +140,9 @@ def test_dropout_scaling_is_unbiased():
     p = init_parameters(vocab, dim=8, seed=2)
     p.finding_embeddings = rng.uniform(0.5, 1.5, size=p.finding_embeddings.shape)
     x = ModelInput((0, 1, 2, 3), (), ())
-    from ddxkit.model import pooled_embedding
-
-    h = pooled_embedding(p, x)
+    h = pooled_embedding(p, bag([x]))[0]
     draws = np.stack(
-        [pooled_embedding(p, x, make_dropout_plan(x, 8, 0.7, rng)) for _ in range(10_000)]
+        [pooled_embedding(p, bag([x]), make_dropout_plan(x.n_rows, 8, 0.7, rng), 0.7)[0] for _ in range(10_000)]
     )
     assert np.allclose(draws.mean(axis=0), h, atol=0.02 * max(1.0, np.abs(h).max()))
 
@@ -232,3 +234,34 @@ def test_checkpoint_rejects_foreign_or_versioned_files():
         checkpoint_from_json(text.replace('"version":1', '"version":99'))
     with pytest.raises(ValueError, match="not a"):
         checkpoint_from_json('{"format": "something-else"}')
+
+    def edited(edit):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+
+    for bad, match in [
+        ("[1]", "checkpoint: expected an object, got list"),
+        ("{not json", "parse error at line 1"),
+        (edited(lambda d: d.pop("vocab")), "checkpoint: missing field 'vocab'"),
+        (edited(lambda d: d.pop("dims")), "checkpoint: missing field 'dims'"),
+        (edited(lambda d: d.pop("arrays")), "checkpoint: missing field 'arrays'"),
+        (edited(lambda d: d["vocab"].pop("diseases")), "checkpoint vocab: missing field 'diseases'"),
+        (edited(lambda d: d["dims"].pop("dim")), "checkpoint dims: missing field 'dim'"),
+        (edited(lambda d: d["arrays"].pop("bias")), "checkpoint arrays: missing field 'bias'"),
+        (edited(lambda d: d.update(vocab=[])), "checkpoint: field 'vocab' must be dict"),
+        (edited(lambda d: d["vocab"].update(findings="f0")), "checkpoint vocab: field 'findings' must be list"),
+        (edited(lambda d: d["vocab"].update(diseases=["d0", 1, "d2"])), "checkpoint vocab: .* must hold ids"),
+        (edited(lambda d: d["vocab"].update(mutex_groups={"age_a": 1})), "checkpoint vocab: mutex_groups must map"),
+        (edited(lambda d: d.update(dims=[4])), "checkpoint: field 'dims' must be dict"),
+        (edited(lambda d: d["dims"].update(dim="4")), "checkpoint dims: field 'dim' must be int"),
+        (edited(lambda d: d["dims"].update(dim=True)), "checkpoint dims: field 'dim' must be int"),
+        (edited(lambda d: d["dims"].update(dim=0)), "checkpoint dims: field 'dim' must be >= 1"),
+        (edited(lambda d: d.update(arrays="")), "checkpoint: field 'arrays' must be dict"),
+        (edited(lambda d: d["arrays"].update(bias=3)), "checkpoint arrays: field 'bias' must be str"),
+        (edited(lambda d: d["arrays"].update(bias="AAAA")), r"checkpoint arrays: field 'bias' is not \(3,\) float64"),
+        (edited(lambda d: d["arrays"].update(bias="A")), r"checkpoint arrays: field 'bias' is not \(3,\) float64"),
+        (edited(lambda d: d["vocab"].update(diseases=d["vocab"]["diseases"][::-1])), "ascending id order"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            checkpoint_from_json(bad)

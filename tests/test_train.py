@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddxkit.data import CaseSet, Vocabulary, normalize_ddx
-from ddxkit.model import ModelInput, checkpoint_to_json, forward, init_parameters
+from ddxkit.model import ModelInput, checkpoint_to_json, forward, init_parameters, make_dropout_plan
 from ddxkit.simulate import ClinicalCase
-from ddxkit.train import AdamState, Gradients, TrainConfig, adam_step, backward, kl_loss, train
+from ddxkit.train import AdamState, TrainConfig, adam_step, backward, kl_loss, train, zero_grads
 
 
 def test_kl_of_identical_distributions_is_zero():
@@ -67,9 +67,9 @@ def random_example(vocab, rng):
 
 def finite_difference_grads(p, batch, h=1e-4):
     """Central differences of the mean KL loss, the long way around."""
-    fd = Gradients.zeros_like(p)
+    fd = zero_grads(p)
     for name, theta in p.blocks().items():
-        target_arr = fd.blocks()[name]
+        target_arr = fd[name]
         flat = theta.reshape(-1)
         out = target_arr.reshape(-1)
         for i in range(flat.size):
@@ -84,8 +84,8 @@ def finite_difference_grads(p, batch, h=1e-4):
 
 
 def assert_grads_close(analytic, numeric, rel=1e-4):
-    for name, a in analytic.blocks().items():
-        n = numeric.blocks()[name]
+    for name, a in analytic.items():
+        n = numeric[name]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
         worst = np.max(np.abs(a - n) / denom)
         assert worst < rel, f"{name}: max relative error {worst:.2e}"
@@ -109,7 +109,7 @@ def test_backward_is_zero_at_the_optimum():
     target = np.exp(forward(p, x))
     grads, loss = backward(p, [(x, target)])
     assert loss < 1e-12
-    for arr in grads.blocks().values():
+    for arr in grads.values():
         assert np.max(np.abs(arr)) < 1e-10
 
 
@@ -120,10 +120,70 @@ def test_backward_mean_semantics():
     single, loss1 = backward(p, [(x, target)])
     double, loss2 = backward(p, [(x, target), (x, target)])
     assert loss2 == pytest.approx(loss1, abs=1e-12)
-    for name, arr in single.blocks().items():
-        assert np.allclose(arr, double.blocks()[name], atol=1e-12)
+    for name, arr in single.items():
+        assert np.allclose(arr, double[name], atol=1e-12)
     with pytest.raises(ValueError, match="empty batch"):
         backward(p, [])
+
+
+def reference_backward(p, batch, rate, rng):
+    """The per-case pooling and backward loops that the flat-batch path
+    replaced, drawing one dropout mask per case; an exact oracle."""
+
+    def log_softmax_rows(z):
+        m = z.max(axis=1, keepdims=True)
+        return z - (m + np.log(np.exp(z - m).sum(axis=1, keepdims=True)))
+
+    (D, L), B = p.projection.shape, len(batch)
+    rows = [[2 * i for i in x.pos_clinical] + [2 * i + 1 for i in x.neg_clinical] for x, _ in batch]
+    masks = [(rng.random(size=(len(r), D)) >= rate).astype(float) if rate > 0 else None for r in rows]
+    H, U, P = np.zeros((B, D)), np.zeros((B, L)), np.array([t for _, t in batch])
+    for i, (x, _) in enumerate(batch):
+        if rows[i]:
+            gathered = p.finding_embeddings[rows[i]]
+            H[i] = (gathered if masks[i] is None else gathered * masks[i] / (1.0 - rate)).mean(axis=0)
+        if x.demo:
+            U[i] = p.demographic_embeddings[list(x.demo)].sum(axis=0)
+    O = log_softmax_rows(log_softmax_rows(H @ p.projection + p.bias) + log_softmax_rows(U))
+    with np.errstate(divide="ignore"):
+        logP = np.where(P > 0.0, np.log(np.where(P > 0.0, P, 1.0)), 0.0)
+    loss = float(np.where(P > 0.0, P * (logP - O), 0.0).sum() / B)
+    G_C = (np.exp(O) - P) / B
+    grads = zero_grads(p)
+    grads["projection"][:] = H.T @ G_C
+    grads["bias"][:] = G_C.sum(axis=0)
+    G_H = G_C @ p.projection.T
+    for i, (x, _) in enumerate(batch):
+        n = len(rows[i])
+        if masks[i] is not None:
+            grads["finding_embeddings"][rows[i]] += (G_H[i] * masks[i]) / ((1.0 - rate) * n)
+        elif n:
+            grads["finding_embeddings"][rows[i]] += np.tile(G_H[i] / n, (n, 1))
+        for m in x.demo:
+            grads["demographic_embeddings"][m] += G_C[i]
+    return grads, loss
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.7])
+def test_backward_equals_the_per_case_reference_exactly(rate):
+    vocab, p = toy_setup(n_findings=12, n_diseases=5, dim=16, demo=("g0", "g1", "g2"))
+    rng = np.random.default_rng(4)
+    for arr in p.blocks().values():
+        arr += rng.normal(0, 0.5, size=arr.shape)
+    for trial in range(30):
+        batch = [random_example(vocab, rng) for _ in range(int(rng.integers(1, 40)))]
+        uniform = np.full(vocab.n_diseases, 1.0 / vocab.n_diseases)
+        batch.insert(int(rng.integers(len(batch) + 1)), (ModelInput((), (), ()), uniform))
+        batch.insert(int(rng.integers(len(batch) + 1)), (ModelInput((), (), (0, 2)), uniform))
+        ref_rng, rng_ = np.random.default_rng(trial), np.random.default_rng(trial)
+        expected, expected_loss = reference_backward(p, batch, rate, ref_rng)
+        mask = make_dropout_plan(sum(x.n_rows for x, _ in batch), 16, rate, rng_) if rate > 0 else None
+        grads, loss = backward(p, batch, mask, rate)
+        assert loss == expected_loss
+        assert grads.keys() == expected.keys()
+        for name, arr in expected.items():
+            assert np.array_equal(grads[name], arr), name
+        assert rng_.bit_generator.state == ref_rng.bit_generator.state
 
 
 def scalar_problem():
@@ -137,7 +197,7 @@ def scalar_problem():
 def test_adam_zero_gradient_is_a_noop():
     p = scalar_problem()
     before = {k: v.copy() for k, v in p.blocks().items()}
-    adam_step(p, Gradients.zeros_like(p), AdamState.init(p), TrainConfig())
+    adam_step(p, zero_grads(p), AdamState.init(p), TrainConfig())
     for name, arr in p.blocks().items():
         assert np.array_equal(arr, before[name])
 
@@ -145,8 +205,8 @@ def test_adam_zero_gradient_is_a_noop():
 def test_adam_first_step_magnitude():
     # g = 1 at t = 1: m_hat = 1, v_hat = 1, step = -lr / (1 + eps)
     p = scalar_problem()
-    g = Gradients.zeros_like(p)
-    g.bias[0] = 1.0
+    g = zero_grads(p)
+    g["bias"][0] = 1.0
     before = p.bias[0]
     adam_step(p, g, AdamState.init(p), TrainConfig(learning_rate=0.01))
     assert p.bias[0] - before == pytest.approx(-0.01 * (1.0 / (1.0 + 1e-8)), abs=1e-12)
@@ -158,8 +218,8 @@ def test_adam_repeated_gradient_descends_monotonically():
     cfg = TrainConfig(learning_rate=0.01)
     values = [p.bias[0]]
     for _ in range(5):
-        g = Gradients.zeros_like(p)
-        g.bias[0] = 1.0
+        g = zero_grads(p)
+        g["bias"][0] = 1.0
         adam_step(p, g, state, cfg)
         values.append(p.bias[0])
     assert all(b < a for a, b in zip(values, values[1:]))
