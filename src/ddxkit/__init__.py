@@ -14,7 +14,7 @@ from .kb import (  # noqa: F401
     validate_knowledge_base,
 )
 from .expert import DifferentialDiagnosis, expert_inference, score_disease, softmax_normalize  # noqa: F401
-from .simulate import ClinicalCase, SimConfig, remove_mutex, simulate_case, simulate_dataset  # noqa: F401
+from .simulate import ClinicalCase, SimConfig, simulate_case, simulate_dataset  # noqa: F401
 from .data import (  # noqa: F401
     CaseSet,
     Vocabulary,

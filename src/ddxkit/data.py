@@ -199,7 +199,10 @@ def _case_from_dict(doc: dict, where: str) -> ClinicalCase:
                 errors.append(f"{where}: ddx[{i}] needs a string 'disease' and a number 'p' (not a bool)")
     if errors:
         raise CaseFormatError(errors[0])
-    weights = [(entry["disease"], float(entry["p"])) for entry in doc["ddx"]]
+    try:
+        weights = [(entry["disease"], float(entry["p"])) for entry in doc["ddx"]]
+    except OverflowError:
+        raise CaseFormatError(f"{where}: a ddx 'p' is too large for a float") from None
     if doc["source"] not in CASE_SOURCES:
         raise CaseFormatError(f"{where}: source must be one of {CASE_SOURCES}")
     try:
@@ -227,6 +230,8 @@ def read_cases(text: str, provenance: str = "<string>") -> CaseSet:
             doc = json.loads(line)
         except json.JSONDecodeError as e:
             raise CaseFormatError(f"{where}: parse error at column {e.colno}: {e.msg}") from None
+        except ValueError as e:  # an integer literal longer than the interpreter converts
+            raise CaseFormatError(f"{where}: parse error: {e}") from None
         cases.append(_case_from_dict(doc, where))
     try:
         return CaseSet(cases=tuple(cases), provenance=(provenance,))

@@ -11,6 +11,9 @@ The KB document is a JSON object with three arrays:
 A missing (disease, finding) pair means frequency exactly 0. Unknown fields
 are rejected. Findings sharing a mutex_group are mutually exclusive in a
 patient; every demographic finding must carry one.
+
+Parsing compiles nothing; `scoring_tables(kb)` compiles the KB on first use,
+once, into the expert's log-frequency tables and the simulator's walks.
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ScoringTables:
-    """The KB compiled for the expert scoring rule.
+    """The KB compiled for the expert scoring rule and the case simulator.
 
     Row r of each table belongs to finding `findings[r]`, column c to
     disease `diseases[c]`. `log_present` holds ln(eps + FREQ) and
@@ -67,12 +70,17 @@ class ScoringTables:
     has is -inf in `log_present`, so summing its row excludes the disease.
     `disease_rank[c]` is the position of disease c's id in ascending id
     order, the tie-break among equal scores.
+
+    `walks[d]` holds disease d's demographic findings by ascending id, then
+    its clinical findings with FREQ > 0 by descending frequency and id, each
+    as (finding id, FREQ(d, f), mutex group).
     """
 
     finding_row: dict[str, int]
     log_present: np.ndarray
     log_absent: np.ndarray
     disease_rank: np.ndarray
+    walks: dict[str, tuple[tuple, tuple]]
 
     def row(self, fid: str) -> int:
         try:
@@ -90,13 +98,11 @@ class KnowledgeBase:
     frequencies: dict[tuple[str, str], float]
     _disease_ids: frozenset[str] = field(init=False, repr=False, compare=False)
     _findings_by_id: dict[str, Finding] = field(init=False, repr=False, compare=False)
-    _sorted_cache: dict[str, list[str]] = field(init=False, repr=False, compare=False)
     _tables: ScoringTables | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._disease_ids = frozenset(d.id for d in self.diseases)
         self._findings_by_id = {f.id: f for f in self.findings}
-        self._sorted_cache = {}
         self._tables = None
 
     def finding(self, fid: str) -> Finding:
@@ -110,13 +116,6 @@ class KnowledgeBase:
 
     def has_finding(self, fid: str) -> bool:
         return fid in self._findings_by_id
-
-    def demographic_findings(self) -> list[Finding]:
-        """Demographic findings in ascending id order."""
-        return sorted((f for f in self.findings if f.kind == DEMOGRAPHIC), key=lambda f: f.id)
-
-    def mutex_group(self, fid: str) -> str | None:
-        return self.finding(fid).mutex_group
 
 
 def frequency(kb: KnowledgeBase, disease_id: str, finding_id: str) -> float:
@@ -136,18 +135,7 @@ def sorted_findings(kb: KnowledgeBase, disease_id: str) -> list[str]:
     """
     if not kb.has_disease(disease_id):
         raise KeyError(f"unknown disease id: {disease_id!r}")
-    cached = kb._sorted_cache.get(disease_id)
-    if cached is not None:
-        return list(cached)
-    pairs = [
-        (fid, q)
-        for (did, fid), q in kb.frequencies.items()
-        if did == disease_id and q > 0.0 and kb.finding(fid).kind == CLINICAL
-    ]
-    pairs.sort(key=lambda p: (-p[1], p[0]))
-    order = [fid for fid, _ in pairs]
-    kb._sorted_cache[disease_id] = order
-    return list(order)
+    return [fid for fid, _, _ in scoring_tables(kb).walks[disease_id][1]]
 
 
 def scoring_tables(kb: KnowledgeBase) -> ScoringTables:
@@ -166,16 +154,25 @@ def _build_scoring_tables(kb: KnowledgeBase) -> ScoringTables:
     log_present = np.full(shape, math.log(SMOOTHING_EPS))
     log_present[[r for r, f in enumerate(kb.findings) if f.kind == DEMOGRAPHIC]] = -math.inf
     log_absent = np.full(shape, math.log(SMOOTHING_EPS + 1.0))
+    clinical: dict[str, list] = {d.id: [] for d in kb.diseases}
     for (did, fid), q in kb.frequencies.items():
         if q == 0.0 or did not in disease_col or fid not in finding_row:
             continue
         r, c = finding_row[fid], disease_col[did]
         log_present[r, c] = math.log(SMOOTHING_EPS + q)
         log_absent[r, c] = math.log(SMOOTHING_EPS + 1.0 - q)
+        f = kb.findings[r]
+        if f.kind == CLINICAL and q > 0.0:
+            clinical[did].append((fid, q, f.mutex_group))
+    demographics = sorted((f for f in kb.findings if f.kind == DEMOGRAPHIC), key=lambda f: f.id)
+    walks = {}
+    for d in kb.diseases:
+        demographic = tuple((f.id, kb.frequencies.get((d.id, f.id), 0.0), f.mutex_group) for f in demographics)
+        walks[d.id] = (demographic, tuple(sorted(clinical[d.id], key=lambda e: (-e[1], e[0]))))
     by_id = sorted(range(len(kb.diseases)), key=lambda c: kb.diseases[c].id)
     disease_rank = np.empty(len(kb.diseases), dtype=np.int64)
     disease_rank[by_id] = np.arange(len(kb.diseases))
-    return ScoringTables(finding_row, log_present, log_absent, disease_rank)
+    return ScoringTables(finding_row, log_present, log_absent, disease_rank, walks)
 
 
 def check_object(obj, allowed: dict[str, type], required: set[str], where: str) -> list[str]:
@@ -199,18 +196,16 @@ def check_object(obj, allowed: dict[str, type], required: set[str], where: str) 
 
 def _collect_parts(doc) -> tuple[list[Disease], list[Finding], dict[tuple[str, str], float], list[str]]:
     """Shape-check a decoded document; returns parts plus shape errors."""
-    errors: list[str] = []
+    errors = check_object(doc, dict.fromkeys(("diseases", "findings", "frequencies"), list), set(), "top level")
     if not isinstance(doc, dict):
-        return [], [], {}, ["top level: expected an object"]
-    for key in doc:
-        if key not in ("diseases", "findings", "frequencies"):
-            errors.append(f"top level: unknown field {key!r}")
+        return [], [], {}, errors
+    arrays = {key: value for key, value in doc.items() if isinstance(value, list)}
     diseases: list[Disease] = []
     findings: list[Finding] = []
     freqs: dict[tuple[str, str], float] = {}
     zero_keys: set[tuple[str, str]] = set()
 
-    for i, obj in enumerate(doc.get("diseases", [])):
+    for i, obj in enumerate(arrays.get("diseases", [])):
         where = f"diseases[{i}]"
         errs = check_object(obj, {"id": str, "name": str}, {"id", "name"}, where)
         if errs:
@@ -218,7 +213,7 @@ def _collect_parts(doc) -> tuple[list[Disease], list[Finding], dict[tuple[str, s
             continue
         diseases.append(Disease(id=obj["id"], display_name=obj["name"]))
 
-    for i, obj in enumerate(doc.get("findings", [])):
+    for i, obj in enumerate(arrays.get("findings", [])):
         where = f"findings[{i}]"
         errs = check_object(
             obj, {"id": str, "name": str, "kind": str, "mutex_group": str}, {"id", "name", "kind"}, where
@@ -233,7 +228,7 @@ def _collect_parts(doc) -> tuple[list[Disease], list[Finding], dict[tuple[str, s
     disease_ids = {d.id for d in diseases}
     finding_ids = {f.id for f in findings}
 
-    for i, obj in enumerate(doc.get("frequencies", [])):
+    for i, obj in enumerate(arrays.get("frequencies", [])):
         where = f"frequencies[{i}]"
         errs = check_object(
             obj, {"disease": str, "finding": str, "freq": (int, float)}, {"disease", "finding", "freq"}, where
@@ -245,7 +240,11 @@ def _collect_parts(doc) -> tuple[list[Disease], list[Finding], dict[tuple[str, s
         if key in freqs or key in zero_keys:
             errors.append(f"{where}: duplicate frequency entry for {key}")
             continue
-        q = float(obj["freq"])
+        try:
+            q = float(obj["freq"])
+        except OverflowError:
+            errors.append(f"{where}: field 'freq' is too large for a float")
+            continue
         if q == 0.0:
             # Zero entries are equivalent to absent ones; check references, drop.
             did, fid = key
@@ -300,8 +299,11 @@ def validate_knowledge_base(kb: KnowledgeBase, min_clinical_findings: int = 3) -
             errors.append(f"{where}: frequency out of range [0, 1]: {q}")
 
     if not errors:
+        n_clinical = dict.fromkeys(seen_d, 0)
+        for (did, fid), q in kb.frequencies.items():
+            n_clinical[did] += q > 0.0 and kb.finding(fid).kind == CLINICAL
         for d in kb.diseases:
-            n = len(sorted_findings(kb, d.id))
+            n = n_clinical[d.id]
             if n < min_clinical_findings:
                 warnings.append(
                     f"disease {d.id!r}: insufficient findings for simulation "
@@ -317,6 +319,8 @@ def _read_document(text: str, min_clinical_findings: int) -> tuple[KnowledgeBase
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         return None, ValidationReport(errors=(f"syntax error at line {e.lineno} column {e.colno}: {e.msg}",))
+    except ValueError as e:  # an integer literal longer than the interpreter converts
+        return None, ValidationReport(errors=(f"syntax error: {e}",))
     diseases, findings, freqs, shape_errors = _collect_parts(doc)
     if shape_errors:
         return None, ValidationReport(errors=tuple(shape_errors))

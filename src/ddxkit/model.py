@@ -47,9 +47,11 @@ class ModelInput:
     demo: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pos_clinical", tuple(sorted(self.pos_clinical)))
-        object.__setattr__(self, "neg_clinical", tuple(sorted(self.neg_clinical)))
-        object.__setattr__(self, "demo", tuple(sorted(self.demo)))
+        for name in ("pos_clinical", "neg_clinical", "demo"):
+            indices = tuple(sorted(getattr(self, name)))
+            if len(set(indices)) != len(indices):
+                raise ValueError(f"{name} repeats an index")
+            object.__setattr__(self, name, indices)
         if set(self.pos_clinical) & set(self.neg_clinical):
             raise ValueError("a finding cannot be both present and absent")
 

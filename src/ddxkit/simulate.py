@@ -9,6 +9,10 @@ negatives when a uniform draw exceeds neg_gate. The resulting finding sets
 are labeled with the expert engine's differential diagnosis, so the label
 is a distribution over diseases rather than the seed alone.
 
+Both walks are compiled with the KB (`ScoringTables.walks`). A positive
+takes its finding's mutex group; a later finding in a taken group is
+skipped without an RNG draw.
+
 Every case owns an RNG stream derived from (seed, case index), which makes
 datasets reproducible byte-for-byte and independent of generation order.
 """
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expert import DifferentialDiagnosis, expert_inference
-from .kb import KnowledgeBase, frequency, sorted_findings
+from .kb import KnowledgeBase, scoring_tables
 
 CASE_SOURCES = ("expert_sim", "assessment", "vignette")
 
@@ -68,24 +72,6 @@ class ClinicalCase:
             raise ValueError(f"case {self.id!r}: source must be one of {CASE_SOURCES}, got {self.source!r}")
 
 
-def remove_mutex(kb: KnowledgeBase, pool: list[str], selected_pos: set[str] | frozenset[str]) -> list[str]:
-    """Drop pool findings sharing a mutex group with any selected finding.
-
-    Selected findings themselves are dropped too; survivors keep their
-    order. Findings without a group never conflict.
-    """
-    taken_groups = {g for g in (kb.mutex_group(f) for f in selected_pos) if g is not None}
-    out = []
-    for fid in pool:
-        if fid in selected_pos:
-            continue
-        g = kb.mutex_group(fid)
-        if g is not None and g in taken_groups:
-            continue
-        out.append(fid)
-    return out
-
-
 def case_rng(seed: int, case_index: int) -> np.random.Generator:
     """Independent per-case stream; generation order cannot matter."""
     return np.random.default_rng(np.random.SeedSequence([seed, 1, case_index]))
@@ -99,39 +85,41 @@ def simulate_case(
     case_id: str = "sim-0",
 ) -> ClinicalCase:
     """Generate one labeled case seeded on `disease_id`."""
-    clinical = sorted_findings(kb, disease_id)
+    demographics, clinical = scoring_tables(kb).walks[disease_id]
     if not clinical:
         raise ValueError(f"disease {disease_id!r} has no nonzero clinical findings; cannot simulate")
 
     pos: set[str] = set()
     neg: set[str] = set()
+    taken: set[str] = set()  # mutex groups of the findings in pos
 
-    # Demographic pass, ascending id order. Each surviving candidate is
-    # included with probability FREQ(y, f); an inclusion knocks out the
-    # rest of its mutex group.
-    demo_pool = [f.id for f in kb.demographic_findings()]
-    while demo_pool:
-        fid = demo_pool.pop(0)
-        if rng.random() < frequency(kb, disease_id, fid):
+    # Demographic pass, ascending id order: each finding whose group is
+    # still free is included with probability FREQ(y, f).
+    for fid, q, group in demographics:
+        if group in taken:
+            continue
+        if rng.random() < q:
             pos.add(fid)
-            demo_pool = remove_mutex(kb, demo_pool, {fid})
+            if group is not None:
+                taken.add(group)
     n_demo = len(pos)
 
-    # The clinical pool honors mutex groups already taken by demographics.
-    pool = remove_mutex(kb, clinical, pos)
-    upper = max(5, min(len(pool), cfg.max_findings_cap))
+    # Clinical findings in a group a demographic took are never drawn.
+    upper = max(5, min(sum(group not in taken for _, _, group in clinical), cfg.max_findings_cap))
     target = int(rng.integers(5, upper, endpoint=True)) + n_demo
 
-    while pool and len(pos) + len(neg) <= target:
-        fid = pool.pop(0)
-        q = frequency(kb, disease_id, fid)
+    for fid, q, group in clinical:
+        if len(pos) + len(neg) > target:
+            break
+        if group in taken:
+            continue
         if q >= cfg.pos_threshold:
             if rng.random() < q:
                 pos.add(fid)
-                pool = remove_mutex(kb, pool, {fid})
-        else:
-            if rng.random() > cfg.neg_gate:
-                neg.add(fid)
+                if group is not None:
+                    taken.add(group)
+        elif rng.random() > cfg.neg_gate:
+            neg.add(fid)
 
     ddx = expert_inference(kb, pos, neg, cfg.ddx_top_k)
     return ClinicalCase(
@@ -146,7 +134,7 @@ def simulate_case(
 
 def simulable_diseases(kb: KnowledgeBase) -> list[str]:
     """Disease ids with at least one nonzero clinical finding, ascending."""
-    return sorted(d.id for d in kb.diseases if sorted_findings(kb, d.id))
+    return sorted(did for did, (_, clinical) in scoring_tables(kb).walks.items() if clinical)
 
 
 def simulate_dataset(kb: KnowledgeBase, cfg: SimConfig, threads: int = 1) -> list[ClinicalCase]:

@@ -3,6 +3,7 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from ddxkit.kb import CLINICAL, DEMOGRAPHIC, Disease, Finding, KnowledgeBase
 
@@ -19,6 +20,33 @@ def subprocess_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return env
+
+
+# What a parser must reject rather than crash on: JSON null, bools, floats
+# (NaN and infinities too), short text, lists, and integers, including ones
+# too large for a float. Text draws from a fixed alphabet: the full Unicode
+# one makes Hypothesis build a character map on first use, which on a fresh
+# checkout takes seconds and fails its too-slow health check.
+TEXT = st.text('a1 "\\\u00e9', max_size=3)
+GARBAGE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    TEXT,
+    st.lists(st.one_of(st.none(), st.integers(), TEXT), max_size=3),
+    st.integers(-2, 2),
+    st.integers(min_value=10**308),
+)
+
+
+def valid_or_garbage(valid):
+    """`valid`, or about one time in eight a GARBAGE value; shrinks toward valid."""
+    return st.integers(0, 7).flatmap(lambda i: GARBAGE if i == 7 else valid)
+
+
+def field_key(name):
+    """A `unique_by` key: an object's `name` field, or a garbage value itself."""
+    return lambda obj: repr(obj.get(name) if isinstance(obj, dict) else obj)
 
 
 def make_kb(diseases, findings, freqs) -> KnowledgeBase:

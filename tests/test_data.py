@@ -15,10 +15,10 @@ from ddxkit.data import (
     write_cases,
 )
 from ddxkit.kb import DEMOGRAPHIC
-from ddxkit.simulate import ClinicalCase, SimConfig, simulate_dataset
+from ddxkit.simulate import CASE_SOURCES, ClinicalCase, SimConfig, simulate_dataset
 from ddxkit.synthetic import make_separable_kb
 
-from conftest import make_kb
+from conftest import field_key, make_kb, valid_or_garbage
 
 
 def line(**overrides):
@@ -61,11 +61,40 @@ def test_read_empty_document():
         (line(ddx=[{"disease": "cold", "p": 1.0}, {"disease": "flu", "p": False}]), r":1: ddx\[1\] needs a string 'disease' and a number 'p'"),
         (line(pos=["fever", "cough", "fever"]), ":1: pos repeats finding id 'fever'"),
         (line(neg=["rash", "rash"]), ":1: neg repeats finding id 'rash'"),
+        (line(ddx=[{"disease": "flu", "p": 10**400}]), ":1: a ddx 'p' is too large for a float"),
+        ('{"id": ' + "1" * 5000 + "}", ":1: parse error: Exceeds the limit"),
     ],
 )
 def test_read_rejects_bad_lines(text, match):
     with pytest.raises(CaseFormatError, match=match):
         read_cases(text)
+
+
+def case_documents():
+    """Case lines whose every field is valid or, now and then, garbage."""
+    v = valid_or_garbage
+    entry = st.fixed_dictionaries({"disease": v(st.sampled_from(["flu", "cold"])), "p": v(st.floats(0.01, 1))})
+    case = st.fixed_dictionaries(
+        {
+            "id": v(st.sampled_from(["c1", "c2"])),
+            "pos": v(st.lists(v(st.sampled_from(["fever", "cough"])), max_size=2, unique_by=repr)),
+            "neg": v(st.lists(v(st.sampled_from(["rash", "itch"])), max_size=2, unique_by=repr)),
+            "ddx": v(st.lists(v(entry), min_size=1, max_size=2, unique_by=field_key("disease"))),
+            "source": v(st.sampled_from(CASE_SOURCES)),
+        },
+        optional={"seed_disease": v(st.just("flu"))},
+    )
+    lines = st.lists(case, min_size=1, max_size=2, unique_by=field_key("id"))
+    return lines.map(lambda docs: "\n".join(json.dumps(d) for d in docs))
+
+
+@given(case_documents())
+@settings(max_examples=300)
+def test_garbage_lines_raise_only_case_format_errors(text):
+    try:
+        read_cases(text)
+    except CaseFormatError:
+        pass
 
 
 def test_read_error_carries_line_number():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ddxkit.kb import (
     CLINICAL,
     DEMOGRAPHIC,
+    FINDING_KINDS,
     Disease,
     Finding,
     KBError,
@@ -19,7 +20,7 @@ from ddxkit.kb import (
     validate_knowledge_base,
 )
 
-from conftest import make_kb
+from conftest import field_key, make_kb, valid_or_garbage
 
 MINIMAL = json.dumps(
     {
@@ -88,11 +89,49 @@ FREQ_TYPE = r"frequencies\[0\]: field 'freq' must be int or float"
             ),
             "duplicate frequency",
         ),
+        ('{"diseases": 5}', "^top level: field 'diseases' must be list$"),
+        ('{"findings": "ab"}', "^top level: field 'findings' must be list$"),
+        ('{"frequencies": {}}', "^top level: field 'frequencies' must be list$"),
+        (
+            doc(frequencies=[{"disease": "flu", "finding": "fever", "freq": 10**400}]),
+            r"frequencies\[0\]: field 'freq' is too large for a float",
+        ),
+        ('{"diseases": ' + "1" * 5000 + "}", "syntax error: Exceeds the limit"),
     ],
 )
 def test_parse_rejects_invalid_documents(text, match):
     with pytest.raises(KBError, match=match):
         parse_knowledge_base(text)
+
+
+def kb_documents():
+    """KB documents whose every field is valid or, now and then, garbage."""
+    v = valid_or_garbage
+    diseases, findings = st.sampled_from(["flu", "cold"]), st.sampled_from(["fever", "cough", "male"])
+    disease = st.fixed_dictionaries({"id": v(diseases), "name": v(st.just("x"))})
+    finding = st.fixed_dictionaries(
+        {"id": v(findings), "name": v(st.just("x")), "kind": v(st.sampled_from(FINDING_KINDS))},
+        optional={"mutex_group": v(st.just("sex"))},
+    )
+    pair = st.fixed_dictionaries({"disease": v(diseases), "finding": v(findings), "freq": v(st.floats(0, 1))})
+    return st.fixed_dictionaries(
+        {
+            "diseases": v(st.lists(v(disease), max_size=2, unique_by=field_key("id"))),
+            "findings": v(st.lists(v(finding), max_size=3, unique_by=field_key("id"))),
+            "frequencies": v(st.lists(v(pair), max_size=4)),
+        }
+    )
+
+
+@given(kb_documents())
+@settings(max_examples=300)
+def test_garbage_documents_raise_only_kb_errors(document):
+    text = json.dumps(document)
+    validate_kb_document(text)
+    try:
+        parse_knowledge_base(text)
+    except KBError:
+        pass
 
 
 def test_parse_reports_syntax_error_position():

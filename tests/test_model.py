@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddxkit.data import Vocabulary
 from ddxkit.kb import DEMOGRAPHIC
@@ -26,7 +28,7 @@ from ddxkit.model import (
 )
 from ddxkit.data import normalize_ddx
 
-from conftest import make_kb
+from conftest import GARBAGE, make_kb
 
 
 def small_vocab(n_findings=4, n_diseases=3, demo=("age_a", "age_b")):
@@ -194,6 +196,12 @@ def test_predict_topk_full_distribution_and_ties():
 def test_model_input_validates_overlap():
     with pytest.raises(ValueError):
         ModelInput((0, 1), (1,), ())
+    with pytest.raises(ValueError, match="pos_clinical repeats"):
+        ModelInput((1, 1), (), ())
+    with pytest.raises(ValueError, match="neg_clinical repeats"):
+        ModelInput((0,), (2, 2), ())
+    with pytest.raises(ValueError, match="demo repeats"):
+        ModelInput((), (), (0, 3, 0))
 
 
 def test_encode_case_routes_and_skips():
@@ -265,3 +273,28 @@ def test_checkpoint_rejects_foreign_or_versioned_files():
     ]:
         with pytest.raises(ValueError, match=match):
             checkpoint_from_json(bad)
+
+
+def field_paths(obj, prefix=()):
+    """Key paths of every field of a decoded JSON object, nested ones too."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+
+
+VALID_CHECKPOINT = json.loads(checkpoint_to_json(init_parameters(small_vocab(), dim=2, seed=0)))
+
+
+@given(st.sampled_from(sorted(field_paths(VALID_CHECKPOINT))), GARBAGE)
+@settings(max_examples=300)
+def test_a_garbage_checkpoint_field_raises_only_value_error(path, value):
+    doc = json.loads(json.dumps(VALID_CHECKPOINT))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        checkpoint_from_json(json.dumps(doc))
+    except ValueError:
+        pass

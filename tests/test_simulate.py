@@ -1,15 +1,16 @@
 import collections
+import functools
 
 import numpy as np
 import pytest
 
 from ddxkit.data import write_cases
-from ddxkit.kb import DEMOGRAPHIC
+from ddxkit.expert import expert_inference
+from ddxkit.kb import CLINICAL, DEMOGRAPHIC, frequency
 from ddxkit.simulate import (
     ClinicalCase,
     SimConfig,
     case_rng,
-    remove_mutex,
     simulable_diseases,
     simulate_case,
     simulate_dataset,
@@ -19,8 +20,7 @@ from ddxkit.synthetic import make_separable_kb
 from conftest import make_kb
 
 
-@pytest.fixture
-def mutex_kb():
+def build_mutex_kb():
     return make_kb(
         ["d"],
         [
@@ -34,14 +34,147 @@ def mutex_kb():
     )
 
 
-def test_remove_mutex_drops_whole_group(mutex_kb):
-    pool = ["age_child", "age_adult", "cough"]
-    assert remove_mutex(mutex_kb, pool, {"age_adult"}) == ["cough"]
+@pytest.fixture
+def mutex_kb():
+    return build_mutex_kb()
 
 
-def test_remove_mutex_without_shared_groups_is_noop(mutex_kb):
-    assert remove_mutex(mutex_kb, ["cough", "fever"], {"male"}) == ["cough", "fever"]
-    assert remove_mutex(mutex_kb, [], {"male"}) == []
+def reference_simulate_case(kb, disease_id, rng, cfg, case_id):
+    """The simulator as a pool walk read straight from the KB.
+
+    Mutex groups are enforced by rebuilding the candidate pool after every
+    positive; frequencies and groups are looked up per finding.
+    """
+
+    def remove_mutex(pool, selected_pos):
+        taken_groups = {kb.finding(f).mutex_group for f in selected_pos} - {None}
+        return [f for f in pool if f not in selected_pos and kb.finding(f).mutex_group not in taken_groups]
+
+    pairs = [
+        (fid, q)
+        for (did, fid), q in kb.frequencies.items()
+        if did == disease_id and q > 0.0 and kb.finding(fid).kind == CLINICAL
+    ]
+    clinical = [fid for fid, _ in sorted(pairs, key=lambda p: (-p[1], p[0]))]
+    pos: set[str] = set()
+    neg: set[str] = set()
+    demo_pool = sorted(f.id for f in kb.findings if f.kind == DEMOGRAPHIC)
+    while demo_pool:
+        fid = demo_pool.pop(0)
+        if rng.random() < frequency(kb, disease_id, fid):
+            pos.add(fid)
+            demo_pool = remove_mutex(demo_pool, {fid})
+    n_demo = len(pos)
+
+    pool = remove_mutex(clinical, pos)
+    upper = max(5, min(len(pool), cfg.max_findings_cap))
+    target = int(rng.integers(5, upper, endpoint=True)) + n_demo
+    while pool and len(pos) + len(neg) <= target:
+        fid = pool.pop(0)
+        q = frequency(kb, disease_id, fid)
+        if q >= cfg.pos_threshold:
+            if rng.random() < q:
+                pos.add(fid)
+                pool = remove_mutex(pool, {fid})
+        else:
+            if rng.random() > cfg.neg_gate:
+                neg.add(fid)
+
+    ddx = expert_inference(kb, pos, neg, cfg.ddx_top_k)
+    return ClinicalCase(id=case_id, pos=frozenset(pos), neg=frozenset(neg), ddx=ddx, seed_disease=disease_id)
+
+
+def shared_group_kb():
+    """Clinical findings sharing a group with each other and with a demographic.
+
+    d4's demographics block two of its eleven common clinical findings, so
+    the blocked ones must not count toward the target's upper bound. The
+    ungrouped demographic `visitor`, which validation would reject, must
+    neither block nor take a group.
+    """
+    common = [f"c{i}" for i in range(8)]
+    return make_kb(
+        ["d1", "d2", "d3", "d4"],
+        [
+            ("age_old", DEMOGRAPHIC, "age"),
+            ("age_young", DEMOGRAPHIC, "age"),
+            ("female", DEMOGRAPHIC, "sex"),
+            ("male", DEMOGRAPHIC, "sex"),
+            ("nonsmoker", DEMOGRAPHIC, "smoking"),
+            ("pregnant", DEMOGRAPHIC, "pregnancy"),
+            ("visitor", DEMOGRAPHIC, None),
+            ("smokers_cough", CLINICAL, "smoking"),
+            ("pain_left", CLINICAL, "side"),
+            ("pain_right", CLINICAL, "side"),
+            ("swelling_left", CLINICAL, "side"),
+            "cough",
+            "fever",
+            "rash",
+            "nausea",
+            "itch",
+            "dizzy",
+            *common,
+        ],
+        {
+            ("d1", "age_old"): 0.7,
+            ("d1", "age_young"): 0.6,
+            ("d1", "female"): 0.5,
+            ("d1", "male"): 0.5,
+            ("d1", "nonsmoker"): 0.6,
+            ("d1", "pregnant"): 0.0,
+            ("d1", "smokers_cough"): 0.8,
+            ("d1", "pain_left"): 0.6,
+            ("d1", "pain_right"): 0.6,
+            ("d1", "swelling_left"): 0.1,
+            ("d1", "cough"): 0.5,
+            ("d1", "fever"): 0.3,
+            ("d1", "rash"): 0.1,
+            ("d1", "nausea"): 0.0,
+            ("d2", "age_young"): 1.0,
+            ("d2", "female"): 0.9,
+            ("d2", "male"): 0.1,
+            ("d2", "pregnant"): 0.3,
+            ("d2", "nonsmoker"): 0.9,
+            ("d2", "swelling_left"): 0.9,
+            ("d2", "pain_right"): 0.15,
+            ("d2", "pain_left"): 0.15,
+            ("d2", "nausea"): 0.7,
+            ("d2", "itch"): 0.05,
+            ("d3", "age_old"): 1.0,
+            ("d3", "male"): 1.0,
+            ("d3", "smokers_cough"): 0.25,
+            ("d3", "cough"): 0.9,
+            ("d3", "fever"): 0.9,
+            ("d3", "dizzy"): 0.5,
+            ("d3", "rash"): 0.02,
+            ("d3", "itch"): 0.02,
+            ("d3", "visitor"): 0.5,
+            ("d4", "age_old"): 1.0,
+            ("d4", "nonsmoker"): 0.7,
+            ("d4", "visitor"): 0.8,
+            ("d4", "smokers_cough"): 0.95,
+            ("d4", "pain_left"): 0.9,
+            ("d4", "pain_right"): 0.9,
+            ("d4", "swelling_left"): 0.9,
+            **{("d4", f): 0.85 for f in common},
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [functools.partial(make_separable_kb, 20), build_mutex_kb, shared_group_kb],
+    ids=["separable", "mutex", "shared"],
+)
+def test_simulate_case_equals_the_reference_walk(build):
+    kb = build()
+    cfg = SimConfig(cases_total=1, ddx_top_k=3)
+    dstar = simulable_diseases(kb)
+    for seed in range(40):
+        labels = [dstar[(seed + i) % len(dstar)] for i in range(6)]
+        new = [simulate_case(kb, d, case_rng(seed, i), cfg, f"c{i}") for i, d in enumerate(labels)]
+        ref = [reference_simulate_case(kb, d, case_rng(seed, i), cfg, f"c{i}") for i, d in enumerate(labels)]
+        assert write_cases(new) == write_cases(ref)
 
 
 def test_certain_findings_are_always_elicited():
