@@ -130,7 +130,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _ranking_depth(k: int) -> int | None:
+    """--ddx-top-k as a ranking depth; 0 means every disease (None)."""
+    if k < 0:
+        raise ValueError(f"--ddx-top-k must be >= 0 (0 ranks every disease), got {k}")
+    return k or None
+
+
 def _make_predictor(args):
+    depth = _ranking_depth(args.ddx_top_k)
     inputs = []
     if args.engine == "model":
         if not args.model:
@@ -142,8 +150,7 @@ def _make_predictor(args):
         raise ValueError("--engine expert requires --kb")
     kb = parse_knowledge_base(Path(args.kb).read_text(encoding="utf-8"))
     inputs.append(args.kb)
-    k = args.ddx_top_k if args.ddx_top_k > 0 else None
-    return expert_predictor(kb, top_k=k), None, inputs
+    return expert_predictor(kb, top_k=depth), None, inputs
 
 
 def cmd_eval(args) -> int:
@@ -175,7 +182,7 @@ def cmd_predict(args) -> int:
     t0 = time.monotonic()
     predictor, _, inputs = _make_predictor(args)
     cases = _load_case_files(args.cases)
-    depth = args.ddx_top_k if args.ddx_top_k > 0 else None
+    depth = _ranking_depth(args.ddx_top_k)
     lines = []
     for case in cases:
         ranked, skipped = predictor(case.pos, case.neg)
@@ -268,7 +275,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as e:
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)  # strerror and file name, not the bare errno
+        return 1
+    except (ValueError, KeyError) as e:
         message = e.args[0] if e.args else e
         print(f"error: {message}", file=sys.stderr)
         return 1

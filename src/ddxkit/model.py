@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .data import Vocabulary
-from .kb import KnowledgeBase, check_object, frequency
+from .kb import KnowledgeBase, check_object, scoring_tables
 
 DEMOGRAPHIC_MASK = -30.0
 CHECKPOINT_FORMAT = "ddx-checkpoint"
@@ -119,12 +119,16 @@ def init_parameters(
     bias = rng.uniform(-0.05, 0.05, size=L)
     demographic = np.zeros((M, L))
     if kb is not None:
+        # The compiled KB holds -inf in log_present exactly where a
+        # demographic finding has FREQ 0 for a disease.
+        tables = scoring_tables(kb)
+        kb_col = {d.id: c for c, d in enumerate(kb.diseases)}
+        known = [j for j, did in enumerate(vocab.diseases) if did in kb_col]
+        cols = [kb_col[vocab.diseases[j]] for j in known]
         for m, fid in enumerate(vocab.demographic_list):
-            if not kb.has_finding(fid):
-                continue
-            for j, did in enumerate(vocab.diseases):
-                if kb.has_disease(did) and frequency(kb, did, fid) == 0.0:
-                    demographic[m, j] = DEMOGRAPHIC_MASK
+            if fid in tables.finding_row:
+                excluded = tables.log_present[tables.finding_row[fid], cols] == -np.inf
+                demographic[m, known] = np.where(excluded, DEMOGRAPHIC_MASK, 0.0)
     return ModelParameters(
         finding_embeddings=finding_embeddings,
         projection=projection,
@@ -171,11 +175,15 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 
 def _bag_sums(gathered: np.ndarray, offsets: list[int], mean: bool) -> np.ndarray:
     # Sums over slices, not np.add.reduceat, whose summation order differs
-    # from a slice's and would move trained bytes.
+    # from a slice's and would move trained bytes. The mean is the reduction
+    # and the in-place division by the count that a slice's .mean(axis=0)
+    # runs, without its Python wrapper.
     out = np.zeros((len(offsets) - 1, gathered.shape[1]))
     for b, (s, e) in enumerate(zip(offsets, offsets[1:])):
         if e > s:
-            out[b] = gathered[s:e].mean(axis=0) if mean else gathered[s:e].sum(axis=0)
+            row = np.add.reduce(gathered[s:e], axis=0, out=out[b])
+            if mean:
+                row /= e - s
     return out
 
 
@@ -317,8 +325,10 @@ def checkpoint_from_json(text: str) -> ModelParameters:
 
 
 def save_checkpoint(p: ModelParameters, path) -> None:
+    """Serialise, then write: parameters that fail validation leave `path` untouched."""
+    text = checkpoint_to_json(p)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(checkpoint_to_json(p))
+        fh.write(text)
 
 
 def load_checkpoint(path) -> ModelParameters:

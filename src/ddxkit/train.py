@@ -15,6 +15,7 @@ gradients and Adam moments are dicts keyed like `ModelParameters.blocks()`.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.batch_size < 1:
@@ -61,13 +64,18 @@ def zero_grads(p: ModelParameters) -> dict[str, np.ndarray]:
 
 @dataclass
 class AdamState:
+    """Adam moments per block, and two scratch arrays per block that
+    adam_step writes its intermediates into instead of allocating them."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
     t: int = 0
 
     @classmethod
     def init(cls, p: ModelParameters) -> "AdamState":
-        return cls(m=zero_grads(p), v=zero_grads(p), t=0)
+        scratch = {name: (np.empty_like(a), np.empty_like(a)) for name, a in p.blocks().items()}
+        return cls(m=zero_grads(p), v=zero_grads(p), scratch=scratch, t=0)
 
 
 def kl_loss(target: np.ndarray, logprobs: np.ndarray) -> float:
@@ -123,28 +131,41 @@ def backward(
     contrib /= ((1.0 if mask is None else 1.0 - rate) * counts)[case, None]
     for s, e in zip(bags.offsets, bags.offsets[1:]):
         grads["finding_embeddings"][bags.rows[s:e]] += contrib[s:e]
+    # Flat indices take np.add.at's fast 1-D path; each element adds in case order.
+    L = G_C.shape[1]
     demo_case = np.repeat(np.arange(B), np.diff(bags.demo_offsets))
-    np.add.at(grads["demographic_embeddings"], bags.demo, G_C[demo_case])
+    flat = (bags.demo[:, None] * L + np.arange(L)).reshape(-1)
+    np.add.at(grads["demographic_embeddings"].reshape(-1), flat, G_C[demo_case].reshape(-1))
     return grads, mean_loss
 
 
 def adam_step(
     p: ModelParameters, g: dict[str, np.ndarray], s: AdamState, cfg: TrainConfig
 ) -> tuple[ModelParameters, AdamState]:
-    """Bias-corrected Adam update, applied in place."""
+    """Bias-corrected Adam update, applied in place.
+
+    theta -= lr * m_hat / (sqrt(v_hat) + eps), computed in s.scratch with
+    the operations of that expression in its order, so the result is
+    bit-for-bit the expression's.
+    """
     s.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     for name, theta in p.blocks().items():
-        grad = g[name]
-        m = s.m[name]
-        v = s.v[name]
+        grad, m, v = g[name], s.m[name], s.v[name]
+        a, b = s.scratch[name]
         m *= b1
-        m += (1.0 - b1) * grad
+        m += np.multiply(1.0 - b1, grad, out=a)
         v *= b2
-        v += (1.0 - b2) * grad * grad
-        m_hat = m / (1.0 - b1**s.t)
-        v_hat = v / (1.0 - b2**s.t)
-        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        np.multiply(1.0 - b2, grad, out=a)
+        a *= grad
+        v += a
+        np.divide(m, 1.0 - b1**s.t, out=a)  # m_hat
+        np.divide(v, 1.0 - b2**s.t, out=b)  # v_hat
+        a *= cfg.learning_rate
+        np.sqrt(b, out=b)
+        b += cfg.adam_eps
+        a /= b
+        theta -= a
     return p, s
 
 

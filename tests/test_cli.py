@@ -73,6 +73,37 @@ def test_missing_kb_file_fails_cleanly(workspace):
     assert "error" in result.stderr
 
 
+def test_missing_checkpoint_names_the_file(workspace):
+    assert simulate(workspace).returncode == 0
+    result = ddx("eval", "missing.ckpt", "--cases", "cases.jsonl", cwd=workspace)
+    assert result.returncode == 1
+    assert "No such file or directory" in result.stderr
+    assert "missing.ckpt" in result.stderr
+
+
+def test_non_finite_learning_rate_is_rejected_before_training(workspace):
+    assert simulate(workspace).returncode == 0
+    for lr in ("nan", "0"):
+        result = train(workspace, extra=("--lr", lr))
+        assert result.returncode == 1
+        assert "learning_rate must be finite and > 0" in result.stderr
+        assert "epoch" not in result.stdout
+        assert not (workspace / "m.ckpt").exists()
+
+
+def test_negative_ddx_top_k_is_rejected(workspace):
+    assert simulate(workspace).returncode == 0
+    expert = ("--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl")
+    for command in ("eval", "predict"):
+        result = ddx(command, *expert, "--ddx-top-k", "-3", cwd=workspace)
+        assert result.returncode == 1
+        assert "--ddx-top-k must be >= 0" in result.stderr
+    every = ddx("predict", *expert, "--ddx-top-k", "0", cwd=workspace)
+    assert every.returncode == 0, every.stderr
+    # 0 ranks every disease: here the same as a depth past the KB's 4 diseases
+    assert every.stdout == ddx("predict", *expert, "--ddx-top-k", "5", cwd=workspace).stdout
+
+
 def test_unknown_flag_is_a_usage_error(workspace):
     result = ddx("simulate", "--götterdämmerung", cwd=workspace)
     assert result.returncode == 2

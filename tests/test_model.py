@@ -136,6 +136,29 @@ def test_dropout_rate_zero_is_exactly_inference():
     assert np.array_equal(disease_log_probs(p, bag([x]), pooled_embedding(p, bag([x]), mask, 0.0))[0], forward(p, x))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 64])
+@pytest.mark.parametrize("rate", [0.0, 0.7])
+def test_pooled_embedding_equals_per_slice_means_bytewise(dim, rate):
+    vocab = small_vocab(n_findings=150)
+    rng = np.random.default_rng(dim)
+    p = init_parameters(vocab, dim=dim, seed=8)
+    p.finding_embeddings *= 10.0 ** rng.integers(-3, 4, size=p.finding_embeddings.shape)
+    xs = [random_input(vocab, rng) for _ in range(12)] + [ModelInput((), (), ()), ModelInput((), (), (0, 1))]
+    xs = [xs[i] for i in rng.permutation(len(xs))]
+    bags = bag(xs)
+    mask = make_dropout_plan(len(bags.rows), dim, rate, rng) if rate > 0.0 else None
+    got = pooled_embedding(p, bags, mask, rate)
+
+    gathered = p.finding_embeddings[bags.rows]
+    if mask is not None:
+        gathered = gathered * mask / (1.0 - rate)
+    expected = np.zeros((len(xs), dim))
+    for b, (s, e) in enumerate(zip(bags.offsets, bags.offsets[1:])):
+        if e > s:
+            expected[b] = gathered[s:e].mean(axis=0)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_dropout_scaling_is_unbiased():
     rng = np.random.default_rng(3)
     vocab = small_vocab()
@@ -232,6 +255,19 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(arr, q.blocks()[name])
     save_checkpoint(q, tmp_path / "m2.ckpt")
     assert (tmp_path / "m.ckpt").read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
+
+
+def test_save_checkpoint_that_fails_validation_writes_nothing(tmp_path):
+    p = init_parameters(small_vocab(), dim=4, seed=0)
+    p.bias[1] = math.nan
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match="non-finite"):
+        save_checkpoint(p, path)
+    assert not path.exists()
+    path.write_text("an earlier checkpoint", encoding="utf-8")
+    with pytest.raises(ValueError, match="non-finite"):
+        save_checkpoint(p, path)
+    assert path.read_text(encoding="utf-8") == "an earlier checkpoint"
 
 
 def test_checkpoint_rejects_foreign_or_versioned_files():

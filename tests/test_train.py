@@ -183,6 +183,7 @@ def test_backward_equals_the_per_case_reference_exactly(rate):
         assert grads.keys() == expected.keys()
         for name, arr in expected.items():
             assert np.array_equal(grads[name], arr), name
+            assert grads[name].tobytes() == arr.tobytes(), name  # array_equal ignores the sign of zero
         assert rng_.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -192,6 +193,41 @@ def scalar_problem():
     )
     p = init_parameters(vocab, dim=1, seed=0)
     return p
+
+
+def allocating_adam_step(p, g, s, cfg):
+    """adam_step as it was before it reused scratch arrays; a byte-level oracle."""
+    s.t += 1
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    for name, theta in p.blocks().items():
+        grad, m, v = g[name], s.m[name], s.v[name]
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1**s.t)
+        v_hat = v / (1.0 - b2**s.t)
+        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+
+@pytest.mark.parametrize("problem", ["toy", "scalar"])
+def test_adam_step_equals_the_allocating_form_bytewise(problem):
+    p = toy_setup()[1] if problem == "toy" else scalar_problem()
+    ref = p.copy()
+    state, ref_state = AdamState.init(p), AdamState.init(ref)
+    cfg = TrainConfig(learning_rate=0.03)
+    rng = np.random.default_rng(5)
+    for step in range(8):
+        g = {name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), size=a.shape) for name, a in p.blocks().items()}
+        if step == 2:
+            g["bias"][:] = -0.0
+        adam_step(p, g, state, cfg)
+        allocating_adam_step(ref, g, ref_state, cfg)
+        for name, arr in ref.blocks().items():
+            assert p.blocks()[name].tobytes() == arr.tobytes(), (step, name)
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), (step, name)
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), (step, name)
+    assert state.t == ref_state.t == 8
 
 
 def test_adam_zero_gradient_is_a_noop():
@@ -333,3 +369,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    for lr in (math.nan, math.inf, -math.inf, 0.0, -0.01):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
