@@ -72,6 +72,17 @@ def _read_restrict_findings(path: str) -> frozenset[str]:
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
+def _check_out_path(out: str | None) -> None:
+    """Fail before any work when --out cannot name a file to write."""
+    if out is None:
+        return
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise ValueError(f"--out {out}: directory {path.parent} does not exist")
+    if path.is_dir():
+        raise ValueError(f"--out {out}: is a directory")
+
+
 def _load_case_files(paths: list[str]):
     return merge([read_cases_file(p) for p in paths])
 
@@ -274,6 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_path(args.out)
         return args.func(args)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)  # strerror and file name, not the bare errno

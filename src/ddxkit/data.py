@@ -222,7 +222,9 @@ def _case_from_dict(doc: dict, where: str) -> ClinicalCase:
 def read_cases(text: str, provenance: str = "<string>") -> CaseSet:
     """Parse a line-delimited case document, validating every record."""
     cases = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Split on "\n" only: write_cases leaves U+2028, U+0085 and the like
+    # unescaped inside ids, and str.splitlines would break a record there.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         where = f"{provenance}:{lineno}"

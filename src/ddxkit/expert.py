@@ -13,6 +13,10 @@ softmax, mirroring how a short retained list is reported as probabilities.
 The ln terms are read from the KB's compiled tables (kb.scoring_tables),
 built once per knowledge base.
 
+The retained list is ranked on arrays, by (-score, id) and then by
+(-probability, id), with the IEEE operations of `softmax_normalize`: a
+differential has the same bytes as one built entry by entry in Python.
+
 This is a simple, monotone, brute-force-verifiable scoring rule, not a
 reconstruction of any production inference engine.
 """
@@ -58,12 +62,6 @@ class DifferentialDiagnosis:
     @property
     def diseases(self) -> tuple[str, ...]:
         return tuple(d for d, _ in self.entries)
-
-    def probability(self, disease_id: str) -> float:
-        for d, p in self.entries:
-            if d == disease_id:
-                return p
-        return 0.0
 
     def top(self) -> str:
         return self.entries[0][0]
@@ -137,10 +135,19 @@ def expert_inference(
         # tie-break below decides which of those survive.
         kth = -np.partition(-scores[finite], k - 1)[k - 1]
         finite = finite[scores[finite] >= kth]
-    ranked = finite[np.lexsort((scoring_tables(kb).disease_rank[finite], -scores[finite]))][:k]
-    kept = [(kb.diseases[c].id, float(scores[c])) for c in ranked]
-    probs = softmax_normalize([s for _, s in kept])
+    tables = scoring_tables(kb)
+    ranked = finite[np.lexsort((tables.disease_rank[finite], -scores[finite]))][:k]
+    # softmax_normalize's arithmetic on the retained scores: kept[0] is the
+    # maximum, math.exp per weight and one left-to-right sum. np.exp and
+    # numpy's pairwise sum could move the last bits of a probability.
+    kept = scores[ranked]
+    weights = list(map(math.exp, (kept - kept[0]).tolist()))
+    probs = np.array(weights) / sum(weights)
     # A retained score hundreds of nats below the best underflows to exactly
     # 0 in the softmax; such entries carry no differential mass and are dropped.
-    order = sorted((i for i in range(len(kept)) if probs[i] > 0.0), key=lambda i: (-probs[i], kept[i][0]))
-    return DifferentialDiagnosis(entries=tuple((kept[i][0], probs[i]) for i in order))
+    keep = probs > 0.0
+    ranked, probs = ranked[keep], probs[keep]
+    # Distinct scores can round to one probability: re-rank by (-p, id).
+    order = np.lexsort((tables.disease_rank[ranked], -probs))
+    ranked, probs = ranked[order], probs[order]
+    return DifferentialDiagnosis(entries=tuple(zip(tables.disease_ids[ranked].tolist(), probs.tolist())))

@@ -68,8 +68,9 @@ class ScoringTables:
     disease `diseases[c]`. `log_present` holds ln(eps + FREQ) and
     `log_absent` ln(eps + 1 - FREQ); a demographic finding a disease never
     has is -inf in `log_present`, so summing its row excludes the disease.
-    `disease_rank[c]` is the position of disease c's id in ascending id
-    order, the tie-break among equal scores.
+    `disease_ids[c]` is disease c's id (an object array, so a gather by
+    column returns the id strings) and `disease_rank[c]` its position in
+    ascending id order, the tie-break among equal scores.
 
     `walks[d]` holds disease d's demographic findings by ascending id, then
     its clinical findings with FREQ > 0 by descending frequency and id, each
@@ -79,6 +80,7 @@ class ScoringTables:
     finding_row: dict[str, int]
     log_present: np.ndarray
     log_absent: np.ndarray
+    disease_ids: np.ndarray
     disease_rank: np.ndarray
     walks: dict[str, tuple[tuple, tuple]]
 
@@ -172,7 +174,8 @@ def _build_scoring_tables(kb: KnowledgeBase) -> ScoringTables:
     by_id = sorted(range(len(kb.diseases)), key=lambda c: kb.diseases[c].id)
     disease_rank = np.empty(len(kb.diseases), dtype=np.int64)
     disease_rank[by_id] = np.arange(len(kb.diseases))
-    return ScoringTables(finding_row, log_present, log_absent, disease_rank, walks)
+    disease_ids = np.array([d.id for d in kb.diseases], dtype=object)
+    return ScoringTables(finding_row, log_present, log_absent, disease_ids, disease_rank, walks)
 
 
 def check_object(obj, allowed: dict[str, type], required: set[str], where: str) -> list[str]:

@@ -236,3 +236,30 @@ def test_target_disease_report(workspace):
     assert report["target_disease"] == "d00"
     assert "3" in report["target_accuracy"]
     assert "target disease: d00" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("kb", "validate", "kb.json"),
+        ("simulate", "--kb", "kb.json", "--cases", "60", "--min-per-disease", "10"),
+        ("train", "--cases", "cases.jsonl", "--dim", "8", "--epochs", "3"),
+        ("eval", "--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl"),
+        ("predict", "--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl"),
+    ],
+)
+def test_missing_out_directory_fails_before_any_work(workspace, args):
+    assert simulate(workspace).returncode == 0
+    before = sorted(p.name for p in workspace.iterdir())
+    result = ddx(*args, "--out", "nodir/out.txt", cwd=workspace)
+    assert result.returncode == 1
+    assert "error: --out nodir/out.txt: directory nodir does not exist" in result.stderr
+    assert result.stdout == ""  # no epoch lines, no report
+    assert sorted(p.name for p in workspace.iterdir()) == before
+
+
+def test_out_naming_a_directory_is_rejected(workspace):
+    (workspace / "sub").mkdir()
+    result = ddx("kb", "validate", "kb.json", "--out", "sub", cwd=workspace)
+    assert result.returncode == 1
+    assert "error: --out sub: is a directory" in result.stderr

@@ -161,6 +161,42 @@ def test_write_read_round_trip_on_simulated_cases():
     assert write_cases(cs) == text
 
 
+# Ids mix ASCII with characters JSON leaves unescaped under ensure_ascii=False,
+# some of which str.splitlines treats as line breaks.
+IDS = st.text("ab1 \"\\\u00e9\u0085\u2028\u4e2d", min_size=1, max_size=4)
+
+
+@st.composite
+def clinical_cases(draw):
+    findings = draw(st.lists(IDS, max_size=6, unique=True))
+    labels = draw(st.lists(st.booleans(), min_size=len(findings), max_size=len(findings)))
+    weights = draw(
+        st.lists(
+            st.tuples(IDS, st.one_of(st.just(0.0), st.floats(1e-3, 100.0))),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda e: e[0],
+        ).filter(lambda ws: any(w > 0 for _, w in ws))
+    )
+    return ClinicalCase(
+        id=draw(IDS),
+        pos=frozenset(f for f, in_pos in zip(findings, labels) if in_pos),
+        neg=frozenset(f for f, in_pos in zip(findings, labels) if not in_pos),
+        ddx=normalize_ddx(weights),
+        source=draw(st.sampled_from(CASE_SOURCES)),
+        seed_disease=draw(st.one_of(st.none(), IDS)),
+    )
+
+
+@given(st.lists(clinical_cases(), max_size=4, unique_by=lambda c: c.id))
+@settings(max_examples=100)
+def test_case_file_round_trip_property(cases):
+    text = write_cases(cases)
+    cs = read_cases(text)
+    assert list(cs.cases) == cases
+    assert write_cases(cs) == text
+
+
 def test_round_trip_is_stable_for_unnormalized_weights():
     text = line(ddx=[{"disease": "flu", "p": 2.0}, {"disease": "cold", "p": 1.0}])
     once = read_cases(text)

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from ddxkit.expert import (
     score_disease,
     softmax_normalize,
 )
+from ddxkit import expert as expert_module
 from ddxkit import kb as kb_module
 from ddxkit.kb import DEMOGRAPHIC, parse_knowledge_base, serialize_knowledge_base
 from ddxkit.simulate import SimConfig, simulate_dataset
@@ -242,3 +244,53 @@ def test_scoring_tables_are_built_once_per_knowledge_base(monkeypatch):
     other = parse_knowledge_base(serialize_knowledge_base(kb))
     expert_inference(other, {"d00_f0"}, set())
     assert len(builds) == 2 and builds[1] is other
+
+
+def reference_entries(kb, pos, neg, k):
+    """The per-entry Python ranking expert_inference is byte-equal to.
+
+    Sorts the finite scores by (-score, id), keeps k, softmaxes them with
+    softmax_normalize, drops probabilities that underflow to 0 and re-sorts
+    by (-p, id). Scores come from the module attribute, so a monkeypatched
+    score_all_diseases feeds both sides.
+    """
+    scores = expert_module.score_all_diseases(kb, pos, neg).tolist()
+    finite = [(d.id, s) for d, s in zip(kb.diseases, scores) if s != -math.inf]
+    kept = sorted(finite, key=lambda e: (-e[1], e[0]))[:k]
+    probs = softmax_normalize([s for _, s in kept])
+    order = sorted((i for i in range(len(kept)) if probs[i] > 0.0), key=lambda i: (-probs[i], kept[i][0]))
+    return tuple((kept[i][0], probs[i]) for i in order)
+
+
+def assert_same_bytes(kb, pos, neg, k):
+    assert repr(expert_inference(kb, pos, neg, k).entries) == repr(reference_entries(kb, pos, neg, k))
+
+
+@pytest.mark.parametrize("k", [5, 200])
+def test_array_ranking_equals_the_reference_bytes_on_simulated_cases(k):
+    kb = make_separable_kb(200)
+    for case in simulate_dataset(kb, SimConfig(cases_total=300, seed=11, min_cases_per_disease=0)):
+        assert_same_bytes(kb, case.pos, case.neg, k)
+
+
+@given(random_kb_and_case(), st.data())
+@settings(max_examples=150)
+def test_array_ranking_equals_the_reference_bytes_on_random_kbs(case, data):
+    kb, pos, neg = case
+    assert_same_bytes(kb, pos, neg, data.draw(st.integers(1, len(kb.diseases) + 1)))
+
+
+@pytest.mark.parametrize(
+    "scores,expected",
+    [
+        # exp(-800) underflows to 0: d1 carries no mass and is dropped
+        ([0.0, -800.0], (("d0", 1.0),)),
+        # d1 scores higher, but exp(-1e-17) == 1.0, so the tie goes to d0 by id
+        ([-1e-17, 0.0], (("d0", 0.5), ("d1", 0.5))),
+    ],
+)
+def test_array_ranking_on_crafted_scores(monkeypatch, scores, expected):
+    kb = make_kb(["d0", "d1"], ["f"], {})
+    monkeypatch.setattr(expert_module, "score_all_diseases", lambda kb, pos, neg: np.array(scores))
+    assert reference_entries(kb, set(), set(), 2) == expected
+    assert_same_bytes(kb, set(), set(), 2)
