@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .data import build_vocabulary, merge, read_cases_file, write_cases_file
-from .evaluate import evaluate, expert_predictor, format_table, model_predictor
-from .kb import parse_knowledge_base, validate_kb_document
+from .evaluate import evaluate, expert_predictor, format_table, model_predictor, rank_case_set
+from .kb import KnowledgeBase, parse_knowledge_base, validate_kb_document
 from .model import init_parameters, load_checkpoint, save_checkpoint
 from .simulate import SimConfig, simulate_dataset
 from .train import TrainConfig, train
@@ -63,11 +63,23 @@ def _parse_topk(text: str) -> list[int]:
     return ks
 
 
+def _parse_kb(flag: str, path: str, text: str) -> KnowledgeBase:
+    """The KB document read from `path`; a parse error names the flag and the path."""
+    try:
+        return parse_knowledge_base(text)
+    except ValueError as e:
+        raise ValueError(f"{flag} {path}: {e}") from None
+
+
+def _read_kb(path: str) -> KnowledgeBase:
+    return _parse_kb("--kb", path, Path(path).read_text(encoding="utf-8"))
+
+
 def _read_restrict_findings(path: str) -> frozenset[str]:
     """A KB document (its finding ids are taken) or one finding id per line."""
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        kb = parse_knowledge_base(text)
+        kb = _parse_kb("--restrict-findings", path, text)
         return frozenset(f.id for f in kb.findings)
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
@@ -102,7 +114,7 @@ def cmd_kb_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.monotonic()
-    kb = parse_knowledge_base(Path(args.kb).read_text(encoding="utf-8"))
+    kb = _read_kb(args.kb)
     cfg = SimConfig(
         cases_total=args.cases,
         seed=args.seed,
@@ -119,7 +131,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     t0 = time.monotonic()
     cases = _load_case_files(args.cases)
-    kb = parse_knowledge_base(Path(args.kb).read_text(encoding="utf-8")) if args.kb else None
+    kb = _read_kb(args.kb) if args.kb else None
     restrict = _read_restrict_findings(args.restrict_findings) if args.restrict_findings else None
     vocab = build_vocabulary([cases], kb=kb, restrict_to=restrict)
     params = init_parameters(vocab, dim=args.dim, seed=args.seed, kb=kb)
@@ -149,30 +161,39 @@ def _ranking_depth(k: int) -> int | None:
 
 
 def _make_predictor(args):
+    """The engine's predictor, the disease ids it can rank, and its input path."""
     depth = _ranking_depth(args.ddx_top_k)
-    inputs = []
     if args.engine == "model":
         if not args.model:
             raise ValueError("--engine model requires a checkpoint path argument")
         params = load_checkpoint(args.model)
-        inputs.append(args.model)
-        return model_predictor(params), params, inputs
+        return model_predictor(params), frozenset(params.vocab.diseases), [args.model]
     if not args.kb:
         raise ValueError("--engine expert requires --kb")
-    kb = parse_knowledge_base(Path(args.kb).read_text(encoding="utf-8"))
-    inputs.append(args.kb)
-    return expert_predictor(kb, top_k=depth), None, inputs
+    kb = _read_kb(args.kb)
+    return expert_predictor(kb, top_k=depth), frozenset(d.id for d in kb.diseases), [args.kb]
+
+
+def _cases_hold(cases, disease: str) -> bool:
+    """Whether any case has `disease` as its seed disease or in its ddx."""
+    return any(c.seed_disease == disease or any(d == disease for d, _ in c.ddx.entries) for c in cases)
 
 
 def cmd_eval(args) -> int:
     t0 = time.monotonic()
-    predictor, _, inputs = _make_predictor(args)
+    predictor, diseases, inputs = _make_predictor(args)
     cases = _load_case_files(args.cases)
+    target = args.target_disease
+    # An id the engine cannot rank is still a fair target when the cases hold
+    # it (a novel disease scores a true 0 %); one that nothing holds is a typo.
+    if target is not None and target not in diseases and not _cases_hold(cases, target):
+        where = "the checkpoint's disease vocabulary" if args.engine == "model" else "the KB's diseases"
+        raise ValueError(f"--target-disease {target}: not among {where} or the cases' diseases")
     report = evaluate(
         predictor,
         cases,
         ks=_parse_topk(args.topk),
-        target=args.target_disease,
+        target=target,
         truth=args.truth,
         threads=args.threads,
     )
@@ -195,8 +216,7 @@ def cmd_predict(args) -> int:
     cases = _load_case_files(args.cases)
     depth = _ranking_depth(args.ddx_top_k)
     lines = []
-    for case in cases:
-        ranked, skipped = predictor(case.pos, case.neg)
+    for case, (ranked, skipped) in zip(cases, rank_case_set(predictor, cases)):
         if depth is not None:
             ranked = ranked[:depth]
         lines.append(

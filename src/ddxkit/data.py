@@ -36,6 +36,8 @@ class Vocabulary:
     `findings` and `diseases` are ascending-id tuples; their positions are
     the embedding/logit indices, so a vocabulary fully determines checkpoint
     layout. Demographic findings keep their mutex groups for reference.
+    `disease_array` holds the disease ids as a read-only object array, so a
+    gather by logit index returns the id strings.
     """
 
     findings: tuple[str, ...]
@@ -57,6 +59,9 @@ class Vocabulary:
         object.__setattr__(self, "_finding_index", {f: i for i, f in enumerate(self.findings)})
         object.__setattr__(self, "_disease_index", {d: i for i, d in enumerate(self.diseases)})
         object.__setattr__(self, "_demo_index", {f: i for i, f in enumerate(self.demographic_list)})
+        disease_array = np.array(self.diseases, dtype=object)
+        disease_array.flags.writeable = False  # every ranking reads its ids from it
+        object.__setattr__(self, "disease_array", disease_array)
 
     @property
     def demographic_list(self) -> tuple[str, ...]:

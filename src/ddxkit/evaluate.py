@@ -4,17 +4,25 @@ A predictor is any callable mapping (pos, neg) finding-id sets to a ranked
 (disease, probability) list plus a count of input findings it had to skip.
 Both the learned model and the expert engine are wrapped this way, so the
 same harness produces their report tables.
+
+A predictor may also carry a `batch` attribute: a callable that takes an
+iterable of (pos, neg) pairs and yields, in order, what the predictor would
+return for each. `rank_case_set` uses it when present and calls the
+predictor case by case otherwise, so `evaluate`, `ddx predict` and
+training's holdout metrics rank a case set the same way. The model's batch
+method ranks with `model.rank_cases`, whose output equals the per-case
+path's byte for byte; the expert predictor has none.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .data import CaseSet
 from .expert import expert_inference
 from .kb import KnowledgeBase
-from .model import ModelParameters, encode_case, predict_topk
+from .model import ModelParameters, encode_case, predict_topk, rank_cases
 from .simulate import ClinicalCase
 
 Predictor = Callable[[frozenset, frozenset], tuple[list[tuple[str, float]], int]]
@@ -93,14 +101,27 @@ def target_in_top_k(predictions: list[list[str]], target: str, k: int) -> float:
 
 
 def model_predictor(p: ModelParameters) -> Predictor:
-    """Rank every vocabulary disease with the model, dropout off."""
+    """Rank every vocabulary disease with the model, dropout off; `batch`
+    ranks a sequence of cases with the same bytes."""
     L = p.vocab.n_diseases
 
     def predict(pos: frozenset, neg: frozenset) -> tuple[list[tuple[str, float]], int]:
         x, skipped = encode_case(p.vocab, pos, neg)
         return predict_topk(p, x, L), skipped
 
+    def batch(cases: Iterable[tuple[frozenset, frozenset]]) -> Iterator[tuple[list[tuple[str, float]], int]]:
+        encoded = [encode_case(p.vocab, pos, neg) for pos, neg in cases]
+        return zip(rank_cases(p, [x for x, _ in encoded]), (skipped for _, skipped in encoded))
+
+    predict.batch = batch
     return predict
+
+
+def rank_case_set(predictor: Predictor, cases: CaseSet) -> Iterator[tuple[list[tuple[str, float]], int]]:
+    """The predictor's (ranking, skipped findings) for each case, in order."""
+    pairs = ((case.pos, case.neg) for case in cases)
+    batch = getattr(predictor, "batch", None)
+    return batch(pairs) if batch is not None else (predictor(pos, neg) for pos, neg in pairs)
 
 
 def expert_predictor(kb: KnowledgeBase, top_k: int | None = None) -> Predictor:
@@ -146,8 +167,7 @@ def evaluate(
 
     predictions = []
     skipped_total = 0
-    for case in cases:
-        ranked, skipped = predictor(case.pos, case.neg)
+    for ranked, skipped in rank_case_set(predictor, cases):
         predictions.append([d for d, _ in ranked])
         skipped_total += skipped
 

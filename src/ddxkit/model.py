@@ -13,7 +13,11 @@ trainable.
 One forward path, `pooled_embedding` then `disease_log_probs`, runs on a
 batch in the embedding-bag layout (`Bags`: flat row ids plus per-case
 offsets) with one boolean dropout mask per batch; `forward` and
-`predict_topk` run it on a batch of one case.
+`predict_topk` run it on a batch of one case. Training projects a batch with
+one (B, D) @ (D, L) product, whose rows can differ from a batch of one's by
+an ulp. `rank_cases` ranks many cases with the row-wise projection instead,
+one (1, D) product per row, so every ranking has the bytes of
+`predict_topk` on that case alone.
 
 Checkpoints are a versioned JSON container with the vocabulary and the
 parameter blocks as base64 little-endian float64 in row-major order.
@@ -23,8 +27,8 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import NamedTuple, Sequence
+from itertools import accumulate, repeat
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +40,9 @@ CHECKPOINT_FORMAT = "ddx-checkpoint"
 CHECKPOINT_VERSION = 1
 BLOCK_NAMES = ("finding_embeddings", "projection", "bias", "demographic_embeddings")
 DIM_NAMES = ("n_findings", "n_diseases", "dim", "n_demographics")  # checkpoint keys of ModelParameters.dims
+# Cases per pass in rank_cases, so its temporaries stay (RANK_CHUNK, L). A memory
+# bound, not a tuned size: one chunk of 1024 ranked desk-cli no faster.
+RANK_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -200,18 +207,25 @@ def pooled_embedding(
     return _bag_sums(gathered, bags.offsets, mean=True)
 
 
-def disease_log_probs(p: ModelParameters, bags: Bags, h: np.ndarray) -> np.ndarray:
+def disease_log_probs(p: ModelParameters, bags: Bags, h: np.ndarray, rowwise: bool = False) -> np.ndarray:
     """Log-probabilities over the vocabulary's diseases, (B, L), from pooled
     embeddings `h`: the finding stream's log-softmax plus the demographic
-    stream's, renormalized."""
+    stream's, renormalized. `rowwise` projects each row with its own (1, D)
+    product, so row b has the bytes of case b run alone; the default one
+    (B, D) product is the one training's gradients and checkpoints rest on."""
     u = _bag_sums(p.demographic_embeddings[bags.demo], bags.demo_offsets, mean=False)
-    return log_softmax(log_softmax(h @ p.projection + p.bias) + log_softmax(u))
+    z = (h[:, None, :] @ p.projection)[:, 0, :] if rowwise else h @ p.projection
+    return log_softmax(log_softmax(z + p.bias) + log_softmax(u))
 
 
 def forward(p: ModelParameters, x: ModelInput) -> np.ndarray:
     """Log-probability vector over the vocabulary's diseases for one case."""
     bags = bag([x])
     return disease_log_probs(p, bags, pooled_embedding(p, bags))[0]
+
+
+def _ranked(ids: np.ndarray, probs: np.ndarray, order: np.ndarray) -> list[tuple[str, float]]:
+    return list(zip(ids[order].tolist(), probs[order].tolist()))
 
 
 def predict_topk(p: ModelParameters, x: ModelInput, k: int) -> list[tuple[str, float]]:
@@ -222,7 +236,23 @@ def predict_topk(p: ModelParameters, x: ModelInput, k: int) -> list[tuple[str, f
     probs = np.exp(forward(p, x))
     # The vocabulary's diseases ascend by id, so a stable sort breaks ties by id.
     order = np.argsort(-probs, kind="stable")[:k]
-    return [(p.vocab.diseases[j], prob) for j, prob in zip(order.tolist(), probs[order].tolist())]
+    return _ranked(p.vocab.disease_array, probs, order)
+
+
+def rank_cases(p: ModelParameters, xs: Sequence[ModelInput]) -> Iterator[list[tuple[str, float]]]:
+    """Every disease ranked for each case in turn, computed RANK_CHUNK cases
+    per pass with the row-wise projection; each ranking is byte-identical to
+    predict_topk(p, x, L). For a single case predict_topk is the faster call."""
+    ids = p.vocab.disease_array
+
+    def chunks():
+        for start in range(0, len(xs), RANK_CHUNK):
+            bags = bag(xs[start : start + RANK_CHUNK])
+            probs = np.exp(disease_log_probs(p, bags, pooled_embedding(p, bags), rowwise=True))
+            orders = np.argsort(-probs, axis=-1, kind="stable")
+            yield from map(_ranked, repeat(ids), probs, orders)
+
+    return chunks()
 
 
 def encode_case(

@@ -239,6 +239,56 @@ def test_target_disease_report(workspace):
 
 
 @pytest.mark.parametrize(
+    "engine, where",
+    [(("m.ckpt",), "the checkpoint's disease vocabulary"), (("--engine", "expert", "--kb", "kb.json"), "the KB's diseases")],
+)
+def test_unknown_target_disease_fails_before_evaluating(workspace, engine, where):
+    assert simulate(workspace).returncode == 0
+    assert train(workspace).returncode == 0
+    result = ddx("eval", *engine, "--cases", "cases.jsonl", "--target-disease", "nope", "--out", "t.json", cwd=workspace)
+    assert result.returncode == 1
+    assert f"error: --target-disease nope: not among {where} or the cases' diseases" in result.stderr
+    assert result.stdout == ""
+    assert not (workspace / "t.json").exists()
+
+
+def test_target_disease_held_only_by_the_cases_scores_zero(workspace):
+    # d03 stands in for a novel disease: the cases hold it, the KB does not.
+    assert simulate(workspace).returncode == 0
+    (workspace / "kb3.json").write_text(serialize_knowledge_base(make_separable_kb(n_diseases=3)), encoding="utf-8")
+    result = ddx(
+        "eval", "--engine", "expert", "--kb", "kb3.json",
+        "--cases", "cases.jsonl",
+        "--topk", "1,3",
+        "--target-disease", "d03",
+        "--out", "t.json",
+        cwd=workspace,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads((workspace / "t.json").read_text())
+    assert report["target_disease"] == "d03"
+    assert report["target_accuracy"] == {"1": 0.0, "3": 0.0}
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("simulate", "--kb", "cases.jsonl", "--cases", "5", "--out", "x.jsonl"), "--kb"),
+        (("train", "--cases", "cases.jsonl", "--kb", "cases.jsonl", "--out", "x.ckpt"), "--kb"),
+        (("train", "--cases", "cases.jsonl", "--restrict-findings", "cases.jsonl", "--out", "x.ckpt"), "--restrict-findings"),
+        (("eval", "--engine", "expert", "--kb", "cases.jsonl", "--cases", "cases.jsonl"), "--kb"),
+        (("predict", "--engine", "expert", "--kb", "cases.jsonl", "--cases", "cases.jsonl"), "--kb"),
+    ],
+)
+def test_kb_parse_error_names_the_flag_and_path(workspace, args, flag):
+    assert simulate(workspace).returncode == 0
+    result = ddx(*args, cwd=workspace)
+    assert result.returncode == 1
+    assert f"error: {flag} cases.jsonl: syntax error at line 2 column 1" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("kb", "validate", "kb.json"),

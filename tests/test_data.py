@@ -277,6 +277,9 @@ def test_build_vocabulary_unions_and_sorts():
     assert vocab.demographic_ids == frozenset()
     assert build_vocabulary([b, a]) == vocab  # order-insensitive
     assert build_vocabulary([merge([a, b])]) == vocab  # idempotent over merging
+    assert vocab.disease_array.tolist() == ["da", "dz"]
+    with pytest.raises(ValueError, match="read-only"):
+        vocab.disease_array[0] = "dz"  # rankings read their ids from it
 
 
 def test_build_vocabulary_with_kb_flags_and_extension():

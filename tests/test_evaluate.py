@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from ddxkit.data import CaseSet, Vocabulary, normalize_ddx
+from ddxkit.data import CaseSet, Vocabulary, build_vocabulary, normalize_ddx
 from ddxkit.evaluate import (
     evaluate,
     expert_predictor,
     format_table,
     model_predictor,
+    rank_case_set,
     target_in_top_k,
     top_k_accuracy,
     truth_label,
@@ -107,6 +108,23 @@ def test_evaluate_counts_skipped_findings():
     )
     report = evaluate(model_predictor(p), cases, ks=[1])
     assert report.skipped_findings == 1
+
+
+def test_model_batch_method_ranks_like_the_per_case_predictor():
+    kb = make_separable_kb(n_diseases=6)
+    sim = CaseSet(cases=tuple(simulate_dataset(kb, SimConfig(cases_total=300, min_cases_per_disease=10, seed=23))))
+    predictor = model_predictor(init_parameters(build_vocabulary([sim], kb=kb), dim=8, seed=1))
+    alien = case("alien", [("d00", 1.0)], pos=("alien",), seed_disease="d00")
+    cs = CaseSet(cases=sim.cases + (alien,), provenance=("sim",))
+
+    def per_case(pos, neg):  # the same predictor without its batch method
+        return predictor(pos, neg)
+
+    batched = list(rank_case_set(predictor, cs))
+    assert repr(batched) == repr(list(rank_case_set(per_case, cs)))
+    assert batched[-1][1] == 1  # the unknown finding is counted as skipped
+    a = evaluate(predictor, cs, ks=[1, 3], target="d01", truth="seed-disease")
+    assert a.to_json() == evaluate(per_case, cs, ks=[1, 3], target="d01", truth="seed-disease").to_json()
 
 
 def test_evaluate_seed_disease_mode_requires_seed():

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ddxkit.data import Vocabulary
 from ddxkit.kb import DEMOGRAPHIC
 from ddxkit.model import (
     DEMOGRAPHIC_MASK,
+    RANK_CHUNK,
     bag,
     ModelInput,
     ModelParameters,
@@ -24,6 +26,7 @@ from ddxkit.model import (
     make_dropout_plan,
     pooled_embedding,
     predict_topk,
+    rank_cases,
     save_checkpoint,
 )
 from ddxkit.data import normalize_ddx
@@ -216,6 +219,34 @@ def test_predict_topk_full_distribution_and_ties():
         predict_topk(p, x, k=0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 64])
+@pytest.mark.parametrize("n_known", [3, 200])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 30.0])
+def test_rank_cases_equals_predict_topk_bytewise(dim, n_known, scale):
+    # The row-wise projection has a batch of one's bytes only as far as BLAS
+    # dispatches a stacked (1, D) product like a single one; this is the check
+    # that catches a machine where it does not. scale 0 is the initial model,
+    # larger scales stand in for trained weights of growing size.
+    rng = np.random.default_rng(dim * n_known)
+    demo = ("age_a", "age_b", "age_c")
+    known = [f"d{i:03d}" for i in range(n_known)]
+    freqs = {(d, a): float(rng.choice([0.0, 0.5])) for d in known for a in demo}
+    kb = make_kb(known, [(a, DEMOGRAPHIC, "age") for a in demo], freqs)
+    findings = small_vocab(n_findings=40, demo=demo).findings
+    vocab = Vocabulary(findings, tuple(known) + ("novel",), frozenset(demo), {a: "age" for a in demo})
+    p = init_parameters(vocab, dim=dim, seed=dim, kb=kb)
+    for arr in (p.finding_embeddings, p.projection, p.bias):
+        arr += rng.normal(0.0, scale, size=arr.shape)
+    xs = [random_input(vocab, rng) for _ in range(RANK_CHUNK + 40)]
+    xs[3] = ModelInput((), (), ())
+    xs[RANK_CHUNK] = ModelInput((), (), (1,))
+    L = vocab.n_diseases
+    ranked = list(rank_cases(p, xs))
+    assert len(ranked) == len(xs)
+    assert [i for i, x in enumerate(xs) if repr(ranked[i]) != repr(predict_topk(p, x, L))] == []
+    assert list(rank_cases(p, [])) == []
+
+
 def test_model_input_validates_overlap():
     with pytest.raises(ValueError):
         ModelInput((0, 1), (1,), ())
@@ -255,6 +286,43 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(arr, q.blocks()[name])
     save_checkpoint(q, tmp_path / "m2.ckpt")
     assert (tmp_path / "m.ckpt").read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
+
+
+@st.composite
+def random_parameters(draw):
+    K, L, D = draw(st.integers(0, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    M = draw(st.integers(0, K))
+    findings = tuple(f"f{i}" for i in range(K))
+    groups = draw(st.lists(st.sampled_from([None, "age", "sex"]), min_size=K, max_size=K))
+    vocab = Vocabulary(
+        findings=findings,
+        diseases=tuple(f"d{j}" for j in range(L)),
+        demographic_ids=frozenset(findings[:M]),
+        mutex_groups=dict(zip(findings, groups)),
+    )
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    blocks = {
+        name: draw(arrays(np.float64, shape, elements=finite))
+        for name, shape in (
+            ("finding_embeddings", (2 * K, D)),
+            ("projection", (D, L)),
+            ("bias", (L,)),
+            ("demographic_embeddings", (M, L)),
+        )
+    }
+    return ModelParameters(**blocks, vocab=vocab)
+
+
+@given(random_parameters())
+@settings(max_examples=100, deadline=None)
+def test_checkpoint_round_trip_keeps_every_byte(p):
+    text = checkpoint_to_json(p)
+    q = checkpoint_from_json(text)
+    assert q.vocab == p.vocab
+    for name, arr in p.blocks().items():
+        got = q.blocks()[name]
+        assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes()), name
+    assert checkpoint_to_json(q) == text
 
 
 def test_save_checkpoint_that_fails_validation_writes_nothing(tmp_path):
