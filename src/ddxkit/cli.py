@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .data import build_vocabulary, merge, read_cases_file, write_cases_file
 from .evaluate import evaluate, expert_predictor, format_table, model_predictor, rank_case_set
-from .kb import KnowledgeBase, parse_knowledge_base, validate_kb_document
+from .kb import KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
 from .model import init_parameters, load_checkpoint, save_checkpoint
 from .simulate import SimConfig, simulate_dataset
 from .train import TrainConfig, train
@@ -71,13 +71,21 @@ def _parse_kb(flag: str, path: str, text: str) -> KnowledgeBase:
         raise ValueError(f"{flag} {path}: {e}") from None
 
 
+def _read_flag_file(flag: str, path: str) -> str:
+    """The text of the file `flag` names; bytes that are not UTF-8 name the flag and the path."""
+    try:
+        return read_utf8(path)
+    except ValueError as e:
+        raise ValueError(f"{flag} {e}") from None
+
+
 def _read_kb(path: str) -> KnowledgeBase:
-    return _parse_kb("--kb", path, Path(path).read_text(encoding="utf-8"))
+    return _parse_kb("--kb", path, _read_flag_file("--kb", path))
 
 
 def _read_restrict_findings(path: str) -> frozenset[str]:
     """A KB document (its finding ids are taken) or one finding id per line."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_flag_file("--restrict-findings", path)
     if text.lstrip().startswith("{"):
         kb = _parse_kb("--restrict-findings", path, text)
         return frozenset(f.id for f in kb.findings)
@@ -101,7 +109,7 @@ def _load_case_files(paths: list[str]):
 
 def cmd_kb_validate(args) -> int:
     t0 = time.monotonic()
-    text = Path(args.kb_path).read_text(encoding="utf-8")
+    text = read_utf8(args.kb_path)
     report = validate_kb_document(text, min_clinical_findings=args.min_findings)
     lines = report.lines()
     body = "\n".join(lines) + ("\n" if lines else "")
@@ -121,7 +129,7 @@ def cmd_simulate(args) -> int:
         min_cases_per_disease=args.min_per_disease,
         ddx_top_k=args.ddx_top_k,
     )
-    cases = simulate_dataset(kb, cfg, threads=args.threads)
+    cases = simulate_dataset(kb, cfg)
     write_cases_file(cases, args.out)
     print(f"wrote {len(cases)} cases to {args.out}")
     _emit_manifest("simulate", args, [args.kb], [args.out], t0)
@@ -130,11 +138,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     t0 = time.monotonic()
-    cases = _load_case_files(args.cases)
-    kb = _read_kb(args.kb) if args.kb else None
-    restrict = _read_restrict_findings(args.restrict_findings) if args.restrict_findings else None
-    vocab = build_vocabulary([cases], kb=kb, restrict_to=restrict)
-    params = init_parameters(vocab, dim=args.dim, seed=args.seed, kb=kb)
     cfg = TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch,
@@ -142,6 +145,11 @@ def cmd_train(args) -> int:
         dropout_rate=args.dropout,
         seed=args.seed,
     )
+    cases = _load_case_files(args.cases)
+    kb = _read_kb(args.kb) if args.kb else None
+    restrict = _read_restrict_findings(args.restrict_findings) if args.restrict_findings else None
+    vocab = build_vocabulary([cases], kb=kb, restrict_to=restrict)
+    params = init_parameters(vocab, dim=args.dim, seed=args.seed, kb=kb)
     trained, history = train(params, cases, cfg)
     save_checkpoint(trained, args.out)
     log_path = Path(f"{args.out}.log")
@@ -195,7 +203,6 @@ def cmd_eval(args) -> int:
         ks=_parse_topk(args.topk),
         target=target,
         truth=args.truth,
-        threads=args.threads,
     )
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
@@ -238,9 +245,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-THREADS_HELP = "accepted for compatibility; the work runs in one thread and output does not depend on it"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ddx", description="Differential-diagnosis toolkit")
     parser.add_argument("--version", action="version", version=f"ddx {__version__}")
@@ -260,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--min-per-disease", type=int, default=50, help="per-disease case floor")
     p_sim.add_argument("--ddx-top-k", type=int, default=5, help="differential size kept by the expert engine")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_sim.add_argument("--out", required=True, help="output case file (jsonl)")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -289,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kb", default=None, help="knowledge base (for --engine expert)")
         p.add_argument("--cases", nargs="+", action="extend", required=True, help="case files (repeatable)")
         p.add_argument("--ddx-top-k", type=int, default=5, help="ranking depth; 0 ranks every disease")
-        p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
         p.add_argument("--out", default=None)
         if name == "eval":
             p.add_argument("--topk", default="1,3,5", help="comma-separated accuracy depths")

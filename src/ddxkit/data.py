@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expert import DifferentialDiagnosis
-from .kb import CLINICAL, KnowledgeBase, check_object
+from .kb import CLINICAL, KnowledgeBase, check_object, read_utf8
 from .simulate import CASE_SOURCES, ClinicalCase
 
 _SUM_TOL = 1e-9
@@ -35,7 +35,8 @@ class Vocabulary:
 
     `findings` and `diseases` are ascending-id tuples; their positions are
     the embedding/logit indices, so a vocabulary fully determines checkpoint
-    layout. Demographic findings keep their mutex groups for reference.
+    layout. `mutex_groups` holds one entry per finding, None where the
+    finding has no group; construction fills in the missing ones.
     `disease_array` holds the disease ids as a read-only object array, so a
     gather by logit index returns the id strings.
     """
@@ -56,6 +57,10 @@ class Vocabulary:
             raise ValueError("vocabulary has no diseases")
         if not self.demographic_ids <= set(self.findings):
             raise ValueError("demographic_ids must be a subset of findings")
+        unknown = sorted(set(self.mutex_groups) - set(self.findings))
+        if unknown:
+            raise ValueError(f"mutex_groups names findings outside the vocabulary: {unknown}")
+        object.__setattr__(self, "mutex_groups", {f: self.mutex_groups.get(f) for f in self.findings})
         object.__setattr__(self, "_finding_index", {f: i for i, f in enumerate(self.findings)})
         object.__setattr__(self, "_disease_index", {d: i for i, d in enumerate(self.diseases)})
         object.__setattr__(self, "_demo_index", {f: i for i, f in enumerate(self.demographic_list)})
@@ -110,14 +115,15 @@ class Vocabulary:
             errors.append(f"{where}: mutex_groups must map finding ids to group names")
         if errors:
             raise ValueError("; ".join(errors))
-        groups: dict[str, str | None] = {f: None for f in doc["findings"]}
-        groups.update(doc.get("mutex_groups", {}))
-        return cls(
-            findings=tuple(doc["findings"]),
-            diseases=tuple(doc["diseases"]),
-            demographic_ids=frozenset(doc["demographic_ids"]),
-            mutex_groups=groups,
-        )
+        try:
+            return cls(
+                findings=tuple(doc["findings"]),
+                diseases=tuple(doc["diseases"]),
+                demographic_ids=frozenset(doc["demographic_ids"]),
+                mutex_groups=doc.get("mutex_groups", {}),
+            )
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -247,8 +253,7 @@ def read_cases(text: str, provenance: str = "<string>") -> CaseSet:
 
 
 def read_cases_file(path) -> CaseSet:
-    with open(path, encoding="utf-8") as fh:
-        return read_cases(fh.read(), provenance=str(path))
+    return read_cases(read_utf8(path, CaseFormatError), provenance=str(path))
 
 
 def write_cases_file(cases: list[ClinicalCase] | CaseSet, path) -> None:

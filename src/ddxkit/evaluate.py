@@ -8,8 +8,8 @@ same harness produces their report tables.
 A predictor may also carry a `batch` attribute: a callable that takes an
 iterable of (pos, neg) pairs and yields, in order, what the predictor would
 return for each. `rank_case_set` uses it when present and calls the
-predictor case by case otherwise, so `evaluate`, `ddx predict` and
-training's holdout metrics rank a case set the same way. The model's batch
+predictor case by case otherwise, so `evaluate` and `ddx predict` rank a
+case set the same way. The model's batch
 method ranks with `model.rank_cases`, whose output equals the per-case
 path's byte for byte; the expert predictor has none.
 """
@@ -149,13 +149,8 @@ def evaluate(
     ks: list[int],
     target: str | None = None,
     truth: str = "argmax",
-    threads: int = 1,
 ) -> EvalReport:
-    """Score every case and aggregate hit rates at each requested depth.
-
-    `threads` is accepted for compatibility and ignored: cases are scored
-    in one thread, and the report never depends on it.
-    """
+    """Score every case and aggregate hit rates at each requested depth."""
     if len(cases) == 0:
         raise ValueError("empty case set")
     if not ks or any(k < 1 for k in ks):

@@ -93,7 +93,7 @@ class ScoringTables:
 
 @dataclass
 class KnowledgeBase:
-    """Immutable after construction; safe for concurrent reads."""
+    """Fields unchanged after construction; `scoring_tables` caches its compiled tables on the object."""
 
     diseases: list[Disease]
     findings: list[Finding]
@@ -176,6 +176,15 @@ def _build_scoring_tables(kb: KnowledgeBase) -> ScoringTables:
     disease_rank[by_id] = np.arange(len(kb.diseases))
     disease_ids = np.array([d.id for d in kb.diseases], dtype=object)
     return ScoringTables(finding_row, log_present, log_absent, disease_ids, disease_rank, walks)
+
+
+def read_utf8(path, error: type[ValueError] = ValueError) -> str:
+    """The text of the file at `path`; bytes that are not UTF-8 raise `error` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def check_object(obj, allowed: dict[str, type], required: set[str], where: str) -> list[str]:

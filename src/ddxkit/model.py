@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .data import Vocabulary
-from .kb import KnowledgeBase, check_object, scoring_tables
+from .kb import KnowledgeBase, check_object, read_utf8, scoring_tables
 
 DEMOGRAPHIC_MASK = -30.0
 CHECKPOINT_FORMAT = "ddx-checkpoint"
@@ -362,5 +362,4 @@ def save_checkpoint(p: ModelParameters, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParameters:
-    with open(path, encoding="utf-8") as fh:
-        return checkpoint_from_json(fh.read())
+    return checkpoint_from_json(read_utf8(path))

@@ -2,12 +2,13 @@
 
 Each case starts from a seed disease y. Demographics are drawn first, each
 included with probability FREQ(y, f) under mutual exclusion. A target count
-L is then drawn and the disease's clinical findings are walked once in
-descending-frequency order: common findings (FREQ >= pos_threshold) enter
-the positives with probability FREQ(y, f), rare ones enter the explicit
-negatives when a uniform draw exceeds neg_gate. The resulting finding sets
-are labeled with the expert engine's differential diagnosis, so the label
-is a distribution over diseases rather than the seed alone.
+L of clinical findings is then drawn from 5 up to the number still free,
+capped at MAX_FINDINGS_CAP, and the disease's clinical findings are walked
+once in descending-frequency order: common findings (FREQ >= POS_THRESHOLD)
+enter the positives with probability FREQ(y, f), rare ones enter the
+explicit negatives when a uniform draw exceeds NEG_GATE. The resulting
+finding sets are labeled with the expert engine's differential diagnosis,
+so the label is a distribution over diseases rather than the seed alone.
 
 Both walks are compiled with the KB (`ScoringTables.walks`). A positive
 takes its finding's mutex group; a later finding in a taken group is
@@ -27,6 +28,10 @@ from .kb import KnowledgeBase, scoring_tables
 
 CASE_SOURCES = ("expert_sim", "assessment", "vignette")
 
+POS_THRESHOLD = 0.2
+NEG_GATE = 0.75
+MAX_FINDINGS_CAP = 40
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -34,9 +39,6 @@ class SimConfig:
     seed: int = 0
     min_cases_per_disease: int = 50
     ddx_top_k: int = 5
-    pos_threshold: float = 0.2
-    neg_gate: float = 0.75
-    max_findings_cap: int = 40
 
     def __post_init__(self):
         if self.cases_total < 1:
@@ -47,12 +49,6 @@ class SimConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.ddx_top_k < 1:
             raise ValueError("ddx_top_k must be >= 1")
-        for name in ("pos_threshold", "neg_gate"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.max_findings_cap < 1:
-            raise ValueError("max_findings_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ def simulate_case(
     n_demo = len(pos)
 
     # Clinical findings in a group a demographic took are never drawn.
-    upper = max(5, min(sum(group not in taken for _, _, group in clinical), cfg.max_findings_cap))
+    upper = max(5, min(sum(group not in taken for _, _, group in clinical), MAX_FINDINGS_CAP))
     target = int(rng.integers(5, upper, endpoint=True)) + n_demo
 
     for fid, q, group in clinical:
@@ -113,12 +109,12 @@ def simulate_case(
             break
         if group in taken:
             continue
-        if q >= cfg.pos_threshold:
+        if q >= POS_THRESHOLD:
             if rng.random() < q:
                 pos.add(fid)
                 if group is not None:
                     taken.add(group)
-        elif rng.random() > cfg.neg_gate:
+        elif rng.random() > NEG_GATE:
             neg.add(fid)
 
     ddx = expert_inference(kb, pos, neg, cfg.ddx_top_k)
@@ -137,14 +133,12 @@ def simulable_diseases(kb: KnowledgeBase) -> list[str]:
     return sorted(did for did, (_, clinical) in scoring_tables(kb).walks.items() if clinical)
 
 
-def simulate_dataset(kb: KnowledgeBase, cfg: SimConfig, threads: int = 1) -> list[ClinicalCase]:
+def simulate_dataset(kb: KnowledgeBase, cfg: SimConfig) -> list[ClinicalCase]:
     """Generate cfg.cases_total cases with a per-disease floor.
 
     The first min_cases_per_disease * |D*| cases cover every simulable
     disease in ascending id order; the remainder draws seed diseases
-    uniformly. Output is fully determined by (kb, cfg). `threads` is
-    accepted for compatibility and ignored: cases are built in one thread,
-    which under the interpreter lock was measured faster than a pool.
+    uniformly. Output is fully determined by (kb, cfg).
     """
     dstar = simulable_diseases(kb)
     if not dstar:

@@ -34,6 +34,10 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -41,9 +45,6 @@ class TrainConfig:
     batch_size: int = 512
     epochs: int = 15
     dropout_rate: float = 0.7
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -55,6 +56,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def zero_grads(p: ModelParameters) -> dict[str, np.ndarray]:
@@ -149,7 +152,7 @@ def adam_step(
     bit-for-bit the expression's.
     """
     s.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, theta in p.blocks().items():
         grad, m, v = g[name], s.m[name], s.v[name]
         a, b = s.scratch[name]
@@ -163,7 +166,7 @@ def adam_step(
         np.divide(v, 1.0 - b2**s.t, out=b)  # v_hat
         a *= cfg.learning_rate
         np.sqrt(b, out=b)
-        b += cfg.adam_eps
+        b += ADAM_EPS
         a /= b
         theta -= a
     return p, s
@@ -173,13 +176,9 @@ def adam_step(
 class EpochRecord:
     epoch: int
     mean_loss: float
-    holdout_topk: dict[int, float] | None = None
 
     def format_line(self) -> str:
-        line = f"epoch {self.epoch} loss {self.mean_loss:.6f}"
-        if self.holdout_topk is not None:
-            line += "".join(f" top{k} {v:.4f}" for k, v in sorted(self.holdout_topk.items()))
-        return line
+        return f"epoch {self.epoch} loss {self.mean_loss:.6f}"
 
 
 def encode_training_set(vocab, cases: CaseSet) -> tuple[list[ModelInput], list[np.ndarray], int]:
@@ -192,19 +191,12 @@ def encode_training_set(vocab, cases: CaseSet) -> tuple[list[ModelInput], list[n
     return inputs, targets, skipped
 
 
-def train(
-    p0: ModelParameters,
-    train_set: CaseSet,
-    cfg: TrainConfig,
-    holdout: CaseSet | None = None,
-) -> tuple[ModelParameters, list[EpochRecord]]:
+def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[ModelParameters, list[EpochRecord]]:
     """Run the full optimization; p0 is left untouched.
 
     Every epoch reshuffles with the config-seeded stream, walks batches of
     cfg.batch_size (the final short batch is kept), draws a new dropout
-    mask per batch, and records the mean training loss. With a holdout set the
-    record also carries top-1/3/5 accuracy against the argmax of each
-    case's differential label.
+    mask per batch, and records the mean training loss.
     """
     if len(train_set) == 0:
         raise ValueError("empty training set")
@@ -230,16 +222,7 @@ def train(
             grads, loss = backward(p, batch, mask, rate)
             adam_step(p, grads, state, cfg)
             total += loss * len(chunk)
-        holdout_topk = _holdout_metrics(p, holdout) if holdout is not None else None
-        record = EpochRecord(epoch=epoch, mean_loss=total / n, holdout_topk=holdout_topk)
+        record = EpochRecord(epoch=epoch, mean_loss=total / n)
         history.append(record)
         logger.info("%s", record.format_line())
     return p, history
-
-
-def _holdout_metrics(p: ModelParameters, holdout: CaseSet) -> dict[int, float]:
-    from .evaluate import evaluate, model_predictor
-
-    ks = [k for k in (1, 3, 5) if k <= p.vocab.n_diseases]
-    report = evaluate(model_predictor(p), holdout, ks=ks)
-    return dict(report.accuracy)

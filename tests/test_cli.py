@@ -1,9 +1,18 @@
+import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddxkit.cli import build_parser, main
 from ddxkit.kb import serialize_knowledge_base
 from ddxkit.synthetic import make_separable_kb
 
@@ -54,13 +63,12 @@ def test_kb_validate_rejects_bad_document(workspace):
     assert "error" in result.stdout
 
 
-def test_simulate_is_deterministic_across_runs_and_threads(workspace):
+def test_simulate_is_deterministic_across_runs(workspace):
     assert simulate(workspace, "a.jsonl").returncode == 0
     assert simulate(workspace, "b.jsonl").returncode == 0
-    assert simulate(workspace, "c.jsonl", extra=("--threads", "4")).returncode == 0
     a = (workspace / "a.jsonl").read_bytes()
     assert len(a.splitlines()) == 60
-    assert a == (workspace / "b.jsonl").read_bytes() == (workspace / "c.jsonl").read_bytes()
+    assert a == (workspace / "b.jsonl").read_bytes()
     manifest = json.loads((workspace / "a.jsonl.manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["config"]["seed"] == 7
@@ -165,7 +173,6 @@ def test_train_eval_predict_pipeline(workspace):
         "--topk", "1,3",
         "--truth", "seed-disease",
         "--out", "report2.json",
-        "--threads", "4",
         cwd=workspace,
     )
     assert again.returncode == 0
@@ -313,3 +320,166 @@ def test_out_naming_a_directory_is_rejected(workspace):
     result = ddx("kb", "validate", "kb.json", "--out", "sub", cwd=workspace)
     assert result.returncode == 1
     assert "error: --out sub: is a directory" in result.stderr
+
+
+def test_negative_train_seed_is_rejected_before_training(workspace):
+    assert simulate(workspace).returncode == 0
+    result = train(workspace, extra=("--seed", "-1"))
+    assert result.returncode == 1
+    assert "error: seed must be >= 0, got -1" in result.stderr
+    assert result.stdout == ""
+    assert not (workspace / "m.ckpt").exists()
+
+
+NOT_UTF8 = b'{"id": "\xff"}\n'  # the bad byte is byte 8
+
+
+@pytest.mark.parametrize(
+    "args, where",
+    [
+        (("train", "--cases", "bad.bin", "--out", "x.ckpt"), "bad.bin"),
+        (("eval", "--engine", "expert", "--kb", "kb.json", "--cases", "bad.bin"), "bad.bin"),
+        (("eval", "bad.bin", "--cases", "cases.jsonl"), "bad.bin"),
+        (("predict", "bad.bin", "--cases", "cases.jsonl"), "bad.bin"),
+        (("kb", "validate", "bad.bin"), "bad.bin"),
+        (("simulate", "--kb", "bad.bin", "--cases", "5", "--out", "x.jsonl"), "--kb bad.bin"),
+        (("train", "--cases", "cases.jsonl", "--kb", "bad.bin", "--out", "x.ckpt"), "--kb bad.bin"),
+        (("train", "--cases", "cases.jsonl", "--restrict-findings", "bad.bin", "--out", "x.ckpt"), "--restrict-findings bad.bin"),
+        (("eval", "--engine", "expert", "--kb", "bad.bin", "--cases", "cases.jsonl"), "--kb bad.bin"),
+    ],
+)
+def test_a_file_that_is_not_utf8_is_named(workspace, args, where):
+    assert simulate(workspace).returncode == 0
+    (workspace / "bad.bin").write_bytes(NOT_UTF8)
+    result = ddx(*args, cwd=workspace)
+    assert result.returncode == 1
+    assert f"error: {where}: not UTF-8 text: invalid start byte at byte 8" in result.stderr
+    assert result.stdout == ""
+
+
+# --- flag fuzzing: argv built from the parser's own actions -----------------
+
+
+def _commands(parser, path=()):
+    """(command words, parser) for every leaf subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _commands(child, path + (name,))
+
+
+COMMANDS = list(_commands(build_parser()))
+# Free-form values: the fixture's files, a missing one, a directory, an id
+# list, depth lists and disease ids, valid and not.
+WORDS = ("kb.json", "cases.jsonl", "m.ckpt", "ids.txt", "bad.bin", "missing", "sub", "1,3", "0", "x", "d00", "nope")
+# A value that works for the option, drawn about half the time so that runs
+# get past their first input.
+FITTING = {
+    "kb": "kb.json",
+    "kb_path": "kb.json",
+    "cases": "cases.jsonl",
+    "model": "m.ckpt",
+    "restrict_findings": "ids.txt",
+    "topk": "1,3",
+    "target_disease": "d00",
+    "out": "out.txt",
+}
+
+
+def _value(action):
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.integers(-3, 8).map(str)
+    if action.type is float:
+        return st.sampled_from(("nan", "inf", "-1", "0", "0.01", "0.5", "1", "x"))
+    words = st.sampled_from(WORDS)
+    return st.one_of(st.just(FITTING[action.dest]), words) if action.dest in FITTING else words
+
+
+def _words(action):
+    """Strategy for the argv words of one action (empty when it is left out)."""
+    values = _value(action)
+    if action.nargs == "+":
+        values = st.lists(values, min_size=1, max_size=2)
+    else:
+        values = values.map(lambda v: [v])
+    if not action.option_strings:
+        return values if action.nargs != "?" else st.one_of(st.just([]), values)
+    with_flag = values.map(lambda v: [action.option_strings[0], *v])
+    return with_flag if action.required else st.one_of(st.just([]), with_flag)
+
+
+@st.composite
+def argvs(draw):
+    words, parser = draw(st.sampled_from(COMMANDS))
+    argv = list(words)
+    for action in parser._actions:
+        if not isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+            argv += draw(_words(action))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    """Name -> bytes of a small workspace: a KB, cases, a checkpoint, an id list."""
+    root = tmp_path_factory.mktemp("fuzz")
+    kb_text = serialize_knowledge_base(make_separable_kb(n_diseases=4))
+    (root / "kb.json").write_text(kb_text, encoding="utf-8")
+    ids = [f.id for f in make_separable_kb(n_diseases=4).findings][:6]
+    (root / "ids.txt").write_text("\n".join(ids) + "\n", encoding="utf-8")
+    (root / "bad.bin").write_bytes(NOT_UTF8)
+    setup = (
+        ["simulate", "--kb", "kb.json", "--cases", "20", "--min-per-disease", "2", "--out", "cases.jsonl"],
+        ["train", "--cases", "cases.jsonl", "--kb", "kb.json", "--dim", "4", "--epochs", "1", "--out", "m.ckpt"],
+    )
+    for argv in setup:
+        assert run_in(root, argv)[0] == 0
+    return {name: (root / name).read_bytes() for name in ("kb.json", "ids.txt", "bad.bin", "cases.jsonl", "m.ckpt")}
+
+
+def run_in(directory, argv):
+    """main(argv) in `directory`: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(argv=argvs())
+@settings(max_examples=50, deadline=None)
+def test_fuzzed_flags_exit_cleanly(fixture_files, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in fixture_files.items():
+            (Path(tmp) / name).write_bytes(data)
+        (Path(tmp) / "sub").mkdir()
+        code, out, err = run_in(tmp, argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:  # kb validate reports a bad document's errors on stdout
+        assert any(line.startswith("error: ") for line in (out + err).splitlines()), (argv, out, err)
+    if code == 2:
+        assert "usage:" in err, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--kb", "kb.json", "--cases", "5", "--out", "x.jsonl"],
+        ["eval", "m.ckpt", "--cases", "cases.jsonl"],
+        ["predict", "m.ckpt", "--cases", "cases.jsonl"],
+    ],
+)
+def test_threads_flag_is_gone(tmp_path, argv):
+    code, _, err = run_in(tmp_path, [*argv, "--threads", "1"])
+    assert code == 2
+    assert "unrecognized arguments: --threads 1" in err

@@ -91,15 +91,6 @@ def test_monotonic_accuracy_and_record_consistency():
         assert recomputed == report.accuracy[k]
 
 
-def test_evaluate_threads_do_not_change_results():
-    kb = make_separable_kb(n_diseases=5)
-    cases = simulate_dataset(kb, SimConfig(cases_total=50, min_cases_per_disease=10, seed=22))
-    cs = CaseSet(cases=tuple(cases), provenance=("sim",))
-    a = evaluate(expert_predictor(kb), cs, ks=[1, 3], truth="seed-disease")
-    b = evaluate(expert_predictor(kb), cs, ks=[1, 3], truth="seed-disease", threads=4)
-    assert a.to_json() == b.to_json()
-
-
 def test_evaluate_counts_skipped_findings():
     p = uniform_model(3)
     cases = CaseSet(

@@ -365,6 +365,10 @@ def test_checkpoint_rejects_foreign_or_versioned_files():
         (edited(lambda d: d["vocab"].update(findings="f0")), "checkpoint vocab: field 'findings' must be list"),
         (edited(lambda d: d["vocab"].update(diseases=["d0", 1, "d2"])), "checkpoint vocab: .* must hold ids"),
         (edited(lambda d: d["vocab"].update(mutex_groups={"age_a": 1})), "checkpoint vocab: mutex_groups must map"),
+        (
+            edited(lambda d: d["vocab"]["mutex_groups"].update(zz="age")),
+            r"checkpoint vocab: mutex_groups names findings outside the vocabulary: \['zz'\]",
+        ),
         (edited(lambda d: d.update(dims=[4])), "checkpoint: field 'dims' must be dict"),
         (edited(lambda d: d["dims"].update(dim="4")), "checkpoint dims: field 'dim' must be int"),
         (edited(lambda d: d["dims"].update(dim=True)), "checkpoint dims: field 'dim' must be int"),
@@ -377,6 +381,14 @@ def test_checkpoint_rejects_foreign_or_versioned_files():
     ]:
         with pytest.raises(ValueError, match=match):
             checkpoint_from_json(bad)
+
+
+def test_directly_built_vocabulary_survives_a_checkpoint_round_trip():
+    vocab = Vocabulary(findings=("a", "b"), diseases=("d",), demographic_ids=frozenset())
+    assert vocab.mutex_groups == {"a": None, "b": None}
+    assert Vocabulary.from_dict(vocab.to_dict()) == vocab
+    p = init_parameters(vocab, dim=2, seed=0)
+    assert checkpoint_from_json(checkpoint_to_json(p)).vocab == vocab
 
 
 def field_paths(obj, prefix=()):

@@ -8,6 +8,9 @@ from ddxkit.data import write_cases
 from ddxkit.expert import expert_inference
 from ddxkit.kb import CLINICAL, DEMOGRAPHIC, frequency
 from ddxkit.simulate import (
+    MAX_FINDINGS_CAP,
+    NEG_GATE,
+    POS_THRESHOLD,
     ClinicalCase,
     SimConfig,
     case_rng,
@@ -67,17 +70,17 @@ def reference_simulate_case(kb, disease_id, rng, cfg, case_id):
     n_demo = len(pos)
 
     pool = remove_mutex(clinical, pos)
-    upper = max(5, min(len(pool), cfg.max_findings_cap))
+    upper = max(5, min(len(pool), MAX_FINDINGS_CAP))
     target = int(rng.integers(5, upper, endpoint=True)) + n_demo
     while pool and len(pos) + len(neg) <= target:
         fid = pool.pop(0)
         q = frequency(kb, disease_id, fid)
-        if q >= cfg.pos_threshold:
+        if q >= POS_THRESHOLD:
             if rng.random() < q:
                 pos.add(fid)
                 pool = remove_mutex(pool, {fid})
         else:
-            if rng.random() > cfg.neg_gate:
+            if rng.random() > NEG_GATE:
                 neg.add(fid)
 
     ddx = expert_inference(kb, pos, neg, cfg.ddx_top_k)
@@ -238,13 +241,12 @@ def test_dataset_rejects_unreachable_floor():
         simulate_dataset(kb, SimConfig(cases_total=100, min_cases_per_disease=50, seed=0))
 
 
-def test_dataset_is_deterministic_and_thread_independent():
+def test_dataset_is_deterministic():
     kb = make_separable_kb(n_diseases=5)
     cfg = SimConfig(cases_total=80, min_cases_per_disease=10, seed=42)
     a = write_cases(simulate_dataset(kb, cfg))
     b = write_cases(simulate_dataset(kb, cfg))
-    c = write_cases(simulate_dataset(kb, cfg, threads=4))
-    assert a == b == c
+    assert a == b
     different = write_cases(simulate_dataset(kb, SimConfig(cases_total=80, min_cases_per_disease=10, seed=43)))
     assert different != a
 
@@ -286,7 +288,5 @@ def test_clinical_case_validates_itself():
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(cases_total=0)
-    with pytest.raises(ValueError):
-        SimConfig(cases_total=1, pos_threshold=1.5)
     with pytest.raises(ValueError):
         SimConfig(cases_total=1, seed=-1)
