@@ -36,4 +36,4 @@ from .model import (  # noqa: F401
     save_checkpoint,
 )
 from .train import AdamState, TrainConfig, adam_step, backward, kl_loss, train  # noqa: F401
-from .evaluate import EvalReport, evaluate, target_in_top_k, top_k_accuracy, truth_label  # noqa: F401
+from .evaluate import EvalReport, evaluate, truth_label  # noqa: F401

@@ -60,6 +60,8 @@ def _parse_topk(text: str) -> list[int]:
         raise ValueError(f"--topk expects a comma-separated integer list, got {text!r}") from None
     if not ks:
         raise ValueError("--topk list is empty")
+    if min(ks) < 1:
+        raise ValueError(f"--topk expects positive integers, got {text!r}")
     return ks
 
 
@@ -189,6 +191,7 @@ def _cases_hold(cases, disease: str) -> bool:
 
 def cmd_eval(args) -> int:
     t0 = time.monotonic()
+    ks = _parse_topk(args.topk)
     predictor, diseases, inputs = _make_predictor(args)
     cases = _load_case_files(args.cases)
     target = args.target_disease
@@ -197,20 +200,14 @@ def cmd_eval(args) -> int:
     if target is not None and target not in diseases and not _cases_hold(cases, target):
         where = "the checkpoint's disease vocabulary" if args.engine == "model" else "the KB's diseases"
         raise ValueError(f"--target-disease {target}: not among {where} or the cases' diseases")
-    report = evaluate(
-        predictor,
-        cases,
-        ks=_parse_topk(args.topk),
-        target=target,
-        truth=args.truth,
-    )
+    report = evaluate(predictor, cases, ks=ks, target=target, truth=args.truth)
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
     name = args.model if args.engine == "model" else "expert"
-    print(format_table({name: report}))
+    print(format_table(name, report.accuracy))
     if report.target_accuracy is not None:
         print(f"\ntarget disease: {report.target_disease}")
-        print(format_table({name: report}, metric="target_accuracy"))
+        print(format_table(name, report.target_accuracy))
     if report.skipped_findings:
         print(f"\nskipped {report.skipped_findings} out-of-vocabulary findings")
     _emit_manifest("eval", args, inputs + list(args.cases), [args.out] if args.out else [], t0)
@@ -282,16 +279,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="checkpoint path")
     p_train.set_defaults(func=cmd_train)
 
-    for name, fn, help_text in (
-        ("eval", cmd_eval, "evaluate a diagnoser on labeled cases"),
-        ("predict", cmd_predict, "rank diseases for each case"),
+    for name, fn, help_text, depth_help in (
+        (
+            "eval",
+            cmd_eval,
+            "evaluate a diagnoser on labeled cases",
+            "size of the expert's retained list; 0 keeps every disease (the model always ranks every disease)",
+        ),
+        ("predict", cmd_predict, "rank diseases for each case", "ranking depth; 0 ranks every disease"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", nargs="?", default=None, help="model checkpoint (for --engine model)")
         p.add_argument("--engine", choices=("model", "expert"), default="model")
         p.add_argument("--kb", default=None, help="knowledge base (for --engine expert)")
         p.add_argument("--cases", nargs="+", action="extend", required=True, help="case files (repeatable)")
-        p.add_argument("--ddx-top-k", type=int, default=5, help="ranking depth; 0 ranks every disease")
+        p.add_argument("--ddx-top-k", type=int, default=5, help=depth_help)
         p.add_argument("--out", default=None)
         if name == "eval":
             p.add_argument("--topk", default="1,3,5", help="comma-separated accuracy depths")

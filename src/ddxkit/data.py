@@ -233,6 +233,7 @@ def _case_from_dict(doc: dict, where: str) -> ClinicalCase:
 def read_cases(text: str, provenance: str = "<string>") -> CaseSet:
     """Parse a line-delimited case document, validating every record."""
     cases = []
+    first_line: dict[str, int] = {}  # case id -> the line it first appears on
     # Split on "\n" only: write_cases leaves U+2028, U+0085 and the like
     # unescaped inside ids, and str.splitlines would break a record there.
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -245,11 +246,12 @@ def read_cases(text: str, provenance: str = "<string>") -> CaseSet:
             raise CaseFormatError(f"{where}: parse error at column {e.colno}: {e.msg}") from None
         except ValueError as e:  # an integer literal longer than the interpreter converts
             raise CaseFormatError(f"{where}: parse error: {e}") from None
-        cases.append(_case_from_dict(doc, where))
-    try:
-        return CaseSet(cases=tuple(cases), provenance=(provenance,))
-    except ValueError as e:
-        raise CaseFormatError(f"{provenance}: {e}") from None
+        case = _case_from_dict(doc, where)
+        first = first_line.setdefault(case.id, lineno)
+        if first != lineno:
+            raise CaseFormatError(f"{where}: duplicate case id {case.id!r} (first on line {first})")
+        cases.append(case)
+    return CaseSet(cases=tuple(cases), provenance=(provenance,))
 
 
 def read_cases_file(path) -> CaseSet:
@@ -262,10 +264,19 @@ def write_cases_file(cases: list[ClinicalCase] | CaseSet, path) -> None:
 
 
 def merge(sets: list[CaseSet]) -> CaseSet:
-    """Concatenate case sets; ids must stay unique across the inputs."""
+    """Concatenate case sets; ids must stay unique across the inputs.
+
+    A repeated id raises CaseFormatError naming the provenance of both sets.
+    """
     cases: list[ClinicalCase] = []
     provenance: list[str] = []
-    for cs in sets:
+    names = [" + ".join(cs.provenance) or f"case set {i}" for i, cs in enumerate(sets)]
+    first_set: dict[str, int] = {}  # case id -> index of the set it first appears in
+    for i, cs in enumerate(sets):
+        for case in cs.cases:
+            first = first_set.setdefault(case.id, i)
+            if first != i:
+                raise CaseFormatError(f"{names[i]}: duplicate case id {case.id!r}, also in {names[first]}")
         cases.extend(cs.cases)
         provenance.extend(cs.provenance)
     return CaseSet(cases=tuple(cases), provenance=tuple(provenance))

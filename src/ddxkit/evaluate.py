@@ -5,6 +5,10 @@ A predictor is any callable mapping (pos, neg) finding-id sets to a ranked
 Both the learned model and the expert engine are wrapped this way, so the
 same harness produces their report tables.
 
+`evaluate` walks the rankings once and builds one `CaseRecord` per case,
+holding its hit at each requested depth; the report's accuracy and
+target-accuracy tables are the means of those hits.
+
 A predictor may also carry a `batch` attribute: a callable that takes an
 iterable of (pos, neg) pairs and yields, in order, what the predictor would
 return for each. `rank_case_set` uses it when present and calls the
@@ -83,23 +87,6 @@ def truth_label(case: ClinicalCase) -> str:
     return case.ddx.entries[0][0]  # entries are sorted, ties already on id
 
 
-def top_k_accuracy(predictions: list[list[str]], truths: list[str], k: int) -> float:
-    """Fraction of cases whose truth appears in the first k predictions."""
-    if len(predictions) != len(truths):
-        raise ValueError(f"length mismatch: {len(predictions)} predictions vs {len(truths)} truths")
-    if not predictions:
-        raise ValueError("no predictions")
-    hits = sum(1 for ranked, truth in zip(predictions, truths) if truth in ranked[:k])
-    return hits / len(predictions)
-
-
-def target_in_top_k(predictions: list[list[str]], target: str, k: int) -> float:
-    """Fraction of cases whose first k predictions contain the target."""
-    if not predictions:
-        raise ValueError("no predictions")
-    return sum(1 for ranked in predictions if target in ranked[:k]) / len(predictions)
-
-
 def model_predictor(p: ModelParameters) -> Predictor:
     """Rank every vocabulary disease with the model, dropout off; `batch`
     ranks a sequence of cases with the same bytes."""
@@ -150,7 +137,15 @@ def evaluate(
     target: str | None = None,
     truth: str = "argmax",
 ) -> EvalReport:
-    """Score every case and aggregate hit rates at each requested depth."""
+    """Rank every case once, record its hits at each requested depth, and
+    read both accuracy tables off the records.
+
+    Every case's truth is resolved before anything is ranked, so a case
+    without a seed disease under truth="seed-disease" fails before the
+    predictor runs. A predictor whose rankings do not pair one-to-one with
+    the cases raises ValueError. Each record keeps the first max(ks + [5])
+    ids of its ranking.
+    """
     if len(cases) == 0:
         raise ValueError("empty case set")
     if not ks or any(k < 1 for k in ks):
@@ -159,12 +154,6 @@ def evaluate(
         raise ValueError(f"truth must be one of {TRUTH_MODES}, got {truth!r}")
     ks = sorted(set(ks))
     depth = max(ks + [5])
-
-    predictions = []
-    skipped_total = 0
-    for ranked, skipped in rank_case_set(predictor, cases):
-        predictions.append([d for d, _ in ranked])
-        skipped_total += skipped
 
     truths = []
     for case in cases:
@@ -175,46 +164,36 @@ def evaluate(
         else:
             truths.append(truth_label(case))
 
-    accuracy = {k: top_k_accuracy(predictions, truths, k) for k in ks}
-    target_accuracy = None
-    if target is not None:
-        target_accuracy = {k: target_in_top_k(predictions, target, k) for k in ks}
-
-    records = tuple(
-        CaseRecord(
-            case_id=case.id,
-            truth=truths[i],
-            top=tuple(predictions[i][:depth]),
-            hits={k: truths[i] in predictions[i][:k] for k in ks},
-            target_hits=None if target is None else {k: target in predictions[i][:k] for k in ks},
+    records = []
+    skipped_total = 0
+    for case, label, (ranked, skipped) in zip(cases, truths, rank_case_set(predictor, cases), strict=True):
+        top = tuple(d for d, _ in ranked[:depth])
+        records.append(
+            CaseRecord(
+                case_id=case.id,
+                truth=label,
+                top=top,
+                hits={k: label in top[:k] for k in ks},
+                target_hits=None if target is None else {k: target in top[:k] for k in ks},
+            )
         )
-        for i, case in enumerate(cases)
-    )
+        skipped_total += skipped
+
+    n = len(records)
     return EvalReport(
-        accuracy=accuracy,
-        n_cases=len(cases),
+        accuracy={k: sum(r.hits[k] for r in records) / n for k in ks},
+        n_cases=n,
         truth_mode=truth,
         skipped_findings=skipped_total,
         target_disease=target,
-        target_accuracy=target_accuracy,
-        records=records,
+        target_accuracy=None if target is None else {k: sum(r.target_hits[k] for r in records) / n for k in ks},
+        records=tuple(records),
     )
 
 
-def format_table(reports: dict[str, EvalReport], metric: str = "accuracy") -> str:
-    """Rows are k, columns are model variants, values are percentages."""
-    if not reports:
-        raise ValueError("no reports")
-    names = list(reports)
-    ks = sorted({k for r in reports.values() for k in getattr(r, metric, {}) or {}})
-    width = max(12, *(len(n) + 2 for n in names))
-    header = "top-k".ljust(8) + "".join(n.rjust(width) for n in names)
-    lines = [header, "-" * len(header)]
-    for k in ks:
-        row = f"{k}".ljust(8)
-        for n in names:
-            values = getattr(reports[n], metric) or {}
-            cell = f"{100.0 * values[k]:.1f}%" if k in values else "-"
-            row += cell.rjust(width)
-        lines.append(row)
-    return "\n".join(lines)
+def format_table(name: str, values: dict[int, float]) -> str:
+    """One column of percentages headed `name`, one row per depth k."""
+    width = max(12, len(name) + 2)
+    header = "top-k".ljust(8) + name.rjust(width)
+    rows = [f"{k}".ljust(8) + f"{100.0 * v:.1f}%".rjust(width) for k, v in sorted(values.items())]
+    return "\n".join([header, "-" * len(header), *rows])

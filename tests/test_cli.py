@@ -112,6 +112,43 @@ def test_negative_ddx_top_k_is_rejected(workspace):
     assert every.stdout == ddx("predict", *expert, "--ddx-top-k", "5", cwd=workspace).stdout
 
 
+def test_model_eval_ignores_ddx_top_k(workspace):
+    # --ddx-top-k sizes only the expert's retained list; the model ranks every disease.
+    assert simulate(workspace).returncode == 0
+    assert train(workspace).returncode == 0
+    runs = [
+        ddx("eval", "m.ckpt", "--cases", "cases.jsonl", "--topk", "1,4", "--ddx-top-k", k, "--out", f"r{k}.json", cwd=workspace)
+        for k in ("1", "0")
+    ]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert (workspace / "r1.json").read_bytes() == (workspace / "r0.json").read_bytes()
+    assert json.loads((workspace / "r1.json").read_text())["accuracy"]["4"] == 1.0  # every one of 4 diseases ranked
+    assert "retained list" in ddx("eval", "--help", cwd=workspace).stdout
+
+
+def test_topk_below_one_names_the_flag(workspace):
+    assert simulate(workspace).returncode == 0
+    result = ddx("eval", "--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl", "--topk", "0", cwd=workspace)
+    assert result.returncode == 1
+    assert result.stderr == "error: --topk expects positive integers, got '0'\n"
+    assert result.stdout == ""
+
+
+def test_duplicate_case_ids_name_their_files(workspace):
+    assert simulate(workspace).returncode == 0
+    lines = (workspace / "cases.jsonl").read_text().splitlines(keepends=True)
+    (workspace / "b.jsonl").write_text(lines[0], encoding="utf-8")
+    (workspace / "dup.jsonl").write_text("".join(lines[:3] + lines[:1]), encoding="utf-8")
+    expert = ("eval", "--engine", "expert", "--kb", "kb.json", "--cases")
+    result = ddx(*expert, "cases.jsonl", "b.jsonl", cwd=workspace)
+    assert result.returncode == 1
+    assert result.stderr == "error: b.jsonl: duplicate case id 'sim-0', also in cases.jsonl\n"
+    result = ddx(*expert, "dup.jsonl", cwd=workspace)
+    assert result.returncode == 1
+    assert result.stderr == "error: dup.jsonl:4: duplicate case id 'sim-0' (first on line 1)\n"
+
+
 def test_unknown_flag_is_a_usage_error(workspace):
     result = ddx("simulate", "--götterdämmerung", cwd=workspace)
     assert result.returncode == 2
@@ -243,6 +280,39 @@ def test_target_disease_report(workspace):
     assert report["target_disease"] == "d00"
     assert "3" in report["target_accuracy"]
     assert "target disease: d00" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "engine, name, width",
+    [
+        (("--engine", "expert", "--kb", "kb.json"), "expert", 12),
+        (("a-long-name.ckpt",), "a-long-name.ckpt", 18),  # a name past 10 characters widens the column
+    ],
+)
+def test_eval_stdout_layout(workspace, engine, name, width):
+    assert simulate(workspace).returncode == 0
+    assert train(workspace, out="a-long-name.ckpt").returncode == 0
+    result = ddx(
+        "eval", *engine,
+        "--cases", "cases.jsonl",
+        "--topk", "3,1",
+        "--target-disease", "d00",
+        "--out", "t.json",
+        cwd=workspace,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads((workspace / "t.json").read_text())
+    header = f"top-k   {name:>{width}}\n" + "-" * (8 + width) + "\n"
+    cells = [f"{100.0 * report[key][k]:.1f}%" for key in ("accuracy", "target_accuracy") for k in ("1", "3")]
+    assert result.stdout == (
+        header
+        + f"1       {cells[0]:>{width}}\n"
+        + f"3       {cells[1]:>{width}}\n"
+        + "\ntarget disease: d00\n"
+        + header
+        + f"1       {cells[2]:>{width}}\n"
+        + f"3       {cells[3]:>{width}}\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,13 @@ def test_read_rejects_duplicate_case_ids():
         read_cases(line() + "\n" + line())
 
 
+def test_duplicate_case_id_names_both_lines():
+    text = "\n".join([line(id="x"), line(id="y"), "", line(id="x")])
+    with pytest.raises(CaseFormatError) as err:
+        read_cases(text, provenance="dup.jsonl")
+    assert str(err.value) == "dup.jsonl:4: duplicate case id 'x' (first on line 1)"
+
+
 def test_normalize_ddx_examples():
     assert normalize_ddx([("covid19", 1.0)]).entries == (("covid19", 1.0),)
     assert normalize_ddx([("a", 2.0), ("b", 2.0)]).entries == (("a", 0.5), ("b", 0.5))
@@ -224,6 +231,17 @@ def test_merge_rejects_duplicate_ids():
     a = CaseSet(cases=tuple(cases[:5]), provenance=("a",))
     with pytest.raises(ValueError, match="duplicate case id"):
         merge([a, a])
+
+
+def test_merge_names_the_sets_that_share_an_id():
+    a = read_cases(line(id="sim-0"), provenance="a.jsonl")
+    b = read_cases(line(id="sim-1") + "\n" + line(id="sim-0"), provenance="b.jsonl")
+    with pytest.raises(CaseFormatError) as err:
+        merge([a, b])
+    assert str(err.value) == "b.jsonl: duplicate case id 'sim-0', also in a.jsonl"
+    with pytest.raises(CaseFormatError) as err:
+        merge([merge([a, read_cases(line(id="c"), provenance="c.jsonl")]), CaseSet(cases=b.cases[1:])])
+    assert str(err.value) == "case set 1: duplicate case id 'sim-0', also in a.jsonl + c.jsonl"
 
 
 def test_split_sizes_and_determinism():

@@ -10,8 +10,6 @@ from ddxkit.evaluate import (
     format_table,
     model_predictor,
     rank_case_set,
-    target_in_top_k,
-    top_k_accuracy,
     truth_label,
 )
 from ddxkit.model import init_parameters
@@ -34,25 +32,6 @@ def test_truth_label_argmax_and_tie_break():
     assert truth_label(case("a", [("meningitis", 1.0)])) == "meningitis"
     assert truth_label(case("b", [("b", 0.5), ("a", 0.5)])) == "a"
     assert truth_label(case("c", [("pneumonia", 0.9537), ("flu", 0.0288), ("sinusitis", 0.0175)])) == "pneumonia"
-
-
-def test_top_k_accuracy_basics():
-    assert top_k_accuracy([["a", "b", "c"]], ["a"], k=1) == 1.0
-    assert top_k_accuracy([["a", "b", "c", "d"]], ["d"], k=3) == 0.0
-    assert top_k_accuracy([["a", "b"], ["a", "b"]], ["a", "x"], k=5) == 0.5
-    with pytest.raises(ValueError, match="length mismatch"):
-        top_k_accuracy([["a"]], ["a", "b"], k=1)
-    with pytest.raises(ValueError):
-        top_k_accuracy([], [], k=1)
-
-
-def test_target_in_top_k_basics():
-    preds = [["covid", "flu"], ["covid", "cold"]]
-    assert target_in_top_k(preds, "covid", k=1) == 1.0
-    assert target_in_top_k(preds, "cold", k=1) == 0.0
-    assert target_in_top_k(preds, "cold", k=2) == 0.5
-    # a disease absent from every ranking scores 0 at any depth
-    assert target_in_top_k(preds, "made-up", k=5) == 0.0
 
 
 def uniform_model(n_diseases=4):
@@ -129,6 +108,30 @@ def test_evaluate_seed_disease_mode_requires_seed():
         evaluate(model_predictor(p), CaseSet(cases=(), provenance=()), ks=[1])
 
 
+def test_seedless_case_fails_before_any_ranking():
+    calls = []
+
+    def predict(pos, neg):
+        calls.append(pos)
+        return [("d0", 1.0)], 0
+
+    seeded = case("c0", [("d0", 1.0)], seed_disease="d0")
+    cases = CaseSet(cases=(seeded, case("c1", [("d0", 1.0)])), provenance=("x",))
+    with pytest.raises(ValueError, match="case 'c1' has no seed_disease"):
+        evaluate(predict, cases, ks=[1], truth="seed-disease")
+    assert calls == []
+
+
+def test_batch_yielding_too_few_rankings_is_an_error():
+    def predict(pos, neg):
+        return [("d0", 1.0)], 0
+
+    predict.batch = lambda pairs: [predict(pos, neg) for pos, neg in pairs][1:]
+    cases = CaseSet(cases=tuple(case(f"c{i}", [("d0", 1.0)]) for i in range(3)), provenance=("x",))
+    with pytest.raises(ValueError):
+        evaluate(predict, cases, ks=[1])
+
+
 def test_evaluate_reports_target_accuracy():
     p = uniform_model(4)
     cases = CaseSet(cases=tuple(case(f"c{i}", [("d0", 1.0)]) for i in range(3)), provenance=("x",))
@@ -144,5 +147,5 @@ def test_report_serialization_and_table():
     doc = json.loads(report.to_json())
     assert doc["n_cases"] == 1
     assert doc["accuracy"]["3"] == 1.0
-    table = format_table({"base": report})
-    assert "top-k" in table and "base" in table and "100.0%" in table
+    table = format_table("base", report.accuracy)
+    assert table == "top-k           base\n--------------------\n1             100.0%\n3             100.0%"
