@@ -105,6 +105,20 @@ def _check_out_path(out: str | None) -> None:
         raise ValueError(f"--out {out}: is a directory")
 
 
+def _config(cls, args, flags: dict[str, str], **fields):
+    """cls(**fields), plus each field in `flags` read from the args attribute
+    it maps to. A value the config rejects is named with its flag, as in
+    "--epochs 0: epochs must be >= 1"; each config message begins with its field."""
+    flagged = {field: getattr(args, dest) for field, dest in flags.items()}
+    try:
+        return cls(**flagged, **fields)
+    except ValueError as e:
+        field = str(e).split(" ", 1)[0]
+        if field not in flags:
+            raise
+        raise ValueError(f"--{flags[field].replace('_', '-')} {flagged[field]}: {e}") from None
+
+
 def _load_case_files(paths: list[str]):
     return merge([read_cases_file(p) for p in paths])
 
@@ -124,13 +138,12 @@ def cmd_kb_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.monotonic()
-    kb = _read_kb(args.kb)
-    cfg = SimConfig(
-        cases_total=args.cases,
-        seed=args.seed,
-        min_cases_per_disease=args.min_per_disease,
-        ddx_top_k=args.ddx_top_k,
+    cfg = _config(
+        SimConfig,
+        args,
+        {"cases_total": "cases", "seed": "seed", "min_cases_per_disease": "min_per_disease", "ddx_top_k": "ddx_top_k"},
     )
+    kb = _read_kb(args.kb)
     cases = simulate_dataset(kb, cfg)
     write_cases_file(cases, args.out)
     print(f"wrote {len(cases)} cases to {args.out}")
@@ -140,17 +153,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     t0 = time.monotonic()
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        dropout_rate=args.dropout,
-        seed=args.seed,
-    )
+    # seed keeps its bare message, which already quotes the value.
+    flags = {"learning_rate": "lr", "batch_size": "batch", "epochs": "epochs", "dropout_rate": "dropout"}
+    cfg = _config(TrainConfig, args, flags, seed=args.seed)
+    if args.dim < 1:
+        raise ValueError(f"--dim {args.dim}: dim must be >= 1")
     cases = _load_case_files(args.cases)
     kb = _read_kb(args.kb) if args.kb else None
     restrict = _read_restrict_findings(args.restrict_findings) if args.restrict_findings else None
     vocab = build_vocabulary([cases], kb=kb, restrict_to=restrict)
+    if restrict is not None and vocab.n_findings == vocab.n_demographics:
+        raise ValueError(
+            f"--restrict-findings {args.restrict_findings}: keeps no clinical finding of the cases"
+            + (" or the KB" if kb else "")
+        )
     params = init_parameters(vocab, dim=args.dim, seed=args.seed, kb=kb)
     trained, history = train(params, cases, cfg)
     save_checkpoint(trained, args.out)

@@ -12,12 +12,19 @@ trainable.
 
 One forward path, `pooled_embedding` then `disease_log_probs`, runs on a
 batch in the embedding-bag layout (`Bags`: flat row ids plus per-case
-offsets) with one boolean dropout mask per batch; `forward` and
-`predict_topk` run it on a batch of one case. Training projects a batch with
-one (B, D) @ (D, L) product, whose rows can differ from a batch of one's by
-an ulp. `rank_cases` ranks many cases with the row-wise projection instead,
-one (1, D) product per row, so every ranking has the bytes of
-`predict_topk` on that case alone.
+offsets) with one boolean dropout mask per batch. `bag` builds that layout
+from cases, and `Bags.take` gathers a batch out of a larger one with index
+arrays, which is how training draws its minibatches. `forward` and
+`predict_topk` run the path on a batch of one case.
+
+Every per-case sum adds the case's rows in order, starting from 0.0, so a
+case's pooled row has the same bytes in any batch. A batch of narrow rows
+(2 to WIDE_ROW wide) is summed position-major, one vectorised add per row
+position; wider rows, width-1 rows and a lone case are summed per case.
+Training projects a batch with one (B, D) @ (D, L) product, whose rows can
+differ from a batch of one's by an ulp. `rank_cases` ranks many cases with
+the row-wise projection instead, one (1, D) product per row, so every
+ranking has the bytes of `predict_topk` on that case alone.
 
 Checkpoints are a versioned JSON container with the vocabulary and the
 parameter blocks as base64 little-endian float64 in row-major order.
@@ -43,6 +50,12 @@ DIM_NAMES = ("n_findings", "n_diseases", "dim", "n_demographics")  # checkpoint 
 # Cases per pass in rank_cases, so its temporaries stay (RANK_CHUNK, L). A memory
 # bound, not a tuned size: one chunk of 1024 ranked desk-cli no faster.
 RANK_CHUNK = 256
+# Widest row that _bag_sums adds position-major and train.backward scatters with
+# np.bincount; wider rows go case by case. The crossover, per 64-case batch of
+# 3-10 rows a case on a 2-core VM: position-major sums took 49 us against 156
+# per slice at width 64 and 248 against 225 at 1024; bincount scatters took 172
+# us against the per-case loop's 212 at width 256 and 800 against 480 at 1024.
+WIDE_ROW = 256
 
 
 @dataclass(frozen=True)
@@ -148,12 +161,17 @@ def init_parameters(
 class Bags(NamedTuple):
     """A batch in the embedding-bag layout: case b owns the finding-table rows
     rows[offsets[b]:offsets[b + 1]] (2i for present finding i, then 2i+1 for
-    absent) and the demographic rows demo[demo_offsets[b]:demo_offsets[b + 1]]."""
+    absent) and the demographic rows demo[demo_offsets[b]:demo_offsets[b + 1]].
+    Every field is an intp array."""
 
     rows: np.ndarray
-    offsets: list[int]
+    offsets: np.ndarray
     demo: np.ndarray
-    demo_offsets: list[int]
+    demo_offsets: np.ndarray
+
+    def take(self, idx: np.ndarray) -> "Bags":
+        """The cases `idx`, in that order (repeats allowed)."""
+        return Bags(*_take(self.rows, self.offsets, idx), *_take(self.demo, self.demo_offsets, idx))
 
 
 def bag(xs: Sequence[ModelInput]) -> Bags:
@@ -162,9 +180,19 @@ def bag(xs: Sequence[ModelInput]) -> Bags:
     return Bags(*_flat(rows), *_flat([x.demo for x in xs]))
 
 
-def _flat(lists: list) -> tuple[np.ndarray, list[int]]:
-    offsets = list(accumulate(map(len, lists), initial=0))
+def _flat(lists: list) -> tuple[np.ndarray, np.ndarray]:
+    offsets = np.fromiter(accumulate(map(len, lists), initial=0), dtype=np.intp, count=len(lists) + 1)
     return np.array([i for ids in lists for i in ids], dtype=np.intp), offsets
+
+
+def _take(flat: np.ndarray, offsets: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    starts = offsets[:-1][idx]
+    counts = offsets[1:][idx] - starts
+    taken = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=taken[1:])
+    # Item j of the b-th taken case sits at starts[b] + j in `flat` and at taken[b] + j in the result.
+    index = np.repeat(starts - taken[:-1], counts) + np.arange(taken[-1])
+    return flat[index], taken
 
 
 def make_dropout_plan(n_rows: int, dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -180,13 +208,30 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
-def _bag_sums(gathered: np.ndarray, offsets: list[int], mean: bool) -> np.ndarray:
-    # Sums over slices, not np.add.reduceat, whose summation order differs
-    # from a slice's and would move trained bytes. The mean is the reduction
-    # and the in-place division by the count that a slice's .mean(axis=0)
-    # runs, without its Python wrapper.
-    out = np.zeros((len(offsets) - 1, gathered.shape[1]))
-    for b, (s, e) in enumerate(zip(offsets, offsets[1:])):
+def _bag_sums(gathered: np.ndarray, offsets: np.ndarray, mean: bool) -> np.ndarray:
+    # Each case's rows are added in order from 0.0, the order a slice's
+    # np.add.reduce(axis=0) takes for rows 2 or more wide; np.add.reduceat's
+    # order differs and would move trained bytes. Width 1 stays per slice,
+    # because there the slice sum is pairwise from 8 rows on. The mean divides
+    # by the count, as a slice's .mean(axis=0) does.
+    B, width = len(offsets) - 1, gathered.shape[1]
+    if B > 1 and 2 <= width <= WIDE_ROW:
+        # Position-major: with the cases sorted by count, descending, position
+        # j's rows belong to the first k_j cases.
+        counts = offsets[1:] - offsets[:-1]
+        order = np.argsort(-counts, kind="stable")
+        starts = offsets[:-1][order]
+        sums = np.zeros((B, width))
+        for j, k in enumerate((B - np.cumsum(np.bincount(counts)))[:-1].tolist()):
+            sums[:k] += gathered[starts[:k] + j]
+        out = np.empty_like(sums)
+        out[order] = sums
+        if mean:
+            out /= np.maximum(counts, 1)[:, None]
+        return out
+    out = np.zeros((B, width))
+    bounds = offsets.tolist()
+    for b, (s, e) in enumerate(zip(bounds, bounds[1:])):
         if e > s:
             row = np.add.reduce(gathered[s:e], axis=0, out=out[b])
             if mean:

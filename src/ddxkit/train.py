@@ -9,8 +9,11 @@ the remaining chain rule is plain linear algebra over the projection, the
 pooling mean, the dropout scaling, and the embedding gathers. Gradients
 are validated against central finite differences in the test suite.
 
-`backward` scatters row gradients through a minibatch's flat row ids;
-gradients and Adam moments are dicts keyed like `ModelParameters.blocks()`.
+`train` encodes the training set once, into one `Bags` and an (n, L)
+target matrix, and gathers each minibatch from them with index arrays.
+`backward` scatters row gradients through the batch's flat row ids, adding
+each row's terms in case order from 0.0; gradients and Adam moments are
+dicts keyed like `ModelParameters.blocks()`.
 """
 from __future__ import annotations
 
@@ -22,7 +25,8 @@ import numpy as np
 
 from .data import CaseSet
 from .model import (
-    ModelInput,
+    WIDE_ROW,
+    Bags,
     ModelParameters,
     bag,
     disease_log_probs,
@@ -93,24 +97,38 @@ def kl_loss(target: np.ndarray, logprobs: np.ndarray) -> float:
     return float(np.sum(t * (np.log(t) - logprobs[support])))
 
 
+def _scatter_rows(ids: np.ndarray, offsets: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, width) sums of values[i] into row ids[i], each row's terms added in
+    order from 0.0. The ids within one case's slice of `offsets` are distinct."""
+    width = values.shape[1]
+    if width <= WIDE_ROW:
+        flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
+        return np.bincount(flat, weights=values.reshape(-1), minlength=n * width).reshape(n, width)
+    out = np.zeros((n, width))
+    bounds = offsets.tolist()
+    for s, e in zip(bounds, bounds[1:]):
+        out[ids[s:e]] += values[s:e]
+    return out
+
+
 def backward(
     p: ModelParameters,
-    batch: list[tuple[ModelInput, np.ndarray]],
+    bags: Bags,
+    targets: np.ndarray,
     mask: np.ndarray | None = None,
     rate: float = 0.0,
 ) -> tuple[dict[str, np.ndarray], float]:
     """Mean loss gradient over a batch, with one dropout mask fixed per call.
 
+    `targets` holds the batch's soft labels, one row per case of `bags`.
     Returns (gradients keyed like p.blocks(), mean KL loss). `mask` is a
     make_dropout_plan draw at `rate` over the batch's rows; None runs
     without dropout.
     """
-    if not batch:
+    B = len(targets)
+    if B == 0:
         raise ValueError("empty batch")
-    xs, targets = zip(*batch)
-    bags = bag(xs)
-    B = len(batch)
-    P = np.array(targets)
+    P = targets
 
     H = pooled_embedding(p, bags, mask, rate)
     O = disease_log_probs(p, bags, H)
@@ -124,21 +142,20 @@ def backward(
     # at both inner log-softmax inputs.
     G_C = (Q - P) / B
     G_H = G_C @ p.projection.T
-    grads = zero_grads(p) | {"projection": H.T @ G_C, "bias": G_C.sum(axis=0)}
-
-    # A row's gradient is its case's pooled gradient through the mask, over
-    # (1 - rate) * n; added case by case, as np.add.at is exact but slower.
+    # A row's gradient is its case's pooled gradient over (1 - rate) * n,
+    # through the mask. Dividing before the mask is exact: the mask is 0 or 1.
     counts = np.diff(bags.offsets)
-    case = np.repeat(np.arange(B), counts)
-    contrib = G_H[case] if mask is None else G_H[case] * mask
-    contrib /= ((1.0 if mask is None else 1.0 - rate) * counts)[case, None]
-    for s, e in zip(bags.offsets, bags.offsets[1:]):
-        grads["finding_embeddings"][bags.rows[s:e]] += contrib[s:e]
-    # Flat indices take np.add.at's fast 1-D path; each element adds in case order.
-    L = G_C.shape[1]
-    demo_case = np.repeat(np.arange(B), np.diff(bags.demo_offsets))
-    flat = (bags.demo[:, None] * L + np.arange(L)).reshape(-1)
-    np.add.at(grads["demographic_embeddings"].reshape(-1), flat, G_C[demo_case].reshape(-1))
+    G_H /= ((1.0 if mask is None else 1.0 - rate) * np.maximum(counts, 1))[:, None]
+    contrib = G_H[np.repeat(np.arange(B), counts)]
+    if mask is not None:
+        contrib *= mask
+    G_U = G_C[np.repeat(np.arange(B), np.diff(bags.demo_offsets))]
+    grads = {
+        "finding_embeddings": _scatter_rows(bags.rows, bags.offsets, contrib, len(p.finding_embeddings)),
+        "projection": H.T @ G_C,
+        "bias": G_C.sum(axis=0),
+        "demographic_embeddings": _scatter_rows(bags.demo, bags.demo_offsets, G_U, len(p.demographic_embeddings)),
+    }
     return grads, mean_loss
 
 
@@ -181,14 +198,16 @@ class EpochRecord:
         return f"epoch {self.epoch} loss {self.mean_loss:.6f}"
 
 
-def encode_training_set(vocab, cases: CaseSet) -> tuple[list[ModelInput], list[np.ndarray], int]:
-    inputs, targets, skipped = [], [], 0
-    for case in cases:
+def encode_training_set(vocab, cases: CaseSet) -> tuple[Bags, np.ndarray, int]:
+    """(the cases' Bags, their (n, L) soft-label matrix, findings skipped)."""
+    inputs, skipped = [], 0
+    targets = np.zeros((len(cases), vocab.n_diseases))
+    for i, case in enumerate(cases):
         x, n_skip = encode_case(vocab, case.pos, case.neg)
         skipped += n_skip
         inputs.append(x)
-        targets.append(encode_target(vocab, case.ddx))
-    return inputs, targets, skipped
+        targets[i] = encode_target(vocab, case.ddx)
+    return bag(inputs), targets, skipped
 
 
 def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[ModelParameters, list[EpochRecord]]:
@@ -201,10 +220,10 @@ def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[Mo
     if len(train_set) == 0:
         raise ValueError("empty training set")
     p = p0.copy()
-    inputs, targets, skipped = encode_training_set(p.vocab, train_set)
+    bags, targets, skipped = encode_training_set(p.vocab, train_set)
     if skipped:
         logger.warning("training encode skipped %d findings outside the vocabulary", skipped)
-    n = len(inputs)
+    n = len(targets)
     D = p.projection.shape[0]
     rate = cfg.dropout_rate
     rng = np.random.default_rng(cfg.seed)
@@ -217,9 +236,9 @@ def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[Mo
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
-            batch = [(inputs[i], targets[i]) for i in chunk]
-            mask = make_dropout_plan(sum(x.n_rows for x, _ in batch), D, rate, rng) if rate > 0.0 else None
-            grads, loss = backward(p, batch, mask, rate)
+            batch = bags.take(chunk)
+            mask = make_dropout_plan(len(batch.rows), D, rate, rng) if rate > 0.0 else None
+            grads, loss = backward(p, batch, targets[chunk], mask, rate)
             adam_step(p, grads, state, cfg)
             total += loss * len(chunk)
         record = EpochRecord(epoch=epoch, mean_loss=total / n)

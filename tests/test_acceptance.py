@@ -20,7 +20,7 @@ from ddxkit.data import CaseSet, Vocabulary, build_vocabulary, merge, split_trai
 from ddxkit.evaluate import evaluate, expert_predictor, model_predictor
 from ddxkit.expert import expert_inference
 from ddxkit.kb import serialize_knowledge_base
-from ddxkit.model import ModelInput, forward, init_parameters
+from ddxkit.model import ModelInput, bag, forward, init_parameters
 from ddxkit.simulate import SimConfig, simulate_dataset
 from ddxkit.synthetic import make_novel_disease_cases, make_separable_kb
 from ddxkit.train import TrainConfig, backward, kl_loss, train
@@ -129,7 +129,7 @@ def test_criterion_1_gradient_oracle():
     for _ in range(100):
         vocab, p = random_small_model(rng)
         batch = random_batch(vocab, rng)
-        analytic, _ = backward(p, batch)
+        analytic, _ = backward(p, bag([x for x, _ in batch]), np.array([t for _, t in batch]))
         for name, theta in p.blocks().items():
             flat = theta.reshape(-1)
             a_flat = analytic[name].reshape(-1)

@@ -264,6 +264,18 @@ def test_restrict_findings_accepts_kb_document_and_id_list(workspace):
     assert set(ckpt["vocab"]["findings"]) <= set(ids)
 
 
+@pytest.mark.parametrize("with_kb", [False, True])
+def test_restrict_findings_that_keep_no_finding_are_rejected(workspace, with_kb):
+    assert simulate(workspace).returncode == 0
+    (workspace / "only.txt").write_text("no-such-finding\n")
+    kb = ("--kb", "kb.json") if with_kb else ()
+    result = ddx("train", "--cases", "cases.jsonl", *kb, "--restrict-findings", "only.txt", "--out", "m.ckpt", cwd=workspace)
+    assert result.returncode == 1
+    assert "error: --restrict-findings only.txt: keeps no clinical finding of the cases" in result.stderr
+    assert result.stdout == ""
+    assert not (workspace / "m.ckpt").exists()
+
+
 def test_target_disease_report(workspace):
     assert simulate(workspace).returncode == 0
     assert train(workspace).returncode == 0
@@ -390,6 +402,27 @@ def test_out_naming_a_directory_is_rejected(workspace):
     result = ddx("kb", "validate", "kb.json", "--out", "sub", cwd=workspace)
     assert result.returncode == 1
     assert "error: --out sub: is a directory" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("train", "--epochs", "0"), "--epochs 0: epochs must be >= 1"),
+        (("train", "--batch", "0"), "--batch 0: batch_size must be >= 1"),
+        (("train", "--dropout", "1.0"), "--dropout 1.0: dropout_rate must be in [0, 1)"),
+        (("train", "--lr", "nan"), "--lr nan: learning_rate must be finite and > 0, got nan"),
+        (("train", "--dim", "0"), "--dim 0: dim must be >= 1"),
+        (("simulate", "--cases", "0"), "--cases 0: cases_total must be >= 1"),
+        (("simulate", "--cases", "5", "--min-per-disease", "-1"), "--min-per-disease -1: min_cases_per_disease must be >= 0"),
+        (("simulate", "--cases", "5", "--ddx-top-k", "0"), "--ddx-top-k 0: ddx_top_k must be >= 1"),
+        (("simulate", "--cases", "5", "--seed", "-1"), "--seed -1: seed must be a 64-bit unsigned integer"),
+    ],
+)
+def test_a_rejected_config_value_names_its_flag_before_reading_input(tmp_path, argv, message):
+    # The input files do not exist: the flag is checked before any is read.
+    inputs = {"train": ("--cases", "missing.jsonl"), "simulate": ("--kb", "missing.json")}[argv[0]]
+    code, out, err = run_in(tmp_path, [*argv, *inputs, "--out", "x.out"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_negative_train_seed_is_rejected_before_training(workspace):

@@ -139,15 +139,18 @@ def test_dropout_rate_zero_is_exactly_inference():
     assert np.array_equal(disease_log_probs(p, bag([x]), pooled_embedding(p, bag([x]), mask, 0.0))[0], forward(p, x))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 64])
+@pytest.mark.parametrize("dim", [1, 2, 64, 256, 257])
 @pytest.mark.parametrize("rate", [0.0, 0.7])
-def test_pooled_embedding_equals_per_slice_means_bytewise(dim, rate):
+@pytest.mark.parametrize("n_cases", [1, 14])
+def test_pooled_embedding_equals_per_slice_means_bytewise(dim, rate, n_cases):
     vocab = small_vocab(n_findings=150)
     rng = np.random.default_rng(dim)
     p = init_parameters(vocab, dim=dim, seed=8)
     p.finding_embeddings *= 10.0 ** rng.integers(-3, 4, size=p.finding_embeddings.shape)
     xs = [random_input(vocab, rng) for _ in range(12)] + [ModelInput((), (), ()), ModelInput((), (), (0, 1))]
     xs = [xs[i] for i in rng.permutation(len(xs))]
+    if n_cases == 1:
+        xs = [max(xs, key=lambda x: x.n_rows)]
     bags = bag(xs)
     mask = make_dropout_plan(len(bags.rows), dim, rate, rng) if rate > 0.0 else None
     got = pooled_embedding(p, bags, mask, rate)
@@ -160,6 +163,20 @@ def test_pooled_embedding_equals_per_slice_means_bytewise(dim, rate):
         if e > s:
             expected[b] = gathered[s:e].mean(axis=0)
     assert got.tobytes() == expected.tobytes()
+
+
+def test_take_equals_bagging_the_taken_cases_bytewise():
+    vocab = small_vocab(n_findings=30)
+    rng = np.random.default_rng(12)
+    xs = [random_input(vocab, rng) for _ in range(9)] + [ModelInput((), (), ()), ModelInput((), (), (1,))]
+    xs = [xs[i] for i in rng.permutation(len(xs))]
+    bags = bag(xs)
+    for idx in ([], [3], [0, 0, 5, 2, 5], rng.permutation(len(xs)), rng.integers(0, len(xs), size=25)):
+        idx = np.asarray(idx, dtype=np.intp)
+        got, expected = bags.take(idx), bag([xs[i] for i in idx])
+        for name, arr in expected._asdict().items():
+            assert getattr(got, name).dtype == arr.dtype, name
+            assert getattr(got, name).tobytes() == arr.tobytes(), name
 
 
 def test_dropout_scaling_is_unbiased():

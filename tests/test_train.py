@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddxkit.data import CaseSet, Vocabulary, normalize_ddx
-from ddxkit.model import ModelInput, checkpoint_to_json, forward, init_parameters, make_dropout_plan
+from ddxkit.model import (
+    ModelInput,
+    bag,
+    checkpoint_to_json,
+    encode_case,
+    encode_target,
+    forward,
+    init_parameters,
+    make_dropout_plan,
+)
 from ddxkit.simulate import ClinicalCase
 from ddxkit.train import (
     ADAM_BETA1,
@@ -76,6 +85,12 @@ def random_example(vocab, rng):
     return x, target
 
 
+def batch_arrays(batch):
+    """A hand-built [(x, target), ...] batch as backward's (bags, targets)."""
+    xs, ts = zip(*batch)
+    return bag(xs), np.array(ts)
+
+
 def finite_difference_grads(p, batch, h=1e-4):
     """Central differences of the mean KL loss, the long way around."""
     fd = zero_grads(p)
@@ -108,7 +123,7 @@ def test_backward_matches_finite_differences():
     for arr in p.blocks().values():
         arr += rng.normal(0, 0.5, size=arr.shape)
     batch = [random_example(vocab, rng) for _ in range(3)]
-    analytic, _ = backward(p, batch)
+    analytic, _ = backward(p, *batch_arrays(batch))
     numeric = finite_difference_grads(p, batch)
     assert_grads_close(analytic, numeric)
 
@@ -118,7 +133,7 @@ def test_backward_is_zero_at_the_optimum():
     rng = np.random.default_rng(2)
     x, _ = random_example(vocab, rng)
     target = np.exp(forward(p, x))
-    grads, loss = backward(p, [(x, target)])
+    grads, loss = backward(p, bag([x]), np.array([target]))
     assert loss < 1e-12
     for arr in grads.values():
         assert np.max(np.abs(arr)) < 1e-10
@@ -128,13 +143,13 @@ def test_backward_mean_semantics():
     vocab, p = toy_setup()
     rng = np.random.default_rng(3)
     x, target = random_example(vocab, rng)
-    single, loss1 = backward(p, [(x, target)])
-    double, loss2 = backward(p, [(x, target), (x, target)])
+    single, loss1 = backward(p, bag([x]), np.array([target]))
+    double, loss2 = backward(p, bag([x, x]), np.array([target, target]))
     assert loss2 == pytest.approx(loss1, abs=1e-12)
     for name, arr in single.items():
         assert np.allclose(arr, double[name], atol=1e-12)
     with pytest.raises(ValueError, match="empty batch"):
-        backward(p, [])
+        backward(p, bag([]), np.array([]))
 
 
 def reference_backward(p, batch, rate, rng):
@@ -175,9 +190,10 @@ def reference_backward(p, batch, rate, rng):
     return grads, loss
 
 
+@pytest.mark.parametrize("dim", [1, 16, 257])
 @pytest.mark.parametrize("rate", [0.0, 0.7])
-def test_backward_equals_the_per_case_reference_exactly(rate):
-    vocab, p = toy_setup(n_findings=12, n_diseases=5, dim=16, demo=("g0", "g1", "g2"))
+def test_backward_equals_the_per_case_reference_exactly(rate, dim):
+    vocab, p = toy_setup(n_findings=12, n_diseases=5, dim=dim, demo=("g0", "g1", "g2"))
     rng = np.random.default_rng(4)
     for arr in p.blocks().values():
         arr += rng.normal(0, 0.5, size=arr.shape)
@@ -188,8 +204,8 @@ def test_backward_equals_the_per_case_reference_exactly(rate):
         batch.insert(int(rng.integers(len(batch) + 1)), (ModelInput((), (), (0, 2)), uniform))
         ref_rng, rng_ = np.random.default_rng(trial), np.random.default_rng(trial)
         expected, expected_loss = reference_backward(p, batch, rate, ref_rng)
-        mask = make_dropout_plan(sum(x.n_rows for x, _ in batch), 16, rate, rng_) if rate > 0 else None
-        grads, loss = backward(p, batch, mask, rate)
+        mask = make_dropout_plan(sum(x.n_rows for x, _ in batch), dim, rate, rng_) if rate > 0 else None
+        grads, loss = backward(p, *batch_arrays(batch), mask, rate)
         assert loss == expected_loss
         assert grads.keys() == expected.keys()
         for name, arr in expected.items():
@@ -311,14 +327,57 @@ def test_one_epoch_full_batch_is_one_adam_step():
     from ddxkit.train import encode_training_set
 
     manual = p.copy()
-    inputs, targets, _ = encode_training_set(vocab, cases)
-    order = np.arange(len(inputs))
+    bags, targets, _ = encode_training_set(vocab, cases)
+    order = np.arange(len(targets))
     np.random.default_rng(cfg.seed).shuffle(order)
-    batch = [(inputs[i], targets[i]) for i in order]
-    grads, _ = backward(manual, batch)
+    grads, _ = backward(manual, bags.take(order), targets[order])
     adam_step(manual, grads, AdamState.init(manual), cfg)
     for name, arr in trained.blocks().items():
         assert np.array_equal(arr, manual.blocks()[name])
+
+
+def reference_train(p0, cases, cfg):
+    """train() as a loop over per-batch lists of (input, target) pairs, with
+    reference_backward and allocating_adam_step; an exact oracle."""
+    p = p0.copy()
+    batch_of = [(encode_case(p.vocab, c.pos, c.neg)[0], encode_target(p.vocab, c.ddx)) for c in cases]
+    rng, state, history = np.random.default_rng(cfg.seed), AdamState.init(p), []
+    order = np.arange(len(batch_of))
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
+        total = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [batch_of[i] for i in order[start : start + cfg.batch_size]]
+            grads, loss = reference_backward(p, batch, cfg.dropout_rate, rng)
+            allocating_adam_step(p, grads, state, cfg)
+            total += loss * len(batch)
+        history.append(total / len(order))
+    return p, history
+
+
+@pytest.mark.parametrize("dim", [1, 16, 257])
+@pytest.mark.parametrize("rate", [0.0, 0.7])
+def test_train_equals_the_per_batch_reference_bytewise(dim, rate):
+    vocab, p = toy_setup(n_findings=12, n_diseases=5, dim=dim, demo=("g0", "g1", "g2"))
+    rng = np.random.default_rng(dim)
+    clin = [f for f in vocab.findings if f not in vocab.demographic_ids]
+    cases = []
+    for i in range(22):
+        picked = list(rng.permutation(clin)[: int(rng.integers(0, len(clin) + 1))])
+        k = int(rng.integers(0, len(picked) + 1))
+        demo = {g for g in sorted(vocab.demographic_ids) if rng.random() < 0.5}
+        weights = rng.dirichlet(np.full(vocab.n_diseases, 0.5))  # the largest of 5 is over 0.1
+        ddx = normalize_ddx([(d, float(w)) for d, w in zip(vocab.diseases, weights) if w > 0.1])
+        cases.append(ClinicalCase(id=f"c{i}", pos=frozenset(picked[:k]) | demo, neg=frozenset(picked[k:]), ddx=ddx))
+    cases.insert(7, ClinicalCase(id="bare", pos=frozenset(), neg=frozenset(), ddx=normalize_ddx([("d1", 1.0)])))
+    cases = CaseSet(cases=tuple(cases), provenance=("random",))
+    cfg = TrainConfig(learning_rate=0.05, batch_size=5, epochs=3, dropout_rate=rate, seed=9)  # 23 cases: last batch 3
+
+    trained, history = train(p, cases, cfg)
+    expected, expected_history = reference_train(p, cases, cfg)
+    assert [r.mean_loss for r in history] == expected_history
+    for name, arr in expected.blocks().items():
+        assert trained.blocks()[name].tobytes() == arr.tobytes(), name
 
 
 def test_training_is_deterministic():
