@@ -21,7 +21,7 @@ from . import __version__
 from .data import build_vocabulary, merge, read_cases_file, write_cases_file
 from .evaluate import evaluate, expert_predictor, format_table, model_predictor, rank_case_set
 from .kb import KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
-from .model import init_parameters, load_checkpoint, save_checkpoint
+from .model import check_dim, init_parameters, load_checkpoint, save_checkpoint
 from .simulate import SimConfig, simulate_dataset
 from .train import TrainConfig, train
 
@@ -105,18 +105,18 @@ def _check_out_path(out: str | None) -> None:
         raise ValueError(f"--out {out}: is a directory")
 
 
-def _config(cls, args, flags: dict[str, str], **fields):
-    """cls(**fields), plus each field in `flags` read from the args attribute
-    it maps to. A value the config rejects is named with its flag, as in
-    "--epochs 0: epochs must be >= 1"; each config message begins with its field."""
-    flagged = {field: getattr(args, dest) for field, dest in flags.items()}
+def _config(build, args, flags: dict[str, str]):
+    """build(**values), each keyword's value read from the args attribute that
+    `flags` maps it to. A value `build` rejects is named with its flag, as in
+    "--epochs 0: epochs must be >= 1"; each config error begins with its keyword."""
+    values = {field: getattr(args, dest) for field, dest in flags.items()}
     try:
-        return cls(**flagged, **fields)
+        return build(**values)
     except ValueError as e:
         field = str(e).split(" ", 1)[0]
         if field not in flags:
             raise
-        raise ValueError(f"--{flags[field].replace('_', '-')} {flagged[field]}: {e}") from None
+        raise ValueError(f"--{flags[field].replace('_', '-')} {values[field]}: {e}") from None
 
 
 def _load_case_files(paths: list[str]):
@@ -153,11 +153,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     t0 = time.monotonic()
-    # seed keeps its bare message, which already quotes the value.
-    flags = {"learning_rate": "lr", "batch_size": "batch", "epochs": "epochs", "dropout_rate": "dropout"}
-    cfg = _config(TrainConfig, args, flags, seed=args.seed)
-    if args.dim < 1:
-        raise ValueError(f"--dim {args.dim}: dim must be >= 1")
+    flags = {"learning_rate": "lr", "batch_size": "batch", "epochs": "epochs", "dropout_rate": "dropout", "seed": "seed"}
+    cfg = _config(TrainConfig, args, flags)
+    _config(check_dim, args, {"dim": "dim"})
     cases = _load_case_files(args.cases)
     kb = _read_kb(args.kb) if args.kb else None
     restrict = _read_restrict_findings(args.restrict_findings) if args.restrict_findings else None

@@ -18,9 +18,10 @@ arrays, which is how training draws its minibatches. `forward` and
 `predict_topk` run the path on a batch of one case.
 
 Every per-case sum adds the case's rows in order, starting from 0.0, so a
-case's pooled row has the same bytes in any batch. A batch of narrow rows
-(2 to WIDE_ROW wide) is summed position-major, one vectorised add per row
-position; wider rows, width-1 rows and a lone case are summed per case.
+case's pooled row has the same bytes in any batch. A batch of many small
+cases (see POSITION_MAJOR_CASE_SIZE) is summed position-major, one
+vectorised add per row position; other batches, width-1 rows and a lone
+case are summed per case.
 Training projects a batch with one (B, D) @ (D, L) product, whose rows can
 differ from a batch of one's by an ulp. `rank_cases` ranks many cases with
 the row-wise projection instead, one (1, D) product per row, so every
@@ -50,12 +51,15 @@ DIM_NAMES = ("n_findings", "n_diseases", "dim", "n_demographics")  # checkpoint 
 # Cases per pass in rank_cases, so its temporaries stay (RANK_CHUNK, L). A memory
 # bound, not a tuned size: one chunk of 1024 ranked desk-cli no faster.
 RANK_CHUNK = 256
-# Widest row that _bag_sums adds position-major and train.backward scatters with
-# np.bincount; wider rows go case by case. The crossover, per 64-case batch of
-# 3-10 rows a case on a 2-core VM: position-major sums took 49 us against 156
-# per slice at width 64 and 248 against 225 at 1024; bincount scatters took 172
-# us against the per-case loop's 212 at width 256 and 800 against 480 at 1024.
-WIDE_ROW = 256
+# _bag_sums adds a batch position-major, one add per row position, when its
+# cases hold at most this many gathered numbers (rows x width) on average and
+# the batch has more than twice as many cases as its longest case has rows;
+# otherwise it adds each case's slice. Measured on a 2-core VM over batches of
+# 4 to 256 cases with 0-2, 0-9, 3-10, 1-40, 5-40 and 20-40 rows a case at
+# widths 2 to 1024: position-major took 0.05-0.95x the per-slice time in all 64
+# settings inside both bounds, 0.4-2.2x past the size bound alone, and up to 11x
+# past the longest-case bound (4 cases of 5-40 rows).
+POSITION_MAJOR_CASE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,12 @@ class ModelParameters:
                 raise ValueError(f"{name}: non-finite entries")
 
 
+def check_dim(dim: int) -> None:
+    """Reject an embedding dimension below 1."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+
+
 def init_parameters(
     vocab: Vocabulary, dim: int, seed: int, kb: KnowledgeBase | None = None
 ) -> ModelParameters:
@@ -129,8 +139,7 @@ def init_parameters(
     diseases, are left unmasked. Without a KB all rows are zero, a uniform
     prior over every disease.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    check_dim(dim)
     K, L = vocab.n_findings, vocab.n_diseases
     M = vocab.n_demographics
     rng = np.random.default_rng(seed)
@@ -181,7 +190,7 @@ def bag(xs: Sequence[ModelInput]) -> Bags:
 
 
 def _flat(lists: list) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.fromiter(accumulate(map(len, lists), initial=0), dtype=np.intp, count=len(lists) + 1)
+    offsets = np.array([0, *accumulate(map(len, lists))], dtype=np.intp)
     return np.array([i for ids in lists for i in ids], dtype=np.intp), offsets
 
 
@@ -215,20 +224,10 @@ def _bag_sums(gathered: np.ndarray, offsets: np.ndarray, mean: bool) -> np.ndarr
     # because there the slice sum is pairwise from 8 rows on. The mean divides
     # by the count, as a slice's .mean(axis=0) does.
     B, width = len(offsets) - 1, gathered.shape[1]
-    if B > 1 and 2 <= width <= WIDE_ROW:
-        # Position-major: with the cases sorted by count, descending, position
-        # j's rows belong to the first k_j cases.
+    if B > 2 and width > 1:  # 1 or 2 cases pass the bound on the longest case only when empty
         counts = offsets[1:] - offsets[:-1]
-        order = np.argsort(-counts, kind="stable")
-        starts = offsets[:-1][order]
-        sums = np.zeros((B, width))
-        for j, k in enumerate((B - np.cumsum(np.bincount(counts)))[:-1].tolist()):
-            sums[:k] += gathered[starts[:k] + j]
-        out = np.empty_like(sums)
-        out[order] = sums
-        if mean:
-            out /= np.maximum(counts, 1)[:, None]
-        return out
+        if 2 * counts.max() < B and gathered.size <= POSITION_MAJOR_CASE_SIZE * B:
+            return _position_major_sums(gathered, offsets, counts, mean)
     out = np.zeros((B, width))
     bounds = offsets.tolist()
     for b, (s, e) in enumerate(zip(bounds, bounds[1:])):
@@ -236,6 +235,21 @@ def _bag_sums(gathered: np.ndarray, offsets: np.ndarray, mean: bool) -> np.ndarr
             row = np.add.reduce(gathered[s:e], axis=0, out=out[b])
             if mean:
                 row /= e - s
+    return out
+
+
+def _position_major_sums(gathered: np.ndarray, offsets: np.ndarray, counts: np.ndarray, mean: bool) -> np.ndarray:
+    # With the cases sorted by count, descending, position j's rows belong to the first k_j cases.
+    B = len(counts)
+    order = np.argsort(-counts, kind="stable")
+    starts = offsets[:-1][order]
+    sums = np.zeros((B, gathered.shape[1]))
+    for j, k in enumerate((B - np.cumsum(np.bincount(counts)))[:-1].tolist()):
+        sums[:k] += gathered[starts[:k] + j]
+    out = np.empty_like(sums)
+    out[order] = sums
+    if mean:
+        out /= np.maximum(counts, 1)[:, None]
     return out
 
 

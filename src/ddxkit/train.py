@@ -25,7 +25,6 @@ import numpy as np
 
 from .data import CaseSet
 from .model import (
-    WIDE_ROW,
     Bags,
     ModelParameters,
     bag,
@@ -41,6 +40,12 @@ logger = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# _scatter_rows adds a batch's row gradients with one np.bincount when its cases
+# hold at most this many numbers (rows x width) on average, and case by case
+# above it. Measured on a 2-core VM over batches of 16 and 64 cases with 0-2,
+# 0-9, 3-10, 1-40, 5-40 and 20-40 rows a case at widths 2 to 1024: bincount took
+# 0.04-1.07x the per-case loop's time up to this bound and 0.91-2.7x above it.
+BINCOUNT_CASE_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ def _scatter_rows(ids: np.ndarray, offsets: np.ndarray, values: np.ndarray, n: i
     """(n, width) sums of values[i] into row ids[i], each row's terms added in
     order from 0.0. The ids within one case's slice of `offsets` are distinct."""
     width = values.shape[1]
-    if width <= WIDE_ROW:
+    if values.size <= BINCOUNT_CASE_SIZE * (len(offsets) - 1):
         flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
         return np.bincount(flat, weights=values.reshape(-1), minlength=n * width).reshape(n, width)
     out = np.zeros((n, width))

@@ -412,6 +412,7 @@ def test_out_naming_a_directory_is_rejected(workspace):
         (("train", "--dropout", "1.0"), "--dropout 1.0: dropout_rate must be in [0, 1)"),
         (("train", "--lr", "nan"), "--lr nan: learning_rate must be finite and > 0, got nan"),
         (("train", "--dim", "0"), "--dim 0: dim must be >= 1"),
+        (("train", "--seed", "-1"), "--seed -1: seed must be >= 0, got -1"),
         (("simulate", "--cases", "0"), "--cases 0: cases_total must be >= 1"),
         (("simulate", "--cases", "5", "--min-per-disease", "-1"), "--min-per-disease -1: min_cases_per_disease must be >= 0"),
         (("simulate", "--cases", "5", "--ddx-top-k", "0"), "--ddx-top-k 0: ddx_top_k must be >= 1"),
@@ -429,7 +430,7 @@ def test_negative_train_seed_is_rejected_before_training(workspace):
     assert simulate(workspace).returncode == 0
     result = train(workspace, extra=("--seed", "-1"))
     assert result.returncode == 1
-    assert "error: seed must be >= 0, got -1" in result.stderr
+    assert "error: --seed -1: seed must be >= 0, got -1" in result.stderr
     assert result.stdout == ""
     assert not (workspace / "m.ckpt").exists()
 

@@ -190,7 +190,7 @@ def reference_backward(p, batch, rate, rng):
     return grads, loss
 
 
-@pytest.mark.parametrize("dim", [1, 16, 257])
+@pytest.mark.parametrize("dim", [1, 16, 257, 1024])
 @pytest.mark.parametrize("rate", [0.0, 0.7])
 def test_backward_equals_the_per_case_reference_exactly(rate, dim):
     vocab, p = toy_setup(n_findings=12, n_diseases=5, dim=dim, demo=("g0", "g1", "g2"))
@@ -355,15 +355,16 @@ def reference_train(p0, cases, cfg):
     return p, history
 
 
-@pytest.mark.parametrize("dim", [1, 16, 257])
+@pytest.mark.parametrize("dim", [1, 16, 257, 1024])
 @pytest.mark.parametrize("rate", [0.0, 0.7])
-def test_train_equals_the_per_batch_reference_bytewise(dim, rate):
+@pytest.mark.parametrize("max_findings", [3, 12])  # 3: batches of 7 short cases, summed position-major
+def test_train_equals_the_per_batch_reference_bytewise(dim, rate, max_findings):
     vocab, p = toy_setup(n_findings=12, n_diseases=5, dim=dim, demo=("g0", "g1", "g2"))
     rng = np.random.default_rng(dim)
     clin = [f for f in vocab.findings if f not in vocab.demographic_ids]
     cases = []
     for i in range(22):
-        picked = list(rng.permutation(clin)[: int(rng.integers(0, len(clin) + 1))])
+        picked = list(rng.permutation(clin)[: int(rng.integers(0, max_findings + 1))])
         k = int(rng.integers(0, len(picked) + 1))
         demo = {g for g in sorted(vocab.demographic_ids) if rng.random() < 0.5}
         weights = rng.dirichlet(np.full(vocab.n_diseases, 0.5))  # the largest of 5 is over 0.1
@@ -371,7 +372,8 @@ def test_train_equals_the_per_batch_reference_bytewise(dim, rate):
         cases.append(ClinicalCase(id=f"c{i}", pos=frozenset(picked[:k]) | demo, neg=frozenset(picked[k:]), ddx=ddx))
     cases.insert(7, ClinicalCase(id="bare", pos=frozenset(), neg=frozenset(), ddx=normalize_ddx([("d1", 1.0)])))
     cases = CaseSet(cases=tuple(cases), provenance=("random",))
-    cfg = TrainConfig(learning_rate=0.05, batch_size=5, epochs=3, dropout_rate=rate, seed=9)  # 23 cases: last batch 3
+    batch_size = 7 if max_findings == 3 else 5  # 23 cases: the last batch holds 2 or 3
+    cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, epochs=3, dropout_rate=rate, seed=9)
 
     trained, history = train(p, cases, cfg)
     expected, expected_history = reference_train(p, cases, cfg)
