@@ -5,7 +5,9 @@ run writes a JSON manifest next to its primary output (or into the working
 directory for commands without one) recording the resolved configuration,
 seeds, paths, tool version, and wall-clock duration. All randomness is
 controlled by --seed, so reruns with identical flags and inputs reproduce
-identical output bytes; manifests are exempt (they carry timing).
+identical output bytes; manifests are exempt (they carry timing), except
+their `metrics` block: `simulate` records the label quality of its cases
+there (`simulate.label_metrics`), and a rerun reproduces it byte for byte.
 """
 from __future__ import annotations
 
@@ -18,12 +20,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .data import build_vocabulary, merge, read_cases_file, write_cases_file
+from .data import CaseSet, build_vocabulary, merge, read_cases_file, write_cases_file
 from .evaluate import evaluate, expert_predictor, format_table, model_predictor, rank_case_set
+from .expert import CaseError
 from .kb import KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
 from .model import check_dim, init_parameters, load_checkpoint, save_checkpoint
-from .simulate import SimConfig, simulate_dataset
-from .train import TrainConfig, train
+from .simulate import SimConfig, label_metrics, simulate_dataset
+from .train import DivergedError, TrainConfig, train
 
 
 @dataclass
@@ -35,9 +38,17 @@ class RunManifest:
     outputs: list[str]
     tool_version: str
     wall_clock_seconds: float
+    metrics: dict | None = None
 
 
-def _emit_manifest(command: str, args: argparse.Namespace, inputs: list[str], outputs: list[str], t0: float) -> None:
+def _emit_manifest(
+    command: str,
+    args: argparse.Namespace,
+    inputs: list[str],
+    outputs: list[str],
+    t0: float,
+    metrics: dict | None = None,
+) -> None:
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = RunManifest(
         command=command,
@@ -47,6 +58,7 @@ def _emit_manifest(command: str, args: argparse.Namespace, inputs: list[str], ou
         outputs=outputs,
         tool_version=__version__,
         wall_clock_seconds=time.monotonic() - t0,
+        metrics=metrics,
     )
     out = getattr(args, "out", None)
     path = Path(f"{out}.manifest.json") if out else Path(f"{command.replace(' ', '-')}.manifest.json")
@@ -119,8 +131,18 @@ def _config(build, args, flags: dict[str, str]):
         raise ValueError(f"--{flags[field].replace('_', '-')} {values[field]}: {e}") from None
 
 
-def _load_case_files(paths: list[str]):
-    return merge([read_cases_file(p) for p in paths])
+def _naming_the_case(case_sets: list[CaseSet], run):
+    """run(); a CaseError from the engine is raised again naming its case's
+    file and id. The engine's case indices run over `case_sets` in order."""
+    try:
+        return run()
+    except CaseError as e:
+        index = e.index
+        for cs in case_sets:
+            if index < len(cs):
+                raise ValueError(f"--cases {cs.provenance[0]}: case {cs.cases[index].id!r}: {e.reason}") from None
+            index -= len(cs)
+        raise
 
 
 def cmd_kb_validate(args) -> int:
@@ -147,7 +169,7 @@ def cmd_simulate(args) -> int:
     cases = simulate_dataset(kb, cfg)
     write_cases_file(cases, args.out)
     print(f"wrote {len(cases)} cases to {args.out}")
-    _emit_manifest("simulate", args, [args.kb], [args.out], t0)
+    _emit_manifest("simulate", args, [args.kb], [args.out], t0, metrics=label_metrics(cases))
     return 0
 
 
@@ -156,7 +178,7 @@ def cmd_train(args) -> int:
     flags = {"learning_rate": "lr", "batch_size": "batch", "epochs": "epochs", "dropout_rate": "dropout", "seed": "seed"}
     cfg = _config(TrainConfig, args, flags)
     _config(check_dim, args, {"dim": "dim"})
-    cases = _load_case_files(args.cases)
+    cases = merge([read_cases_file(p) for p in args.cases])
     kb = _read_kb(args.kb) if args.kb else None
     restrict = _read_restrict_findings(args.restrict_findings) if args.restrict_findings else None
     vocab = build_vocabulary([cases], kb=kb, restrict_to=restrict)
@@ -166,7 +188,10 @@ def cmd_train(args) -> int:
             + (" or the KB" if kb else "")
         )
     params = init_parameters(vocab, dim=args.dim, seed=args.seed, kb=kb)
-    trained, history = train(params, cases, cfg)
+    try:
+        trained, history = train(params, cases, cfg)
+    except DivergedError as e:
+        raise ValueError(f"--lr {args.lr}: training diverged at epoch {e.epoch}: mean loss {e.loss}") from None
     save_checkpoint(trained, args.out)
     log_path = Path(f"{args.out}.log")
     log_path.write_text("".join(r.format_line() + "\n" for r in history), encoding="utf-8")
@@ -207,14 +232,15 @@ def cmd_eval(args) -> int:
     t0 = time.monotonic()
     ks = _parse_topk(args.topk)
     predictor, diseases, inputs = _make_predictor(args)
-    cases = _load_case_files(args.cases)
+    case_sets = [read_cases_file(p) for p in args.cases]
+    cases = merge(case_sets)
     target = args.target_disease
     # An id the engine cannot rank is still a fair target when the cases hold
     # it (a novel disease scores a true 0 %); one that nothing holds is a typo.
     if target is not None and target not in diseases and not _cases_hold(cases, target):
         where = "the checkpoint's disease vocabulary" if args.engine == "model" else "the KB's diseases"
         raise ValueError(f"--target-disease {target}: not among {where} or the cases' diseases")
-    report = evaluate(predictor, cases, ks=ks, target=target, truth=args.truth)
+    report = _naming_the_case(case_sets, lambda: evaluate(predictor, cases, ks=ks, target=target, truth=args.truth))
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
     name = args.model if args.engine == "model" else "expert"
@@ -231,10 +257,12 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     t0 = time.monotonic()
     predictor, _, inputs = _make_predictor(args)
-    cases = _load_case_files(args.cases)
+    case_sets = [read_cases_file(p) for p in args.cases]
+    cases = merge(case_sets)
     depth = _ranking_depth(args.ddx_top_k)
     lines = []
-    for case, (ranked, skipped) in zip(cases, rank_case_set(predictor, cases)):
+    rankings = _naming_the_case(case_sets, lambda: list(rank_case_set(predictor, cases)))
+    for case, (ranked, skipped) in zip(cases, rankings):
         if depth is not None:
             ranked = ranked[:depth]
         lines.append(

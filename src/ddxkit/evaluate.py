@@ -13,9 +13,9 @@ A predictor may also carry a `batch` attribute: a callable that takes an
 iterable of (pos, neg) pairs and yields, in order, what the predictor would
 return for each. `rank_case_set` uses it when present and calls the
 predictor case by case otherwise, so `evaluate` and `ddx predict` rank a
-case set the same way. The model's batch
-method ranks with `model.rank_cases`, whose output equals the per-case
-path's byte for byte; the expert predictor has none.
+case set the same way. The model's batch method ranks with
+`model.rank_cases`, and the expert's labels the set with one
+`expert_inference` call; both equal the per-case path byte for byte.
 """
 from __future__ import annotations
 
@@ -112,7 +112,8 @@ def rank_case_set(predictor: Predictor, cases: CaseSet) -> Iterator[tuple[list[t
 
 
 def expert_predictor(kb: KnowledgeBase, top_k: int | None = None) -> Predictor:
-    """Rank diseases with the expert engine.
+    """Rank diseases with the expert engine; `batch` labels a sequence of
+    cases in one expert_inference call.
 
     top_k=None ranks every non-excluded disease; a finite top_k mirrors the
     engine's short retained list, leaving deeper ranks unscored. Findings
@@ -120,13 +121,21 @@ def expert_predictor(kb: KnowledgeBase, top_k: int | None = None) -> Predictor:
     """
     k = top_k if top_k is not None else len(kb.diseases)
 
-    def predict(pos: frozenset, neg: frozenset) -> tuple[list[tuple[str, float]], int]:
+    def known(pos: frozenset, neg: frozenset) -> tuple[set, set, int]:
         known_pos = {f for f in pos if kb.has_finding(f)}
         known_neg = {f for f in neg if kb.has_finding(f)}
-        skipped = len(pos) + len(neg) - len(known_pos) - len(known_neg)
-        ddx = expert_inference(kb, known_pos, known_neg, k)
-        return list(ddx.entries), skipped
+        return known_pos, known_neg, len(pos) + len(neg) - len(known_pos) - len(known_neg)
 
+    def predict(pos: frozenset, neg: frozenset) -> tuple[list[tuple[str, float]], int]:
+        known_pos, known_neg, skipped = known(pos, neg)
+        return list(expert_inference(kb, [(known_pos, known_neg)], k)[0].entries), skipped
+
+    def batch(cases: Iterable[tuple[frozenset, frozenset]]) -> Iterator[tuple[list[tuple[str, float]], int]]:
+        found = [known(pos, neg) for pos, neg in cases]
+        ddxs = expert_inference(kb, [(known_pos, known_neg) for known_pos, known_neg, _ in found], k)
+        return ((list(ddx.entries), skipped) for ddx, (_, _, skipped) in zip(ddxs, found))
+
+    predict.batch = batch
     return predict
 
 

@@ -13,9 +13,14 @@ softmax, mirroring how a short retained list is reported as probabilities.
 The ln terms are read from the KB's compiled tables (kb.scoring_tables),
 built once per knowledge base.
 
-The retained list is ranked on arrays, by (-score, id) and then by
-(-probability, id), with the IEEE operations of `softmax_normalize`: a
-differential has the same bytes as one built entry by entry in Python.
+`expert_inference` labels a sequence of cases. From ARRAY_PASS_CASES
+cases on it labels them in array passes of LABEL_CHUNK cases: one
+position-major sum of the cases' table rows, a row-wise top k, and the
+softmax over all retained entries. A shorter call labels its cases one at a
+time, which is cheaper for a few cases. Either way the retained list is
+ranked by (-score, id) and then by (-probability, id), with the IEEE
+operations of `softmax_normalize`: a differential has the same bytes as one
+built entry by entry in Python, whatever cases share the call.
 
 This is a simple, monotone, brute-force-verifiable scoring rule, not a
 reconstruction of any production inference engine.
@@ -24,12 +29,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .kb import SMOOTHING_EPS, KnowledgeBase, scoring_tables  # noqa: F401
 
 DEFAULT_DDX_TOP_K = 5
+# Cases per array pass, so its temporaries stay (LABEL_CHUNK, L), as in
+# model.RANK_CHUNK.
+LABEL_CHUNK = 256
+# A call of at least this many cases takes the array pass; a shorter one labels
+# case by case. Measured on a 2-core VM over simulated cases of separable KBs at
+# L = 20 and 200 and k = 5 and L: the array pass took 1.4-4.1x the per-case
+# time on 2 cases, 0.90-1.46x on 8, 0.83-1.02x on 12 and 0.55-0.75x on 32.
+ARRAY_PASS_CASES = 12
 _PROB_TOL = 1e-9
 
 
@@ -47,14 +61,13 @@ class DifferentialDiagnosis:
         if not self.entries:
             raise ValueError("empty differential")
         total = 0.0
-        prev: tuple[float, str] | None = None
+        prev_p, prev_id = math.inf, ""
         for disease, p in self.entries:
             if not p > 0.0:
                 raise ValueError(f"probability for {disease!r} must be > 0, got {p}")
-            key = (-p, disease)
-            if prev is not None and key < prev:
+            if p > prev_p or (p == prev_p and disease < prev_id):
                 raise ValueError("entries must be sorted by descending probability, ties by id")
-            prev = key
+            prev_p, prev_id = p, disease
             total += p
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
@@ -67,6 +80,59 @@ class DifferentialDiagnosis:
         return self.entries[0][0]
 
 
+class CaseError(ValueError):
+    """A case the engine cannot label, located by its index in the call's cases."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"case {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
+def _case_rows(tables, pos, neg, index: int) -> list[int]:
+    """A case's `log_terms` rows in adding order: sorted positives, then sorted negatives."""
+    overlap = set(pos).intersection(neg)
+    if overlap:
+        raise CaseError(index, f"findings in both pos and neg: {sorted(overlap)}")
+    absent = len(tables.finding_row)
+    return [tables.row(fid) for fid in sorted(pos)] + [absent + tables.row(fid) for fid in sorted(neg)]
+
+
+def _row_scores(tables, pos, neg, index: int = 0) -> np.ndarray:
+    """One case's raw scores, columns in ascending disease id: its rows added
+    in order from 0.0."""
+    gathered = tables.log_terms[_case_rows(tables, pos, neg, index)]
+    if gathered.shape[1] > 1:
+        # np.add.reduce adds rows 2 or more wide one after another; a single
+        # column it would sum pairwise from 8 rows on.
+        return np.add.reduce(gathered, axis=0, initial=0.0)
+    score = np.zeros(gathered.shape[1])
+    for row in gathered:
+        score += row
+    return score
+
+
+def _set_scores(tables, cases, start: int) -> np.ndarray:
+    """(B, L) raw scores of `cases`, whose first has index `start`, with the
+    bytes of _row_scores. Position-major: with the cases sorted by row count,
+    descending, position j's rows belong to the first k_j cases."""
+    rows, counts = [], []
+    for i, (pos, neg) in enumerate(cases, start):
+        case_rows = _case_rows(tables, pos, neg, i)
+        rows += case_rows
+        counts.append(len(case_rows))
+    counts = np.array(counts)
+    rows = np.array(rows, dtype=np.intp)
+    order = np.argsort(-counts, kind="stable")
+    starts = (np.cumsum(counts) - counts)[order]
+    sums = np.zeros((len(counts), tables.log_terms.shape[1]))
+    for j, k in enumerate((len(counts) - np.cumsum(np.bincount(counts)))[:-1].tolist()):
+        sums[:k] += tables.log_terms[rows[starts[:k] + j]]
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
+
+
 def score_all_diseases(
     kb: KnowledgeBase, pos: set[str] | frozenset[str], neg: set[str] | frozenset[str]
 ) -> np.ndarray:
@@ -76,15 +142,8 @@ def score_all_diseases(
     negatives, starting from 0.0: each entry is the same float sum the
     scoring rule above spells out. Excluded diseases score -inf.
     """
-    overlap = set(pos) & set(neg)
-    if overlap:
-        raise ValueError(f"findings in both pos and neg: {sorted(overlap)}")
     tables = scoring_tables(kb)
-    score = np.zeros(len(kb.diseases))
-    for table, fids in ((tables.log_present, pos), (tables.log_absent, neg)):
-        for fid in sorted(fids):
-            score += table[tables.row(fid)]
-    return score
+    return _row_scores(tables, pos, neg)[tables.kb_columns]
 
 
 def score_disease(
@@ -115,39 +174,90 @@ def softmax_normalize(scores: list[float]) -> list[float]:
 
 def expert_inference(
     kb: KnowledgeBase,
-    pos: set[str] | frozenset[str],
-    neg: set[str] | frozenset[str],
+    cases: Sequence[tuple[set[str] | frozenset[str], set[str] | frozenset[str]]],
     k: int = DEFAULT_DDX_TOP_K,
-) -> DifferentialDiagnosis:
-    """Score every disease and keep the k best finite ones, renormalized.
+) -> list[DifferentialDiagnosis]:
+    """The differential of each (pos, neg) case: its k best finite diseases,
+    renormalized.
 
     The softmax runs over the retained raw scores only, so the reported
-    probabilities are relative weights within the short list.
+    probabilities are relative weights within the short list. A case that
+    cannot be labelled raises CaseError naming its index in `cases`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = score_all_diseases(kb, pos, neg)
-    finite = np.flatnonzero(scores != -math.inf)
-    if not finite.size:
-        raise ValueError("all diseases excluded: empty differential")
-    if k < finite.size:
-        # Keep the k best plus every score tied with the k-th; the id
-        # tie-break below decides which of those survive.
-        kth = -np.partition(-scores[finite], k - 1)[k - 1]
-        finite = finite[scores[finite] >= kth]
     tables = scoring_tables(kb)
-    ranked = finite[np.lexsort((tables.disease_rank[finite], -scores[finite]))][:k]
+    if len(cases) < ARRAY_PASS_CASES:
+        return [_row_differential(tables, _row_scores(tables, pos, neg, i), k, i) for i, (pos, neg) in enumerate(cases)]
+    out: list[DifferentialDiagnosis] = []
+    for start in range(0, len(cases), LABEL_CHUNK):
+        out += _set_differentials(tables, _set_scores(tables, cases[start : start + LABEL_CHUNK], start), k, start)
+    return out
+
+
+def _row_differential(tables, scores: np.ndarray, k: int, index: int) -> DifferentialDiagnosis:
+    """The differential of one id-ordered score row."""
+    # Columns are in id order, so a stable sort of -score ranks by (-score, id);
+    # excluded diseases sort last.
+    ranked = np.argsort(-scores, kind="stable")[:k]
+    kept = scores[ranked]
+    n = len(kept)
+    if not n or kept[-1] == -math.inf:
+        n = int(np.count_nonzero(kept != -math.inf))
+    if not n:
+        raise CaseError(index, "all diseases excluded: empty differential")
     # softmax_normalize's arithmetic on the retained scores: kept[0] is the
     # maximum, math.exp per weight and one left-to-right sum. np.exp and
     # numpy's pairwise sum could move the last bits of a probability.
-    kept = scores[ranked]
-    weights = list(map(math.exp, (kept - kept[0]).tolist()))
+    weights = list(map(math.exp, (kept[:n] - kept[0]).tolist()))
     probs = np.array(weights) / sum(weights)
     # A retained score hundreds of nats below the best underflows to exactly
-    # 0 in the softmax; such entries carry no differential mass and are dropped.
-    keep = probs > 0.0
-    ranked, probs = ranked[keep], probs[keep]
+    # 0 in the softmax; such entries, last in the list, carry no differential
+    # mass and are dropped.
+    if probs[-1] == 0.0:
+        n = int(np.count_nonzero(probs))
+    ranked, probs = ranked[:n], probs[:n]
     # Distinct scores can round to one probability: re-rank by (-p, id).
-    order = np.lexsort((tables.disease_rank[ranked], -probs))
-    ranked, probs = ranked[order], probs[order]
-    return DifferentialDiagnosis(entries=tuple(zip(tables.disease_ids[ranked].tolist(), probs.tolist())))
+    order = np.lexsort((ranked, -probs))
+    return DifferentialDiagnosis(entries=tuple(zip(tables.disease_ids[ranked[order]].tolist(), probs[order].tolist())))
+
+
+def _set_differentials(tables, scores: np.ndarray, k: int, start: int) -> list[DifferentialDiagnosis]:
+    """The differential of each row of id-ordered `scores`, whose first row
+    is case `start`, with the bytes of _row_differential."""
+    L = scores.shape[1]
+    n = np.minimum(np.count_nonzero(scores != -math.inf, axis=1), k)
+    empty = np.flatnonzero(n == 0)
+    if empty.size:
+        raise CaseError(start + int(empty[0]), "all diseases excluded: empty differential")
+    neg = -scores
+    if k < L:
+        top = np.argpartition(neg, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(neg, top, axis=1).max(axis=1)
+        top.sort(axis=1)
+        top = np.take_along_axis(top, np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable"), axis=1)
+        # Which of the scores tied with the k-th the partition kept is
+        # arbitrary: rank such rows in full.
+        cut = np.count_nonzero(neg <= kth[:, None], axis=1) > k
+        if cut.any():
+            top[cut] = np.argsort(neg[cut], axis=1, kind="stable")[:, :k]
+    else:
+        top = np.argsort(neg, axis=1, kind="stable")
+    kept = np.take_along_axis(scores, top, axis=1)
+    valid = np.arange(top.shape[1]) < n[:, None]
+    weights = list(map(math.exp, (kept - kept[:, :1])[valid].tolist()))
+    ends = np.cumsum(n).tolist()
+    totals = [sum(weights[a:b]) for a, b in zip([0] + ends, ends)]
+    probs = np.zeros(top.shape)
+    probs[valid] = weights
+    probs /= np.array(totals)[:, None]
+    keep = probs > 0.0
+    tied = (probs[:, 1:] == probs[:, :-1]) & (kept[:, 1:] != kept[:, :-1]) & keep[:, 1:]
+    for b in np.flatnonzero(tied.any(axis=1)).tolist():
+        c = int(keep[b].sum())
+        order = np.lexsort((top[b, :c], -probs[b, :c]))
+        top[b, :c], probs[b, :c] = top[b, :c][order], probs[b, :c][order]
+    ids = tables.disease_ids[top[keep]].tolist()
+    ps = probs[keep].tolist()
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    return [DifferentialDiagnosis(entries=tuple(zip(ids[a:b], ps[a:b]))) for a, b in zip([0] + ends, ends)]

@@ -64,13 +64,13 @@ class ValidationReport:
 class ScoringTables:
     """The KB compiled for the expert scoring rule and the case simulator.
 
-    Row r of each table belongs to finding `findings[r]`, column c to
-    disease `diseases[c]`. `log_present` holds ln(eps + FREQ) and
-    `log_absent` ln(eps + 1 - FREQ); a demographic finding a disease never
-    has is -inf in `log_present`, so summing its row excludes the disease.
-    `disease_ids[c]` is disease c's id (an object array, so a gather by
-    column returns the id strings) and `disease_rank[c]` its position in
-    ascending id order, the tie-break among equal scores.
+    Row r of `log_terms` holds ln(eps + FREQ) of finding `findings[r]` and
+    row F + r its ln(eps + 1 - FREQ), F findings in all; a demographic
+    finding a disease never has is -inf in its present row, so adding that
+    row excludes the disease. Column j belongs to disease `disease_ids[j]`
+    (an object array, so a gather by column returns the id strings), in
+    ascending id order: a stable sort of a score row breaks ties by id.
+    `kb_columns[c]` is the column of `kb.diseases[c]`.
 
     `walks[d]` holds disease d's demographic findings by ascending id, then
     its clinical findings with FREQ > 0 by descending frequency and id, each
@@ -78,10 +78,9 @@ class ScoringTables:
     """
 
     finding_row: dict[str, int]
-    log_present: np.ndarray
-    log_absent: np.ndarray
+    log_terms: np.ndarray
     disease_ids: np.ndarray
-    disease_rank: np.ndarray
+    kb_columns: np.ndarray
     walks: dict[str, tuple[tuple, tuple]]
 
     def row(self, fid: str) -> int:
@@ -149,20 +148,21 @@ def scoring_tables(kb: KnowledgeBase) -> ScoringTables:
 
 def _build_scoring_tables(kb: KnowledgeBase) -> ScoringTables:
     finding_row = {f.id: r for r, f in enumerate(kb.findings)}
-    disease_col = {d.id: c for c, d in enumerate(kb.diseases)}
-    shape = (len(kb.findings), len(kb.diseases))
+    disease_ids = sorted(d.id for d in kb.diseases)
+    disease_col = {did: c for c, did in enumerate(disease_ids)}
+    F = len(kb.findings)
     # Unstored pairs have FREQ 0: ln(eps) when present, -inf for a
     # demographic finding, and ln(eps + 1) when absent.
-    log_present = np.full(shape, math.log(SMOOTHING_EPS))
-    log_present[[r for r, f in enumerate(kb.findings) if f.kind == DEMOGRAPHIC]] = -math.inf
-    log_absent = np.full(shape, math.log(SMOOTHING_EPS + 1.0))
+    log_terms = np.full((2 * F, len(disease_ids)), math.log(SMOOTHING_EPS))
+    log_terms[[r for r, f in enumerate(kb.findings) if f.kind == DEMOGRAPHIC]] = -math.inf
+    log_terms[F:] = math.log(SMOOTHING_EPS + 1.0)
     clinical: dict[str, list] = {d.id: [] for d in kb.diseases}
     for (did, fid), q in kb.frequencies.items():
         if q == 0.0 or did not in disease_col or fid not in finding_row:
             continue
         r, c = finding_row[fid], disease_col[did]
-        log_present[r, c] = math.log(SMOOTHING_EPS + q)
-        log_absent[r, c] = math.log(SMOOTHING_EPS + 1.0 - q)
+        log_terms[r, c] = math.log(SMOOTHING_EPS + q)
+        log_terms[F + r, c] = math.log(SMOOTHING_EPS + 1.0 - q)
         f = kb.findings[r]
         if f.kind == CLINICAL and q > 0.0:
             clinical[did].append((fid, q, f.mutex_group))
@@ -171,11 +171,8 @@ def _build_scoring_tables(kb: KnowledgeBase) -> ScoringTables:
     for d in kb.diseases:
         demographic = tuple((f.id, kb.frequencies.get((d.id, f.id), 0.0), f.mutex_group) for f in demographics)
         walks[d.id] = (demographic, tuple(sorted(clinical[d.id], key=lambda e: (-e[1], e[0]))))
-    by_id = sorted(range(len(kb.diseases)), key=lambda c: kb.diseases[c].id)
-    disease_rank = np.empty(len(kb.diseases), dtype=np.int64)
-    disease_rank[by_id] = np.arange(len(kb.diseases))
-    disease_ids = np.array([d.id for d in kb.diseases], dtype=object)
-    return ScoringTables(finding_row, log_present, log_absent, disease_ids, disease_rank, walks)
+    kb_columns = np.array([disease_col[d.id] for d in kb.diseases], dtype=np.intp)
+    return ScoringTables(finding_row, log_terms, np.array(disease_ids, dtype=object), kb_columns, walks)
 
 
 def read_utf8(path, error: type[ValueError] = ValueError) -> str:

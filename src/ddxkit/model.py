@@ -148,15 +148,15 @@ def init_parameters(
     bias = rng.uniform(-0.05, 0.05, size=L)
     demographic = np.zeros((M, L))
     if kb is not None:
-        # The compiled KB holds -inf in log_present exactly where a
-        # demographic finding has FREQ 0 for a disease.
+        # The compiled KB holds -inf in a finding's present row exactly
+        # where a demographic finding has FREQ 0 for a disease.
         tables = scoring_tables(kb)
-        kb_col = {d.id: c for c, d in enumerate(kb.diseases)}
+        kb_col = {did: c for c, did in enumerate(tables.disease_ids.tolist())}
         known = [j for j, did in enumerate(vocab.diseases) if did in kb_col]
         cols = [kb_col[vocab.diseases[j]] for j in known]
         for m, fid in enumerate(vocab.demographic_list):
             if fid in tables.finding_row:
-                excluded = tables.log_present[tables.finding_row[fid], cols] == -np.inf
+                excluded = tables.log_terms[tables.finding_row[fid], cols] == -np.inf
                 demographic[m, known] = np.where(excluded, DEMOGRAPHIC_MASK, 0.0)
     return ModelParameters(
         finding_embeddings=finding_embeddings,

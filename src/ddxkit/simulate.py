@@ -12,14 +12,20 @@ so the label is a distribution over diseases rather than the seed alone.
 
 Both walks are compiled with the KB (`ScoringTables.walks`). A positive
 takes its finding's mutex group; a later finding in a taken group is
-skipped without an RNG draw.
+skipped without consuming a uniform. The clinical walk's uniforms are drawn
+in one call, one per clinical finding of the disease.
 
 Every case owns an RNG stream derived from (seed, case index), which makes
 datasets reproducible byte-for-byte and independent of generation order.
+The label feeds no draw, so `simulate_dataset` runs in two passes: it draws
+every case's findings, then labels the whole set with one `expert_inference`
+call. `simulate_case` draws and labels a single case.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -73,18 +79,22 @@ def case_rng(seed: int, case_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, 1, case_index]))
 
 
-def simulate_case(
-    kb: KnowledgeBase,
-    disease_id: str,
-    rng: np.random.Generator,
-    cfg: SimConfig,
-    case_id: str = "sim-0",
-) -> ClinicalCase:
-    """Generate one labeled case seeded on `disease_id`."""
-    demographics, clinical = scoring_tables(kb).walks[disease_id]
-    if not clinical:
-        raise ValueError(f"disease {disease_id!r} has no nonzero clinical findings; cannot simulate")
+def case_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """case_rng(seed, i) for i in range(n), each seeded from a row of one
+    uint32 array. SeedSequence reads a list of ints as the concatenation of
+    each int's 32-bit words, least significant first, and an int below 2**32
+    as one word, so row i, the words of [seed, 1, i], seeds the same stream."""
+    words = [(seed >> s) & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((n, len(words) + 2), dtype=np.uint32)
+    entropy[:, :-2] = words
+    entropy[:, -2] = 1
+    entropy[:, -1] = np.arange(n)
+    return (np.random.default_rng(np.random.SeedSequence(row)) for row in entropy)
 
+
+def _draw_findings(walk: tuple[tuple, tuple], rng: np.random.Generator) -> tuple[set[str], set[str]]:
+    """One case's (pos, neg) finding sets, walked along `walk`."""
+    demographics, clinical = walk
     pos: set[str] = set()
     neg: set[str] = set()
     taken: set[str] = set()  # mutex groups of the findings in pos
@@ -104,27 +114,46 @@ def simulate_case(
     upper = max(5, min(sum(group not in taken for _, _, group in clinical), MAX_FINDINGS_CAP))
     target = int(rng.integers(5, upper, endpoint=True)) + n_demo
 
+    # One uniform per clinical finding, drawn in one call: the walk consumes
+    # them in order, the values its scalar draws would have returned.
+    uniforms = iter(rng.random(len(clinical)).tolist())
     for fid, q, group in clinical:
         if len(pos) + len(neg) > target:
             break
         if group in taken:
             continue
         if q >= POS_THRESHOLD:
-            if rng.random() < q:
+            if next(uniforms) < q:
                 pos.add(fid)
                 if group is not None:
                     taken.add(group)
-        elif rng.random() > NEG_GATE:
+        elif next(uniforms) > NEG_GATE:
             neg.add(fid)
+    return pos, neg
 
-    ddx = expert_inference(kb, pos, neg, cfg.ddx_top_k)
+
+def simulate_case(
+    kb: KnowledgeBase,
+    disease_id: str,
+    rng: np.random.Generator,
+    cfg: SimConfig,
+    case_id: str = "sim-0",
+) -> ClinicalCase:
+    """Generate one labeled case seeded on `disease_id`.
+
+    `rng` is consumed past the walk: the clinical walk draws one uniform per
+    clinical finding of the disease, whether or not it reaches them all.
+    """
+    walk = scoring_tables(kb).walks[disease_id]
+    if not walk[1]:
+        raise ValueError(f"disease {disease_id!r} has no nonzero clinical findings; cannot simulate")
+    pos, neg = _draw_findings(walk, rng)
+    return _labelled(case_id, disease_id, pos, neg, expert_inference(kb, [(pos, neg)], cfg.ddx_top_k)[0])
+
+
+def _labelled(case_id: str, disease_id: str, pos: set[str], neg: set[str], ddx: DifferentialDiagnosis) -> ClinicalCase:
     return ClinicalCase(
-        id=case_id,
-        pos=frozenset(pos),
-        neg=frozenset(neg),
-        ddx=ddx,
-        source="expert_sim",
-        seed_disease=disease_id,
+        id=case_id, pos=frozenset(pos), neg=frozenset(neg), ddx=ddx, source="expert_sim", seed_disease=disease_id
     )
 
 
@@ -153,6 +182,30 @@ def simulate_dataset(kb: KnowledgeBase, cfg: SimConfig) -> list[ClinicalCase]:
     chooser = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     labels.extend(dstar[int(chooser.integers(len(dstar)))] for _ in range(cfg.cases_total - floor))
 
+    walks = scoring_tables(kb).walks
+    drawn = [_draw_findings(walks[label], rng) for label, rng in zip(labels, case_rngs(cfg.seed, len(labels)))]
+    ddxs = expert_inference(kb, drawn, cfg.ddx_top_k)
     return [
-        simulate_case(kb, label, case_rng(cfg.seed, i), cfg, case_id=f"sim-{i}") for i, label in enumerate(labels)
+        _labelled(f"sim-{i}", label, pos, neg, ddx)
+        for i, (label, (pos, neg), ddx) in enumerate(zip(labels, drawn, ddxs))
     ]
+
+
+def label_metrics(cases: Sequence[ClinicalCase]) -> dict[str, float]:
+    """How noisy a simulated set's labels are, as means over its cases.
+
+    `findings_per_case` counts pos and neg findings, `ddx_size_mean` the
+    differential's entries, and `ddx_entropy_mean` its entropy in nats.
+    `seed_top1_share` is the share of cases whose differential ranks the seed
+    disease first, and `seed_in_ddx_share` the share that hold it at all.
+    """
+    if not cases:
+        raise ValueError("no cases to measure")
+    n = len(cases)
+    return {
+        "findings_per_case": sum(len(c.pos) + len(c.neg) for c in cases) / n,
+        "ddx_size_mean": sum(len(c.ddx.entries) for c in cases) / n,
+        "ddx_entropy_mean": math.fsum(-math.fsum(p * math.log(p) for _, p in c.ddx.entries) for c in cases) / n,
+        "seed_top1_share": sum(c.ddx.top() == c.seed_disease for c in cases) / n,
+        "seed_in_ddx_share": sum(c.seed_disease in c.ddx.diseases for c in cases) / n,
+    }

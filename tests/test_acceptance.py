@@ -247,9 +247,9 @@ def test_criterion_5_expert_engine_oracle():
                 expected = oracle_inference(kb, pos, neg, k)
             except ValueError:
                 with pytest.raises(ValueError):
-                    expert_inference(kb, pos, neg, k)
+                    expert_inference(kb, [(pos, neg)], k)
                 continue
-            got = expert_inference(kb, pos, neg, k)
+            got = expert_inference(kb, [(pos, neg)], k)[0]
             assert got.diseases == tuple(d for d, _ in expected)
             for (_, p), (_, op) in zip(got.entries, expected):
                 assert abs(p - op) <= 1e-12

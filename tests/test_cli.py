@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddxkit.cli import build_parser, main
+from ddxkit.data import read_cases_file
 from ddxkit.kb import serialize_knowledge_base
+from ddxkit.simulate import label_metrics
 from ddxkit.synthetic import make_separable_kb
 
 from conftest import subprocess_env
@@ -249,6 +252,48 @@ def test_expert_engine_eval_and_predict(workspace):
     result = ddx("eval", "--engine", "model", "--cases", "cases.jsonl", cwd=workspace)
     assert result.returncode == 1
     assert "checkpoint" in result.stderr
+
+
+def test_expert_engine_names_a_case_it_cannot_label(workspace):
+    assert simulate(workspace).returncode == 0
+    demographics = [f.id for f in make_separable_kb(n_diseases=4).findings if f.kind == "demographic"]
+    assert len(demographics) == 6
+    ddx_label = [{"disease": "d00", "p": 1.0}]
+    case = {"id": "every-demographic", "pos": demographics, "neg": [], "ddx": ddx_label, "source": "assessment"}
+    (workspace / "odd.jsonl").write_text(json.dumps(case) + "\n", encoding="utf-8")
+    expert = ("--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl", "odd.jsonl")
+    for command in ("eval", "predict"):
+        result = ddx(command, *expert, cwd=workspace)
+        assert result.returncode == 1
+        assert result.stderr == (
+            "error: --cases odd.jsonl: case 'every-demographic': all diseases excluded: empty differential\n"
+        )
+
+
+def test_simulate_manifest_records_label_metrics(workspace):
+    metrics = []
+    for out in ("a.jsonl", "b.jsonl"):
+        assert simulate(workspace, out).returncode == 0
+        manifest = json.loads((workspace / f"{out}.manifest.json").read_text())
+        metrics.append(manifest["metrics"])
+    assert json.dumps(metrics[0]) == json.dumps(metrics[1])
+    m = metrics[0]
+    assert m == label_metrics(read_cases_file(workspace / "a.jsonl").cases)
+    assert set(m) == {"findings_per_case", "ddx_size_mean", "ddx_entropy_mean", "seed_top1_share", "seed_in_ddx_share"}
+    assert m["findings_per_case"] >= 5
+    assert 1 <= m["ddx_size_mean"] <= 4  # 4 diseases
+    assert 0 <= m["ddx_entropy_mean"] <= math.log(4)
+    assert 0.9 <= m["seed_top1_share"] <= m["seed_in_ddx_share"] <= 1  # separable KB
+
+
+def test_a_diverging_training_run_names_its_epoch_and_lr(workspace):
+    assert simulate(workspace).returncode == 0
+    result = train(workspace, extra=("--dim", "4", "--lr", "1e308"))
+    assert result.returncode == 1
+    assert "error: --lr 1e+308: training diverged at epoch " in result.stderr
+    assert "mean loss nan" in result.stderr or "mean loss inf" in result.stderr
+    assert not (workspace / "m.ckpt").exists()
+    assert not (workspace / "m.ckpt.log").exists()
 
 
 def test_restrict_findings_accepts_kb_document_and_id_list(workspace):

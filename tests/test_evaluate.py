@@ -97,6 +97,22 @@ def test_model_batch_method_ranks_like_the_per_case_predictor():
     assert a.to_json() == evaluate(per_case, cs, ks=[1, 3], target="d01", truth="seed-disease").to_json()
 
 
+@pytest.mark.parametrize("top_k", [None, 3])
+def test_expert_batch_method_ranks_like_the_per_case_predictor(top_k):
+    kb = make_separable_kb(n_diseases=6)
+    sim = simulate_dataset(kb, SimConfig(cases_total=300, min_cases_per_disease=10, seed=23))
+    alien = case("alien", [("d00", 1.0)], pos=("alien", "d00_f0"), seed_disease="d00")
+    cs = CaseSet(cases=tuple(sim) + (alien,), provenance=("sim",))
+    predictor = expert_predictor(kb, top_k=top_k)
+
+    def per_case(pos, neg):  # the same predictor without its batch method
+        return predictor(pos, neg)
+
+    batched = list(rank_case_set(predictor, cs))
+    assert repr(batched) == repr(list(rank_case_set(per_case, cs)))
+    assert batched[-1][1] == 1  # the unknown finding is counted as skipped
+
+
 def test_evaluate_seed_disease_mode_requires_seed():
     p = uniform_model(3)
     cases = CaseSet(cases=(case("c0", [("d0", 1.0)]),), provenance=("x",))

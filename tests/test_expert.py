@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddxkit.expert import (
+    CaseError,
     DifferentialDiagnosis,
     SMOOTHING_EPS,
     expert_inference,
@@ -101,7 +102,7 @@ def test_softmax_shift_invariance_and_normalization(scores, shift):
 
 
 def test_inference_matches_oracle_on_small_kb(flu_kb):
-    ddx = expert_inference(flu_kb, {"fever", "cough"}, {"rash"}, k=5)
+    ddx = expert_inference(flu_kb, [({"fever", "cough"}, {"rash"})], k=5)[0]
     expected = oracle_inference(flu_kb, {"fever", "cough"}, {"rash"}, k=5)
     assert ddx.diseases == tuple(d for d, _ in expected)
     for (d, p), (od, op) in zip(ddx.entries, expected):
@@ -115,7 +116,7 @@ def test_two_disease_renormalization():
 
 
 def test_inference_k1_is_certain(flu_kb):
-    ddx = expert_inference(flu_kb, {"fever"}, set(), k=1)
+    ddx = expert_inference(flu_kb, [({"fever"}, set())], k=1)[0]
     assert len(ddx.entries) == 1
     assert ddx.entries[0] == ("flu", 1.0)
 
@@ -123,9 +124,9 @@ def test_inference_k1_is_certain(flu_kb):
 def test_inference_all_excluded_raises():
     kb = make_kb(["d"], [("male", DEMOGRAPHIC, "sex")], {})
     with pytest.raises(ValueError, match="excluded"):
-        expert_inference(kb, {"male"}, set(), k=3)
+        expert_inference(kb, [({"male"}, set())], k=3)
     with pytest.raises(ValueError, match="k must be"):
-        expert_inference(kb, set(), set(), k=0)
+        expert_inference(kb, [(set(), set())], k=0)
 
 
 def test_inference_exhaustive_oracle_agreement():
@@ -151,9 +152,9 @@ def test_inference_exhaustive_oracle_agreement():
                 expected = oracle_inference(kb, pos, neg, k)
             except ValueError:
                 with pytest.raises(ValueError):
-                    expert_inference(kb, pos, neg, k)
+                    expert_inference(kb, [(pos, neg)], k)
                 continue
-            got = expert_inference(kb, pos, neg, k)
+            got = expert_inference(kb, [(pos, neg)], k)[0]
             assert got.diseases == tuple(d for d, _ in expected)
             for (d, p), (od, op) in zip(got.entries, expected):
                 assert p == pytest.approx(op, abs=1e-12)
@@ -192,7 +193,7 @@ def test_raising_a_positive_frequency_never_hurts_rank(case, salt):
     bumped = dict(kb.frequencies)
     bumped[(d, f)] = min(1.0, bumped.get((d, f), 0.0) + 0.3)
     kb2 = make_kb([x.id for x in kb.diseases], [(x.id, x.kind, x.mutex_group) for x in kb.findings], bumped)
-    ddx2 = expert_inference(kb2, pos, neg, k=len(kb.diseases))
+    ddx2 = expert_inference(kb2, [(pos, neg)], k=len(kb.diseases))[0]
     after = ddx2.diseases.index(d) if d in ddx2.diseases else len(ddx2.diseases)
     assert after <= before
 
@@ -217,7 +218,7 @@ def test_table_scores_equal_the_oracle_exactly_on_simulated_cases():
         pos, neg = sorted(case.pos), sorted(case.neg)
         scores = score_all_diseases(kb, case.pos, case.neg)
         assert scores.tolist() == [oracle_score(kb, d.id, pos, neg) for d in kb.diseases]
-        ddx = expert_inference(kb, case.pos, case.neg, k=n)
+        ddx = expert_inference(kb, [(case.pos, case.neg)], k=n)[0]
         assert ddx.diseases == tuple(d for d, _ in oracle_inference(kb, pos, neg, k=n))
 
 
@@ -226,7 +227,7 @@ def test_top_k_cut_through_a_tie_keeps_the_lowest_ids(k):
     # d1..d4 score identically, below d0 and above d5; KB order is shuffled.
     tied = {(d, "f"): 0.5 for d in ("d4", "d2", "d3", "d1")}
     kb = make_kb(["d4", "d0", "d3", "d5", "d1", "d2"], ["f"], tied | {("d0", "f"): 0.9, ("d5", "f"): 0.1})
-    ddx = expert_inference(kb, {"f"}, set(), k=k)
+    ddx = expert_inference(kb, [({"f"}, set())], k=k)[0]
     assert ddx.diseases == ("d0", "d1", "d2", "d3")[:k]
     assert [d for d, _ in oracle_inference(kb, {"f"}, set(), k=k)] == list(ddx.diseases)
 
@@ -238,11 +239,11 @@ def test_scoring_tables_are_built_once_per_knowledge_base(monkeypatch):
     kb = parse_knowledge_base(serialize_knowledge_base(make_separable_kb(4)))
     assert builds == []  # parsing does not compile
     for _ in range(3):
-        expert_inference(kb, {"d00_f0"}, set())
+        expert_inference(kb, [({"d00_f0"}, set())])
     score_disease(kb, "d00", {"d00_f0"}, set())
     assert builds == [kb]
     other = parse_knowledge_base(serialize_knowledge_base(kb))
-    expert_inference(other, {"d00_f0"}, set())
+    expert_inference(other, [({"d00_f0"}, set())])
     assert len(builds) == 2 and builds[1] is other
 
 
@@ -251,8 +252,8 @@ def reference_entries(kb, pos, neg, k):
 
     Sorts the finite scores by (-score, id), keeps k, softmaxes them with
     softmax_normalize, drops probabilities that underflow to 0 and re-sorts
-    by (-p, id). Scores come from the module attribute, so a monkeypatched
-    score_all_diseases feeds both sides.
+    by (-p, id). Scores come from score_all_diseases, which reads the module's
+    `_row_scores`, so a monkeypatched `_row_scores` feeds both sides.
     """
     scores = expert_module.score_all_diseases(kb, pos, neg).tolist()
     finite = [(d.id, s) for d, s in zip(kb.diseases, scores) if s != -math.inf]
@@ -263,7 +264,7 @@ def reference_entries(kb, pos, neg, k):
 
 
 def assert_same_bytes(kb, pos, neg, k):
-    assert repr(expert_inference(kb, pos, neg, k).entries) == repr(reference_entries(kb, pos, neg, k))
+    assert repr(expert_inference(kb, [(pos, neg)], k)[0].entries) == repr(reference_entries(kb, pos, neg, k))
 
 
 @pytest.mark.parametrize("k", [5, 200])
@@ -291,6 +292,93 @@ def test_array_ranking_equals_the_reference_bytes_on_random_kbs(case, data):
 )
 def test_array_ranking_on_crafted_scores(monkeypatch, scores, expected):
     kb = make_kb(["d0", "d1"], ["f"], {})
-    monkeypatch.setattr(expert_module, "score_all_diseases", lambda kb, pos, neg: np.array(scores))
+    # A one-case call and the reference read _row_scores; a set call reads _set_scores.
+    monkeypatch.setattr(expert_module, "_row_scores", lambda tables, pos, neg, index=0: np.array(scores))
+    monkeypatch.setattr(expert_module, "_set_scores", lambda tables, cases, start: np.array([scores] * len(cases)))
     assert reference_entries(kb, set(), set(), 2) == expected
     assert_same_bytes(kb, set(), set(), 2)
+    n = expert_module.ARRAY_PASS_CASES
+    assert [ddx.entries for ddx in expert_inference(kb, [(set(), set())] * n, 2)] == [expected] * n
+
+
+@st.composite
+def random_kb_and_cases(draw):
+    """A KB of 1-5 diseases over 1-5 clinical findings and three demographics,
+    its frequencies from a few values so that scores tie, and 1-20 cases.
+    A demographic a disease never has excludes it."""
+    diseases = [f"d{i}" for i in range(draw(st.integers(1, 5)))]
+    findings = [f"f{i}" for i in range(draw(st.integers(1, 5)))]
+    findings += [("male", DEMOGRAPHIC, "sex"), ("female", DEMOGRAPHIC, "sex"), ("child", DEMOGRAPHIC, "age")]
+    ids = [f if isinstance(f, str) else f[0] for f in findings]
+    freqs = {}
+    for d in diseases:
+        for f in ids:
+            q = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+            if q:
+                freqs[(d, f)] = q
+    kb = make_kb(diseases, findings, freqs)
+    labels = st.lists(st.sampled_from([0, 1, 2]), min_size=len(ids), max_size=len(ids))
+    cases = [
+        ({f for f, a in zip(ids, row) if a == 1}, {f for f, a in zip(ids, row) if a == 2})
+        for row in draw(st.lists(labels, min_size=1, max_size=20))
+    ]
+    return kb, cases
+
+
+@given(random_kb_and_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_set_inference_equals_the_reference_bytes_per_case(drawn, data):
+    kb, cases = drawn
+    k = data.draw(st.integers(1, len(kb.diseases) + 1))
+    expected = []
+    for pos, neg in cases:
+        try:
+            expected.append(repr(reference_entries(kb, pos, neg, k)))
+        except ValueError:  # every disease excluded
+            expected.append(None)
+    if None in expected:
+        with pytest.raises(CaseError, match="all diseases excluded") as raised:
+            expert_inference(kb, cases, k)
+        assert raised.value.index == expected.index(None)
+    kept = [(case, e) for case, e in zip(cases, expected) if e is not None]
+    for share in (kept, kept[::-1]):
+        got = expert_inference(kb, [case for case, _ in share], k)
+        assert [repr(ddx.entries) for ddx in got] == [e for _, e in share]
+
+
+@pytest.mark.parametrize("k", [5, 200])
+def test_set_inference_equals_the_reference_bytes_on_simulated_cases(k):
+    kb = make_separable_kb(200)
+    cases = simulate_dataset(kb, SimConfig(cases_total=300, seed=11, min_cases_per_disease=0))
+    assert len(cases) > expert_module.LABEL_CHUNK
+    got = expert_inference(kb, [(case.pos, case.neg) for case in cases], k)
+    assert [repr(ddx.entries) for ddx in got] == [repr(reference_entries(kb, c.pos, c.neg, k)) for c in cases]
+
+
+def test_set_inference_ranks_a_tie_across_the_top_k_cut_by_id():
+    # 50 diseases over 4 findings of three frequencies: most scores tie, and
+    # a partition picks among the diseases tied with the k-th arbitrarily.
+    rng = np.random.default_rng(0)
+    diseases, findings = [f"d{i:02d}" for i in range(50)], ["f0", "f1", "f2", "f3"]
+    kb = make_kb(diseases, findings, {(d, f): float(rng.choice([0.1, 0.5, 0.9])) for d in diseases for f in findings})
+    cases = [
+        ({f for f, a in zip(findings, row) if a == 1}, {f for f, a in zip(findings, row) if a == 2})
+        for row in itertools.product((0, 1, 2), repeat=4)
+    ]
+    for k in (1, 5, 12):
+        got = expert_inference(kb, cases, k)
+        assert [repr(ddx.entries) for ddx in got] == [repr(reference_entries(kb, pos, neg, k)) for pos, neg in cases]
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_a_case_that_cannot_be_labelled_is_named_by_its_index(n):
+    kb = make_kb(
+        ["d0", "d1"],
+        ["f", ("male", DEMOGRAPHIC, "sex"), ("female", DEMOGRAPHIC, "sex")],
+        {("d0", "f"): 0.5, ("d1", "f"): 0.5, ("d0", "male"): 1.0, ("d1", "female"): 1.0},
+    )
+    bad_cases = {"findings in both pos and neg": ({"f"}, {"f"}), "all diseases excluded": ({"male", "female"}, set())}
+    for reason, bad in bad_cases.items():
+        with pytest.raises(CaseError, match=f"^case {n - 1}: {reason}") as raised:
+            expert_inference(kb, [({"f"}, set())] * (n - 1) + [bad], 3)
+        assert raised.value.index == n - 1

@@ -14,6 +14,7 @@ from ddxkit.simulate import (
     ClinicalCase,
     SimConfig,
     case_rng,
+    case_rngs,
     simulable_diseases,
     simulate_case,
     simulate_dataset,
@@ -83,7 +84,7 @@ def reference_simulate_case(kb, disease_id, rng, cfg, case_id):
             if rng.random() > NEG_GATE:
                 neg.add(fid)
 
-    ddx = expert_inference(kb, pos, neg, cfg.ddx_top_k)
+    ddx = expert_inference(kb, [(pos, neg)], cfg.ddx_top_k)[0]
     return ClinicalCase(id=case_id, pos=frozenset(pos), neg=frozenset(neg), ddx=ddx, seed_disease=disease_id)
 
 
@@ -178,6 +179,22 @@ def test_simulate_case_equals_the_reference_walk(build):
         new = [simulate_case(kb, d, case_rng(seed, i), cfg, f"c{i}") for i, d in enumerate(labels)]
         ref = [reference_simulate_case(kb, d, case_rng(seed, i), cfg, f"c{i}") for i, d in enumerate(labels)]
         assert write_cases(new) == write_cases(ref)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_case_rngs_seed_each_case_as_its_seed_sequence(seed):
+    got = list(case_rngs(seed, 3))
+    for i, rng in enumerate(got):
+        expected = np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.random(4).tolist() == expected.random(4).tolist()
+
+
+def test_dataset_equals_the_reference_walk_at_a_two_word_seed(mutex_kb):
+    seed = 2**40 + 12345
+    cfg = SimConfig(cases_total=60, min_cases_per_disease=0, seed=seed, ddx_top_k=3)
+    ref = [reference_simulate_case(mutex_kb, "d", case_rng(seed, i), cfg, f"sim-{i}") for i in range(60)]
+    assert write_cases(simulate_dataset(mutex_kb, cfg)) == write_cases(ref)
 
 
 def test_certain_findings_are_always_elicited():
