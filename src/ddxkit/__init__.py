@@ -10,10 +10,9 @@ from .kb import (  # noqa: F401
     frequency,
     parse_knowledge_base,
     serialize_knowledge_base,
-    sorted_findings,
     validate_knowledge_base,
 )
-from .expert import DifferentialDiagnosis, expert_inference, score_disease, softmax_normalize  # noqa: F401
+from .expert import DifferentialDiagnosis, expert_inference  # noqa: F401
 from .simulate import ClinicalCase, SimConfig, simulate_case, simulate_dataset  # noqa: F401
 from .data import (  # noqa: F401
     CaseSet,
@@ -35,5 +34,5 @@ from .model import (  # noqa: F401
     predict_topk,
     save_checkpoint,
 )
-from .train import AdamState, TrainConfig, adam_step, backward, kl_loss, train  # noqa: F401
+from .train import AdamState, TrainConfig, adam_step, backward, train  # noqa: F401
 from .evaluate import EvalReport, evaluate, truth_label  # noqa: F401

@@ -9,6 +9,26 @@ Cases are stored one JSON object per line:
 Weights in `ddx` need not sum to one on input; they are renormalized when
 they deviate. Floats are written with shortest round-trip precision, so
 read(write(read(x))) reproduces read(x) exactly.
+
+`read_cases` checks each record in one pass, in this order, and the first
+check to fail raises CaseFormatError naming the file and line:
+
+1. the line holds one JSON value;
+2. the value is an object with the fields id, pos, neg, ddx and source,
+   optionally seed_disease, and no other, each of its JSON type (unknown
+   fields are named first, in the line's order, then missing and mistyped
+   ones in the order above);
+3. pos, then neg, lists distinct finding ids;
+4. each ddx entry, in order, is an object {"disease": id, "p": number};
+5. every p fits a float;
+6. source is one of CASE_SOURCES;
+7. the ddx is a distribution. One already sorted by descending p, ties by
+   ascending id, with distinct diseases and positive weights summing to 1
+   within 1e-9 (as write_cases writes it) is kept as read; any other goes
+   through normalize_ddx, which drops zero weights, rescales and sorts, or
+   names what it cannot use;
+8. no finding is in both pos and neg;
+9. the id is not on an earlier line.
 """
 from __future__ import annotations
 
@@ -23,6 +43,11 @@ from .kb import CLINICAL, KnowledgeBase, check_object, read_utf8
 from .simulate import CASE_SOURCES, ClinicalCase
 
 _SUM_TOL = 1e-9
+_FIELDS = {"id": str, "pos": list, "neg": list, "ddx": list, "source": str, "seed_disease": str}
+_REQUIRED = frozenset(("id", "pos", "neg", "ddx", "source"))
+_ENTRY_FIELDS = frozenset(("disease", "p"))
+_ID_TYPES = frozenset((str,))
+_DECODER = json.JSONDecoder()
 
 
 class CaseFormatError(ValueError):
@@ -192,40 +217,76 @@ def write_cases(cases: list[ClinicalCase] | CaseSet) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _case_from_dict(doc: dict, where: str) -> ClinicalCase:
-    allowed = {"id": str, "pos": list, "neg": list, "ddx": list, "source": str, "seed_disease": str}
-    errors = check_object(doc, allowed, {"id", "pos", "neg", "ddx", "source"}, where)
-    if not errors:
-        for key in ("pos", "neg"):
-            if not all(isinstance(f, str) for f in doc[key]):
-                errors.append(f"{where}: {key} must contain finding ids")
-            elif len(set(doc[key])) != len(doc[key]):
-                dup = min(f for f in doc[key] if doc[key].count(f) > 1)
-                errors.append(f"{where}: {key} repeats finding id {dup!r}")
-        for i, entry in enumerate(doc["ddx"]):
-            # Inline rather than check_object: this runs for every ddx entry of every case.
-            if not isinstance(entry, dict) or set(entry) != {"disease", "p"}:
-                errors.append(f"{where}: ddx[{i}] must be an object with fields 'disease' and 'p'")
-            elif not isinstance(entry["disease"], str) or type(entry["p"]) not in (int, float):
-                errors.append(f"{where}: ddx[{i}] needs a string 'disease' and a number 'p' (not a bool)")
-    if errors:
-        raise CaseFormatError(errors[0])
-    try:
-        weights = [(entry["disease"], float(entry["p"])) for entry in doc["ddx"]]
-    except OverflowError:
-        raise CaseFormatError(f"{where}: a ddx 'p' is too large for a float") from None
+def _finding_set(ids: list, key: str, where: str) -> frozenset[str]:
+    """The record's `key` list as a set of distinct finding ids."""
+    if not _ID_TYPES.issuperset(map(type, ids)):
+        raise CaseFormatError(f"{where}: {key} must contain finding ids")
+    found = frozenset(ids)
+    if len(found) != len(ids):
+        dup = min(f for f in ids if ids.count(f) > 1)
+        raise CaseFormatError(f"{where}: {key} repeats finding id {dup!r}")
+    return found
+
+
+def _as_read(entries: tuple[tuple[str, float], ...]) -> DifferentialDiagnosis:
+    """A DifferentialDiagnosis of `entries`, made without running its
+    __post_init__: _case_from_dict has just made the same checks."""
+    ddx = object.__new__(DifferentialDiagnosis)
+    object.__setattr__(ddx, "entries", entries)
+    return ddx
+
+
+def _case_from_dict(doc, where: str) -> ClinicalCase:
+    """One decoded record as a case, checked in one pass in the order the
+    module docstring lists; the first check to fail raises CaseFormatError.
+    The field checks use exact types: JSON decodes to no subclass."""
+    if not (
+        type(doc) is dict
+        and (doc.keys() == _REQUIRED or doc.keys() == _FIELDS.keys())
+        and type(doc["id"]) is str
+        and type(doc["pos"]) is list
+        and type(doc["neg"]) is list
+        and type(doc["ddx"]) is list
+        and type(doc["source"]) is str
+        and type(doc.get("seed_disease", "")) is str
+    ):
+        errors = check_object(doc, _FIELDS, _REQUIRED, where)
+        if errors:
+            raise CaseFormatError(errors[0])
+    pos = _finding_set(doc["pos"], "pos", where)
+    neg = _finding_set(doc["neg"], "neg", where)
+    weights = []
+    # Whether the entries so far form a sorted distribution, as write_cases writes one.
+    as_read, total, prev_p, prev_id = True, 0.0, math.inf, ""
+    too_large = False
+    for i, entry in enumerate(doc["ddx"]):
+        if type(entry) is not dict or entry.keys() != _ENTRY_FIELDS:
+            raise CaseFormatError(f"{where}: ddx[{i}] must be an object with fields 'disease' and 'p'")
+        disease, p = entry["disease"], entry["p"]
+        if type(disease) is not str or (type(p) is not float and type(p) is not int):
+            raise CaseFormatError(f"{where}: ddx[{i}] needs a string 'disease' and a number 'p' (not a bool)")
+        if type(p) is int:
+            try:
+                p = float(p)
+            except OverflowError:
+                too_large = True  # reported once every entry has its shape checked
+                continue
+        weights.append((disease, p))
+        if as_read and p > 0.0 and (p < prev_p or (p == prev_p and disease > prev_id)):
+            total += p
+            prev_p, prev_id = p, disease
+        else:
+            as_read = False
+    if too_large:
+        raise CaseFormatError(f"{where}: a ddx 'p' is too large for a float")
     if doc["source"] not in CASE_SOURCES:
         raise CaseFormatError(f"{where}: source must be one of {CASE_SOURCES}")
     try:
-        ddx = normalize_ddx(weights)
-        return ClinicalCase(
-            id=doc["id"],
-            pos=frozenset(doc["pos"]),
-            neg=frozenset(doc["neg"]),
-            ddx=ddx,
-            source=doc["source"],
-            seed_disease=doc.get("seed_disease"),
-        )
+        if as_read and weights and abs(total - 1.0) <= _SUM_TOL and len(dict(weights)) == len(weights):
+            ddx = _as_read(tuple(weights))
+        else:
+            ddx = normalize_ddx(weights)
+        return ClinicalCase(doc["id"], pos, neg, ddx, doc["source"], doc.get("seed_disease"))
     except ValueError as e:
         raise CaseFormatError(f"{where}: {e}") from None
 
@@ -241,11 +302,19 @@ def read_cases(text: str, provenance: str = "<string>") -> CaseSet:
             continue
         where = f"{provenance}:{lineno}"
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise CaseFormatError(f"{where}: parse error at column {e.colno}: {e.msg}") from None
-        except ValueError as e:  # an integer literal longer than the interpreter converts
-            raise CaseFormatError(f"{where}: parse error: {e}") from None
+            # A line raw_decode does not take whole, from its first character
+            # to its last, goes to json.loads: that allows whitespace around
+            # the value and names what is wrong with the line.
+            doc, end = _DECODER.raw_decode(line)
+            if end != len(line):
+                raise ValueError
+        except ValueError:
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise CaseFormatError(f"{where}: parse error at column {e.colno}: {e.msg}") from None
+            except ValueError as e:  # an integer literal longer than the interpreter converts
+                raise CaseFormatError(f"{where}: parse error: {e}") from None
         case = _case_from_dict(doc, where)
         first = first_line.setdefault(case.id, lineno)
         if first != lineno:

@@ -19,8 +19,10 @@ position-major sum of the cases' table rows, a row-wise top k, and the
 softmax over all retained entries. A shorter call labels its cases one at a
 time, which is cheaper for a few cases. Either way the retained list is
 ranked by (-score, id) and then by (-probability, id), with the IEEE
-operations of `softmax_normalize`: a differential has the same bytes as one
-built entry by entry in Python, whatever cases share the call.
+operations of a Python softmax over the retained scores (the maximum
+subtracted, `math.exp` per score, one left-to-right sum): a differential has
+the same bytes as one built entry by entry in Python, whatever cases share
+the call.
 
 This is a simple, monotone, brute-force-verifiable scoring rule, not a
 reconstruction of any production inference engine.
@@ -146,32 +148,6 @@ def score_all_diseases(
     return _row_scores(tables, pos, neg)[tables.kb_columns]
 
 
-def score_disease(
-    kb: KnowledgeBase, disease_id: str, pos: set[str] | frozenset[str], neg: set[str] | frozenset[str]
-) -> float:
-    """Raw expert score of one disease; -inf when a demographic excludes it."""
-    if not kb.has_disease(disease_id):
-        raise KeyError(f"unknown disease id: {disease_id!r}")
-    column = next(c for c, d in enumerate(kb.diseases) if d.id == disease_id)
-    return float(score_all_diseases(kb, pos, neg)[column])
-
-
-def softmax_normalize(scores: list[float]) -> list[float]:
-    """Softmax with -inf mapping to probability 0; needs one finite score."""
-    if not scores:
-        raise ValueError("no scores to normalize")
-    for s in scores:
-        if math.isnan(s) or s == math.inf:
-            raise ValueError(f"scores must be finite or -inf, got {s}")
-    finite = [s for s in scores if s != -math.inf]
-    if not finite:
-        raise ValueError("all scores are -inf")
-    m = max(finite)
-    weights = [0.0 if s == -math.inf else math.exp(s - m) for s in scores]
-    total = sum(weights)
-    return [w / total for w in weights]
-
-
 def expert_inference(
     kb: KnowledgeBase,
     cases: Sequence[tuple[set[str] | frozenset[str], set[str] | frozenset[str]]],
@@ -206,7 +182,7 @@ def _row_differential(tables, scores: np.ndarray, k: int, index: int) -> Differe
         n = int(np.count_nonzero(kept != -math.inf))
     if not n:
         raise CaseError(index, "all diseases excluded: empty differential")
-    # softmax_normalize's arithmetic on the retained scores: kept[0] is the
+    # A Python softmax's arithmetic on the retained scores: kept[0] is the
     # maximum, math.exp per weight and one left-to-right sum. np.exp and
     # numpy's pairwise sum could move the last bits of a probability.
     weights = list(map(math.exp, (kept[:n] - kept[0]).tolist()))

@@ -128,17 +128,6 @@ def frequency(kb: KnowledgeBase, disease_id: str, finding_id: str) -> float:
     return kb.frequencies.get((disease_id, finding_id), 0.0)
 
 
-def sorted_findings(kb: KnowledgeBase, disease_id: str) -> list[str]:
-    """Clinical finding ids with FREQ(d, f) > 0, by descending frequency.
-
-    Ties break on ascending finding id so the order is total and
-    platform-independent. Demographic findings are excluded.
-    """
-    if not kb.has_disease(disease_id):
-        raise KeyError(f"unknown disease id: {disease_id!r}")
-    return [fid for fid, _, _ in scoring_tables(kb).walks[disease_id][1]]
-
-
 def scoring_tables(kb: KnowledgeBase) -> ScoringTables:
     """The KB's scoring tables, built on first use and cached on the KB."""
     if kb._tables is None:
@@ -185,15 +174,19 @@ def read_utf8(path, error: type[ValueError] = ValueError) -> str:
 
 
 def check_object(obj, allowed: dict[str, type], required: set[str], where: str) -> list[str]:
-    """Shape errors of a decoded JSON object, each prefixed with `where`."""
+    """Shape errors of a decoded JSON object, each prefixed with `where`.
+
+    `required` names keys of `allowed`. Unknown fields are reported in the
+    object's order, then missing and mistyped ones in `allowed`'s order.
+    """
     errors = []
     if not isinstance(obj, dict):
         return [f"{where}: expected an object, got {type(obj).__name__}"]
     for key in obj:
         if key not in allowed:
             errors.append(f"{where}: unknown field {key!r}")
-    for key in required:
-        if key not in obj:
+    for key in allowed:
+        if key in required and key not in obj:
             errors.append(f"{where}: missing field {key!r}")
     for key, typ in allowed.items():
         # JSON true/false decode to bool, which Python counts as an int.

@@ -23,6 +23,7 @@ call. `simulate_case` draws and labels a single case.
 """
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -92,8 +93,16 @@ def case_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
     return (np.random.default_rng(np.random.SeedSequence(row)) for row in entropy)
 
 
-def _draw_findings(walk: tuple[tuple, tuple], rng: np.random.Generator) -> tuple[set[str], set[str]]:
-    """One case's (pos, neg) finding sets, walked along `walk`."""
+def _group_sizes(walk: tuple[tuple, tuple]) -> collections.Counter:
+    """The number of the walk's clinical findings in each mutex group."""
+    return collections.Counter(group for _, _, group in walk[1])
+
+
+def _draw_findings(
+    walk: tuple[tuple, tuple], group_sizes: collections.Counter, rng: np.random.Generator
+) -> tuple[set[str], set[str]]:
+    """One case's (pos, neg) finding sets, walked along `walk`, whose
+    _group_sizes are `group_sizes`."""
     demographics, clinical = walk
     pos: set[str] = set()
     neg: set[str] = set()
@@ -111,7 +120,10 @@ def _draw_findings(walk: tuple[tuple, tuple], rng: np.random.Generator) -> tuple
     n_demo = len(pos)
 
     # Clinical findings in a group a demographic took are never drawn.
-    upper = max(5, min(sum(group not in taken for _, _, group in clinical), MAX_FINDINGS_CAP))
+    free = len(clinical)
+    for group in taken:
+        free -= group_sizes.get(group, 0)
+    upper = max(5, min(free, MAX_FINDINGS_CAP))
     target = int(rng.integers(5, upper, endpoint=True)) + n_demo
 
     # One uniform per clinical finding, drawn in one call: the walk consumes
@@ -147,7 +159,7 @@ def simulate_case(
     walk = scoring_tables(kb).walks[disease_id]
     if not walk[1]:
         raise ValueError(f"disease {disease_id!r} has no nonzero clinical findings; cannot simulate")
-    pos, neg = _draw_findings(walk, rng)
+    pos, neg = _draw_findings(walk, _group_sizes(walk), rng)
     return _labelled(case_id, disease_id, pos, neg, expert_inference(kb, [(pos, neg)], cfg.ddx_top_k)[0])
 
 
@@ -183,7 +195,10 @@ def simulate_dataset(kb: KnowledgeBase, cfg: SimConfig) -> list[ClinicalCase]:
     labels.extend(dstar[int(chooser.integers(len(dstar)))] for _ in range(cfg.cases_total - floor))
 
     walks = scoring_tables(kb).walks
-    drawn = [_draw_findings(walks[label], rng) for label, rng in zip(labels, case_rngs(cfg.seed, len(labels)))]
+    sizes = {did: _group_sizes(walks[did]) for did in dstar}
+    drawn = [
+        _draw_findings(walks[label], sizes[label], rng) for label, rng in zip(labels, case_rngs(cfg.seed, len(labels)))
+    ]
     ddxs = expert_inference(kb, drawn, cfg.ddx_top_k)
     return [
         _labelled(f"sim-{i}", label, pos, neg, ddx)

@@ -99,18 +99,6 @@ class AdamState:
         return cls(m=zero_grads(p), v=zero_grads(p), scratch=scratch, t=0)
 
 
-def kl_loss(target: np.ndarray, logprobs: np.ndarray) -> float:
-    """KL divergence from the model to the target, sum over target support.
-
-    `target` is a dense probability vector aligned to the vocabulary's
-    disease indices; zero-probability entries contribute nothing.
-    """
-    target = np.asarray(target, dtype=float)
-    support = target > 0.0
-    t = target[support]
-    return float(np.sum(t * (np.log(t) - logprobs[support])))
-
-
 def _scatter_rows(ids: np.ndarray, offsets: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """(n, width) sums of values[i] into row ids[i], each row's terms added in
     order from 0.0. The ids within one case's slice of `offsets` are distinct."""

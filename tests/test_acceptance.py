@@ -23,9 +23,10 @@ from ddxkit.kb import serialize_knowledge_base
 from ddxkit.model import ModelInput, bag, forward, init_parameters
 from ddxkit.simulate import SimConfig, simulate_dataset
 from ddxkit.synthetic import make_novel_disease_cases, make_separable_kb
-from ddxkit.train import TrainConfig, backward, kl_loss, train
+from ddxkit.train import TrainConfig, backward, train
 
 from conftest import make_kb, oracle_inference, subprocess_env
+from oracles import kl_loss
 
 SIM_SEED = 11
 SPLIT_SEED = 13

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddxkit import cli
 from ddxkit.cli import build_parser, main
 from ddxkit.data import read_cases_file
 from ddxkit.kb import serialize_knowledge_base
@@ -284,6 +285,21 @@ def test_simulate_manifest_records_label_metrics(workspace):
     assert 1 <= m["ddx_size_mean"] <= 4  # 4 diseases
     assert 0 <= m["ddx_entropy_mean"] <= math.log(4)
     assert 0.9 <= m["seed_top1_share"] <= m["seed_in_ddx_share"] <= 1  # separable KB
+
+
+def test_train_manifest_records_epoch_losses(workspace):
+    assert simulate(workspace).returncode == 0
+    metrics = []
+    for out in ("a.ckpt", "b.ckpt"):
+        result = train(workspace, out)
+        assert result.returncode == 0, result.stderr
+        metrics.append(json.loads((workspace / f"{out}.manifest.json").read_text())["metrics"])
+    assert json.dumps(metrics[0]) == json.dumps(metrics[1])
+    losses = metrics[0]["epoch_loss"]
+    assert set(metrics[0]) == {"epoch_loss"}
+    assert len(losses) == 3 and all(type(x) is float and x > 0 for x in losses)
+    log = (workspace / "a.ckpt.log").read_text().splitlines()
+    assert log == [f"epoch {i} loss {x:.6f}" for i, x in enumerate(losses, start=1)]
 
 
 def test_a_diverging_training_run_names_its_epoch_and_lr(workspace):
@@ -618,6 +634,19 @@ def test_fuzzed_flags_exit_cleanly(fixture_files, argv):
         assert any(line.startswith("error: ") for line in (out + err).splitlines()), (argv, out, err)
     if code == 2:
         assert "usage:" in err, (argv, err)
+
+
+def test_one_parser_serves_every_call_without_carrying_values(workspace):
+    assert simulate(workspace).returncode == 0
+    lines = (workspace / "cases.jsonl").read_text().splitlines(keepends=True)
+    (workspace / "head.jsonl").write_text("".join(lines[:10]))
+    (workspace / "tail.jsonl").write_text("".join(lines[10:25]))
+    for name, n in (("head", 10), ("tail", 15), ("head", 10)):
+        argv = ["eval", "--engine", "expert", "--kb", "kb.json", "--cases", f"{name}.jsonl", "--out", f"{name}.json"]
+        code, _, err = run_in(workspace, argv)
+        assert code == 0, err
+        assert json.loads((workspace / f"{name}.json").read_text())["n_cases"] == n
+    assert cli._parser() is cli._parser()
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,8 @@ from ddxkit.kb import DEMOGRAPHIC
 from ddxkit.simulate import CASE_SOURCES, ClinicalCase, SimConfig, simulate_dataset
 from ddxkit.synthetic import make_separable_kb
 
-from conftest import field_key, make_kb, valid_or_garbage
+from conftest import make_kb, valid_or_garbage
+from oracles import reference_read_cases
 
 
 def line(**overrides):
@@ -56,7 +57,8 @@ def test_read_empty_document():
         (line(extra=1), "unknown field"),
         (line(source="guess"), "source"),
         (line(ddx=[{"disease": "flu", "p": 1.0}, {"disease": "flu", "p": 1.0}]), "duplicate disease"),
-        ('{"id": "c1"}', "missing field"),
+        ('{"id": "c1"}', ":1: missing field 'pos'$"),
+        ('{"pos": [], "ddx": [], "neg": []}', ":1: missing field 'id'$"),
         (line(ddx=[{"disease": "flu", "p": True}]), r":1: ddx\[0\] needs a string 'disease' and a number 'p'"),
         (line(ddx=[{"disease": "cold", "p": 1.0}, {"disease": "flu", "p": False}]), r":1: ddx\[1\] needs a string 'disease' and a number 'p'"),
         (line(pos=["fever", "cough", "fever"]), ":1: pos repeats finding id 'fever'"),
@@ -71,21 +73,76 @@ def test_read_rejects_bad_lines(text, match):
 
 
 def case_documents():
-    """Case lines whose every field is valid or, now and then, garbage."""
-    v = valid_or_garbage
-    entry = st.fixed_dictionaries({"disease": v(st.sampled_from(["flu", "cold"])), "p": v(st.floats(0.01, 1))})
-    case = st.fixed_dictionaries(
-        {
-            "id": v(st.sampled_from(["c1", "c2"])),
-            "pos": v(st.lists(v(st.sampled_from(["fever", "cough"])), max_size=2, unique_by=repr)),
-            "neg": v(st.lists(v(st.sampled_from(["rash", "itch"])), max_size=2, unique_by=repr)),
-            "ddx": v(st.lists(v(entry), min_size=1, max_size=2, unique_by=field_key("disease"))),
-            "source": v(st.sampled_from(CASE_SOURCES)),
-        },
-        optional={"seed_disease": v(st.just("flu"))},
-    )
-    lines = st.lists(case, min_size=1, max_size=2, unique_by=field_key("id"))
-    return lines.map(lambda docs: "\n".join(json.dumps(d) for d in docs))
+    """Case documents of one to three lines. Half the records have every
+    field valid; in the others each field is, now and then, garbage (null and
+    bools among it).
+
+    The ddx is a distribution as write_cases writes one, or one edited out of
+    that form: reordered (ties too), scaled, one disease split into two
+    entries, or a zero weight added; or raw weights, integers and zeros and
+    integers too large for a float among them. pos and neg may share a finding
+    or repeat one, ids repeat across lines, and a record may gain an unknown
+    field or lose one. A line may be padded with whitespace, start with a
+    byte-order mark, be cut short, carry extra text or be blank.
+    """
+    disease = st.sampled_from(["flu", "cold", "covid"])
+    # Weights from a few values, so that probabilities tie.
+    as_written = st.lists(
+        st.tuples(disease, st.sampled_from([1.0, 2.0, 0.7])), min_size=1, max_size=3, unique_by=lambda e: e[0]
+    ).map(lambda weights: [{"disease": d, "p": p} for d, p in normalize_ddx(weights).entries])
+
+    @st.composite
+    def edited(draw):
+        entries = draw(as_written)
+        edit = draw(st.sampled_from(["none", "reorder", "scale", "split", "zero"]))
+        if edit == "reorder":
+            entries = draw(st.permutations(entries))
+        elif edit == "scale":
+            scale = draw(st.sampled_from([2.0, 0.5, 1.0 + 1e-12]))
+            entries = [{"disease": e["disease"], "p": e["p"] * scale} for e in entries]
+        elif edit == "split":
+            e = draw(st.sampled_from(entries))
+            parts = [{"disease": e["disease"], "p": e["p"] * f} for f in (0.6, 0.4)]
+            entries = sorted([x for x in entries if x is not e] + parts, key=lambda x: (-x["p"], x["disease"]))
+        elif edit == "zero":
+            entries = entries + [{"disease": draw(disease), "p": draw(st.sampled_from([0.0, 0]))}]
+        return entries
+
+    weight = st.one_of(st.floats(0.0, 1.0), st.integers(0, 3), st.just(0.0), st.just(10**400))
+
+    def record(w, distinct):
+        """A record whose every field strategy, and every ddx entry's, is
+        wrapped in `w`; `distinct` keeps pos and neg free of repeats."""
+        raw = st.lists(w(st.fixed_dictionaries({"disease": w(disease), "p": w(weight)})), max_size=3)
+
+        def findings(ids):
+            return st.lists(w(st.sampled_from(ids)), max_size=2, unique_by=repr if distinct else None)
+
+        return st.fixed_dictionaries(
+            {
+                "id": w(st.sampled_from(["c1", "c2"])),
+                "pos": w(findings(["fever", "cough"])),
+                "neg": w(findings(["cough", "rash"])),
+                "ddx": w(st.one_of(edited(), raw)),
+                "source": w(st.sampled_from(CASE_SOURCES)),
+            },
+            optional={"seed_disease": w(st.just("flu"))},
+        )
+
+    records = st.one_of(record(lambda s: s, True), record(valid_or_garbage, False))
+
+    @st.composite
+    def lines(draw):
+        doc = draw(records)
+        change = draw(st.integers(0, 15))  # shrinks toward 0, no change
+        if change == 15:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif change == 14:
+            doc["extra"] = 1
+        text = json.dumps(draw(valid_or_garbage(st.just(doc))))
+        return draw(st.sampled_from([text] * 16 + [f" {text}\t", "\ufeff" + text, text[:-1], text + " x", ""]))
+
+    return st.lists(lines(), min_size=1, max_size=3).map("\n".join)
 
 
 @given(case_documents())
@@ -95,6 +152,24 @@ def test_garbage_lines_raise_only_case_format_errors(text):
         read_cases(text)
     except CaseFormatError:
         pass
+
+
+def outcome(reader, text):
+    """The reader's case set and its written bytes, or its CaseFormatError message."""
+    try:
+        cs = reader(text, provenance="f.jsonl")
+    except CaseFormatError as e:
+        return str(e)
+    return cs, write_cases(cs)
+
+
+@given(case_documents())
+@example(line(ddx=[{"disease": "flu", "p": 0.5}, {"disease": "cold", "p": 0.5}]))  # a tie out of id order
+@example(line(ddx=[{"disease": "flu", "p": 10**400}, {"disease": "cold"}]))  # the entry's shape is named first
+@example(line(source="guess"))
+@settings(max_examples=500)
+def test_read_cases_matches_the_reference_reader(text):
+    assert outcome(read_cases, text) == outcome(reference_read_cases, text)
 
 
 def test_read_error_carries_line_number():

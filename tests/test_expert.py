@@ -12,8 +12,6 @@ from ddxkit.expert import (
     SMOOTHING_EPS,
     expert_inference,
     score_all_diseases,
-    score_disease,
-    softmax_normalize,
 )
 from ddxkit import expert as expert_module
 from ddxkit import kb as kb_module
@@ -22,6 +20,7 @@ from ddxkit.simulate import SimConfig, simulate_dataset
 from ddxkit.synthetic import make_separable_kb
 
 from conftest import make_kb, oracle_inference, oracle_score
+from oracles import score_disease, softmax_normalize
 
 
 def test_empty_observations_score_zero(flu_kb):

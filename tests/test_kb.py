@@ -15,12 +15,12 @@ from ddxkit.kb import (
     frequency,
     parse_knowledge_base,
     serialize_knowledge_base,
-    sorted_findings,
     validate_kb_document,
     validate_knowledge_base,
 )
 
 from conftest import field_key, make_kb, valid_or_garbage
+from oracles import sorted_findings
 
 MINIMAL = json.dumps(
     {
@@ -264,3 +264,15 @@ def test_sorted_findings_total_order_property(kb, di):
     for f in order:
         assert frequency(kb, d, f) > 0.0
         assert kb.finding(f).kind == CLINICAL
+
+
+def test_missing_fields_are_reported_in_declared_order():
+    text = '{"diseases": [{}], "findings": [{"id": "f"}], "frequencies": [{"freq": 1}]}'
+    assert validate_kb_document(text).errors == (
+        "diseases[0]: missing field 'id'",
+        "diseases[0]: missing field 'name'",
+        "findings[0]: missing field 'name'",
+        "findings[0]: missing field 'kind'",
+        "frequencies[0]: missing field 'disease'",
+        "frequencies[0]: missing field 'finding'",
+    )
