@@ -13,7 +13,6 @@ records the label quality of its cases there (`simulate.label_metrics`), and
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import sys
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("kb_path", help="knowledge base JSON document")
     p_val.add_argument("--out", default=None, help="write the report to this file")
     p_val.add_argument("--min-findings", type=int, default=3, help="warn threshold for nonzero clinical findings")
-    p_val.set_defaults(func="cmd_kb_validate")
+    p_val.set_defaults(func=cmd_kb_validate)
 
     p_sim = sub.add_parser("simulate", help="generate labeled cases from a KB")
     p_sim.add_argument("--kb", required=True, help="knowledge base JSON document")
@@ -308,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--ddx-top-k", type=int, default=5, help="differential size kept by the expert engine")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True, help="output case file (jsonl)")
-    p_sim.set_defaults(func="cmd_simulate")
+    p_sim.set_defaults(func=cmd_simulate)
 
     p_train = sub.add_parser("train", help="train the diagnosis model")
     p_train.add_argument("--cases", nargs="+", action="extend", required=True, help="case files (repeatable)")
@@ -323,16 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--batch", type=int, default=512)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", required=True, help="checkpoint path")
-    p_train.set_defaults(func="cmd_train")
+    p_train.set_defaults(func=cmd_train)
 
-    for name, handler, help_text, depth_help in (
+    for name, fn, help_text, depth_help in (
         (
             "eval",
-            "cmd_eval",
+            cmd_eval,
             "evaluate a diagnoser on labeled cases",
             "size of the expert's retained list; 0 keeps every disease (the model always ranks every disease)",
         ),
-        ("predict", "cmd_predict", "rank diseases for each case", "ranking depth; 0 ranks every disease"),
+        ("predict", cmd_predict, "rank diseases for each case", "ranking depth; 0 ranks every disease"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", nargs="?", default=None, help="model checkpoint (for --engine model)")
@@ -345,27 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--topk", default="1,3,5", help="comma-separated accuracy depths")
             p.add_argument("--truth", choices=("argmax", "seed-disease"), default="argmax")
             p.add_argument("--target-disease", default=None, help="also report this disease's in-top-k rate")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=fn)
 
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built once per process. Parsing leaves the parser
-    unchanged, and on a 2-core VM building it took about 2 ms, one
-    parse_args call about 0.1 ms."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         _check_out_path(args.out)
-        # The parser names its command's handler, looked up here when it runs,
-        # so a handler wrapped or patched after the parser was built is called.
-        return globals()[args.func](args)
+        return args.func(args)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)  # strerror and file name, not the bare errno
         return 1

@@ -22,11 +22,11 @@ check to fail raises CaseFormatError naming the file and line:
 4. each ddx entry, in order, is an object {"disease": id, "p": number};
 5. every p fits a float;
 6. source is one of CASE_SOURCES;
-7. the ddx is a distribution. One already sorted by descending p, ties by
-   ascending id, with distinct diseases and positive weights summing to 1
-   within 1e-9 (as write_cases writes it) is kept as read; any other goes
-   through normalize_ddx, which drops zero weights, rescales and sorts, or
-   names what it cannot use;
+7. the ddx is a distribution. One with distinct diseases that
+   DifferentialDiagnosis accepts as it stands (positive weights summing to 1
+   within 1e-9, sorted by descending p, ties by ascending id, as write_cases
+   writes it) is kept as read; any other goes through normalize_ddx, which
+   drops zero weights, rescales and sorts, or names what it cannot use;
 8. no finding is in both pos and neg;
 9. the id is not on an earlier line.
 """
@@ -47,7 +47,6 @@ _FIELDS = {"id": str, "pos": list, "neg": list, "ddx": list, "source": str, "see
 _REQUIRED = frozenset(("id", "pos", "neg", "ddx", "source"))
 _ENTRY_FIELDS = frozenset(("disease", "p"))
 _ID_TYPES = frozenset((str,))
-_DECODER = json.JSONDecoder()
 
 
 class CaseFormatError(ValueError):
@@ -228,12 +227,16 @@ def _finding_set(ids: list, key: str, where: str) -> frozenset[str]:
     return found
 
 
-def _as_read(entries: tuple[tuple[str, float], ...]) -> DifferentialDiagnosis:
-    """A DifferentialDiagnosis of `entries`, made without running its
-    __post_init__: _case_from_dict has just made the same checks."""
-    ddx = object.__new__(DifferentialDiagnosis)
-    object.__setattr__(ddx, "entries", entries)
-    return ddx
+def _read_ddx(weights: list[tuple[str, float]]) -> DifferentialDiagnosis:
+    """normalize_ddx(weights), taking weights that already form a
+    DifferentialDiagnosis with distinct diseases (as write_cases writes
+    them) as they are: normalize_ddx would keep those verbatim."""
+    if len(dict(weights)) == len(weights):
+        try:
+            return DifferentialDiagnosis(tuple(weights))
+        except ValueError:
+            pass
+    return normalize_ddx(weights)
 
 
 def _case_from_dict(doc, where: str) -> ClinicalCase:
@@ -256,8 +259,6 @@ def _case_from_dict(doc, where: str) -> ClinicalCase:
     pos = _finding_set(doc["pos"], "pos", where)
     neg = _finding_set(doc["neg"], "neg", where)
     weights = []
-    # Whether the entries so far form a sorted distribution, as write_cases writes one.
-    as_read, total, prev_p, prev_id = True, 0.0, math.inf, ""
     too_large = False
     for i, entry in enumerate(doc["ddx"]):
         if type(entry) is not dict or entry.keys() != _ENTRY_FIELDS:
@@ -272,21 +273,12 @@ def _case_from_dict(doc, where: str) -> ClinicalCase:
                 too_large = True  # reported once every entry has its shape checked
                 continue
         weights.append((disease, p))
-        if as_read and p > 0.0 and (p < prev_p or (p == prev_p and disease > prev_id)):
-            total += p
-            prev_p, prev_id = p, disease
-        else:
-            as_read = False
     if too_large:
         raise CaseFormatError(f"{where}: a ddx 'p' is too large for a float")
     if doc["source"] not in CASE_SOURCES:
         raise CaseFormatError(f"{where}: source must be one of {CASE_SOURCES}")
     try:
-        if as_read and weights and abs(total - 1.0) <= _SUM_TOL and len(dict(weights)) == len(weights):
-            ddx = _as_read(tuple(weights))
-        else:
-            ddx = normalize_ddx(weights)
-        return ClinicalCase(doc["id"], pos, neg, ddx, doc["source"], doc.get("seed_disease"))
+        return ClinicalCase(doc["id"], pos, neg, _read_ddx(weights), doc["source"], doc.get("seed_disease"))
     except ValueError as e:
         raise CaseFormatError(f"{where}: {e}") from None
 
@@ -302,19 +294,11 @@ def read_cases(text: str, provenance: str = "<string>") -> CaseSet:
             continue
         where = f"{provenance}:{lineno}"
         try:
-            # A line raw_decode does not take whole, from its first character
-            # to its last, goes to json.loads: that allows whitespace around
-            # the value and names what is wrong with the line.
-            doc, end = _DECODER.raw_decode(line)
-            if end != len(line):
-                raise ValueError
-        except ValueError:
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CaseFormatError(f"{where}: parse error at column {e.colno}: {e.msg}") from None
-            except ValueError as e:  # an integer literal longer than the interpreter converts
-                raise CaseFormatError(f"{where}: parse error: {e}") from None
+            doc = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CaseFormatError(f"{where}: parse error at column {e.colno}: {e.msg}") from None
+        except ValueError as e:  # an integer literal longer than the interpreter converts
+            raise CaseFormatError(f"{where}: parse error: {e}") from None
         case = _case_from_dict(doc, where)
         first = first_line.setdefault(case.id, lineno)
         if first != lineno:

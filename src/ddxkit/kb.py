@@ -74,14 +74,15 @@ class ScoringTables:
 
     `walks[d]` holds disease d's demographic findings by ascending id, then
     its clinical findings with FREQ > 0 by descending frequency and id, each
-    as (finding id, FREQ(d, f), mutex group).
+    as (finding id, FREQ(d, f), mutex group), then the number of those
+    clinical findings in each mutex group.
     """
 
     finding_row: dict[str, int]
     log_terms: np.ndarray
     disease_ids: np.ndarray
     kb_columns: np.ndarray
-    walks: dict[str, tuple[tuple, tuple]]
+    walks: dict[str, tuple[tuple, tuple, dict[str, int]]]
 
     def row(self, fid: str) -> int:
         try:
@@ -159,7 +160,11 @@ def _build_scoring_tables(kb: KnowledgeBase) -> ScoringTables:
     walks = {}
     for d in kb.diseases:
         demographic = tuple((f.id, kb.frequencies.get((d.id, f.id), 0.0), f.mutex_group) for f in demographics)
-        walks[d.id] = (demographic, tuple(sorted(clinical[d.id], key=lambda e: (-e[1], e[0]))))
+        group_counts: dict[str, int] = {}
+        for _, _, group in clinical[d.id]:
+            if group is not None:
+                group_counts[group] = group_counts.get(group, 0) + 1
+        walks[d.id] = (demographic, tuple(sorted(clinical[d.id], key=lambda e: (-e[1], e[0]))), group_counts)
     kb_columns = np.array([disease_col[d.id] for d in kb.diseases], dtype=np.intp)
     return ScoringTables(finding_row, log_terms, np.array(disease_ids, dtype=object), kb_columns, walks)
 

@@ -23,7 +23,6 @@ call. `simulate_case` draws and labels a single case.
 """
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -93,17 +92,9 @@ def case_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
     return (np.random.default_rng(np.random.SeedSequence(row)) for row in entropy)
 
 
-def _group_sizes(walk: tuple[tuple, tuple]) -> collections.Counter:
-    """The number of the walk's clinical findings in each mutex group."""
-    return collections.Counter(group for _, _, group in walk[1])
-
-
-def _draw_findings(
-    walk: tuple[tuple, tuple], group_sizes: collections.Counter, rng: np.random.Generator
-) -> tuple[set[str], set[str]]:
-    """One case's (pos, neg) finding sets, walked along `walk`, whose
-    _group_sizes are `group_sizes`."""
-    demographics, clinical = walk
+def _draw_findings(walk: tuple[tuple, tuple, dict], rng: np.random.Generator) -> tuple[set[str], set[str]]:
+    """One case's (pos, neg) finding sets, walked along `walk`."""
+    demographics, clinical, group_counts = walk
     pos: set[str] = set()
     neg: set[str] = set()
     taken: set[str] = set()  # mutex groups of the findings in pos
@@ -122,7 +113,7 @@ def _draw_findings(
     # Clinical findings in a group a demographic took are never drawn.
     free = len(clinical)
     for group in taken:
-        free -= group_sizes.get(group, 0)
+        free -= group_counts.get(group, 0)
     upper = max(5, min(free, MAX_FINDINGS_CAP))
     target = int(rng.integers(5, upper, endpoint=True)) + n_demo
 
@@ -159,7 +150,7 @@ def simulate_case(
     walk = scoring_tables(kb).walks[disease_id]
     if not walk[1]:
         raise ValueError(f"disease {disease_id!r} has no nonzero clinical findings; cannot simulate")
-    pos, neg = _draw_findings(walk, _group_sizes(walk), rng)
+    pos, neg = _draw_findings(walk, rng)
     return _labelled(case_id, disease_id, pos, neg, expert_inference(kb, [(pos, neg)], cfg.ddx_top_k)[0])
 
 
@@ -171,7 +162,7 @@ def _labelled(case_id: str, disease_id: str, pos: set[str], neg: set[str], ddx: 
 
 def simulable_diseases(kb: KnowledgeBase) -> list[str]:
     """Disease ids with at least one nonzero clinical finding, ascending."""
-    return sorted(did for did, (_, clinical) in scoring_tables(kb).walks.items() if clinical)
+    return sorted(did for did, (_, clinical, _) in scoring_tables(kb).walks.items() if clinical)
 
 
 def simulate_dataset(kb: KnowledgeBase, cfg: SimConfig) -> list[ClinicalCase]:
@@ -195,10 +186,7 @@ def simulate_dataset(kb: KnowledgeBase, cfg: SimConfig) -> list[ClinicalCase]:
     labels.extend(dstar[int(chooser.integers(len(dstar)))] for _ in range(cfg.cases_total - floor))
 
     walks = scoring_tables(kb).walks
-    sizes = {did: _group_sizes(walks[did]) for did in dstar}
-    drawn = [
-        _draw_findings(walks[label], sizes[label], rng) for label, rng in zip(labels, case_rngs(cfg.seed, len(labels)))
-    ]
+    drawn = [_draw_findings(walks[label], rng) for label, rng in zip(labels, case_rngs(cfg.seed, len(labels)))]
     ddxs = expert_inference(kb, drawn, cfg.ddx_top_k)
     return [
         _labelled(f"sim-{i}", label, pos, neg, ddx)

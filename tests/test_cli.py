@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddxkit import cli
 from ddxkit.cli import build_parser, main
 from ddxkit.data import read_cases_file
 from ddxkit.kb import serialize_knowledge_base
@@ -634,19 +633,6 @@ def test_fuzzed_flags_exit_cleanly(fixture_files, argv):
         assert any(line.startswith("error: ") for line in (out + err).splitlines()), (argv, out, err)
     if code == 2:
         assert "usage:" in err, (argv, err)
-
-
-def test_one_parser_serves_every_call_without_carrying_values(workspace):
-    assert simulate(workspace).returncode == 0
-    lines = (workspace / "cases.jsonl").read_text().splitlines(keepends=True)
-    (workspace / "head.jsonl").write_text("".join(lines[:10]))
-    (workspace / "tail.jsonl").write_text("".join(lines[10:25]))
-    for name, n in (("head", 10), ("tail", 15), ("head", 10)):
-        argv = ["eval", "--engine", "expert", "--kb", "kb.json", "--cases", f"{name}.jsonl", "--out", f"{name}.json"]
-        code, _, err = run_in(workspace, argv)
-        assert code == 0, err
-        assert json.loads((workspace / f"{name}.json").read_text())["n_cases"] == n
-    assert cli._parser() is cli._parser()
 
 
 @pytest.mark.parametrize(
