@@ -25,14 +25,12 @@ from .data import (  # noqa: F401
     write_cases,
 )
 from .model import (  # noqa: F401
-    ModelInput,
     ModelParameters,
     encode_case,
-    forward,
     init_parameters,
     load_checkpoint,
     predict_topk,
     save_checkpoint,
 )
-from .train import AdamState, TrainConfig, adam_step, backward, train  # noqa: F401
-from .evaluate import EvalReport, evaluate, truth_label  # noqa: F401
+from .train import AdamState, TrainConfig, adam_step, backward  # noqa: F401
+from .evaluate import EvalReport, truth_label  # noqa: F401

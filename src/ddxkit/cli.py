@@ -24,7 +24,7 @@ from . import __version__
 from .data import CaseSet, build_vocabulary, merge, read_cases_file, write_cases_file
 from .evaluate import evaluate, expert_predictor, format_table, model_predictor, rank_case_set
 from .expert import CaseError
-from .kb import KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
+from .kb import ConfigError, KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
 from .model import check_dim, init_parameters, load_checkpoint, save_checkpoint
 from .simulate import SimConfig, label_metrics, simulate_dataset
 from .train import DivergedError, TrainConfig, train
@@ -120,16 +120,22 @@ def _check_out_path(out: str | None) -> None:
 
 def _config(build, args, flags: dict[str, str]):
     """build(**values), each keyword's value read from the args attribute that
-    `flags` maps it to. A value `build` rejects is named with its flag, as in
-    "--epochs 0: epochs must be >= 1"; each config error begins with its keyword."""
+    `flags` maps it to. A value `build` rejects with a ConfigError is named
+    with the flag of the error's field, as in "--epochs 0: epochs must be >= 1"."""
     values = {field: getattr(args, dest) for field, dest in flags.items()}
     try:
         return build(**values)
-    except ValueError as e:
-        field = str(e).split(" ", 1)[0]
-        if field not in flags:
-            raise
-        raise ValueError(f"--{flags[field].replace('_', '-')} {values[field]}: {e}") from None
+    except ConfigError as e:
+        raise ValueError(f"--{flags[e.field].replace('_', '-')} {values[e.field]}: {e}") from None
+
+
+def _some_cases(paths: list[str]) -> tuple[list[CaseSet], CaseSet]:
+    """The case files `paths` and their merged set, which must hold a case."""
+    case_sets = [read_cases_file(p) for p in paths]
+    cases = merge(case_sets)
+    if len(cases) == 0:
+        raise ValueError(f"--cases {' '.join(paths)}: no cases")
+    return case_sets, cases
 
 
 def _naming_the_case(case_sets: list[CaseSet], run):
@@ -179,7 +185,7 @@ def cmd_train(args) -> int:
     flags = {"learning_rate": "lr", "batch_size": "batch", "epochs": "epochs", "dropout_rate": "dropout", "seed": "seed"}
     cfg = _config(TrainConfig, args, flags)
     _config(check_dim, args, {"dim": "dim"})
-    cases = merge([read_cases_file(p) for p in args.cases])
+    _, cases = _some_cases(args.cases)
     kb = _read_kb(args.kb) if args.kb else None
     restrict = _read_restrict_findings(args.restrict_findings) if args.restrict_findings else None
     vocab = build_vocabulary([cases], kb=kb, restrict_to=restrict)
@@ -234,9 +240,8 @@ def _cases_hold(cases, disease: str) -> bool:
 def cmd_eval(args) -> int:
     t0 = time.monotonic()
     ks = _parse_topk(args.topk)
+    case_sets, cases = _some_cases(args.cases)
     predictor, diseases, inputs = _make_predictor(args)
-    case_sets = [read_cases_file(p) for p in args.cases]
-    cases = merge(case_sets)
     target = args.target_disease
     # An id the engine cannot rank is still a fair target when the cases hold
     # it (a novel disease scores a true 0 %); one that nothing holds is a typo.

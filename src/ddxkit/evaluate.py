@@ -9,13 +9,13 @@ same harness produces their report tables.
 holding its hit at each requested depth; the report's accuracy and
 target-accuracy tables are the means of those hits.
 
-A predictor may also carry a `batch` attribute: a callable that takes an
-iterable of (pos, neg) pairs and yields, in order, what the predictor would
-return for each. `rank_case_set` uses it when present and calls the
-predictor case by case otherwise, so `evaluate` and `ddx predict` rank a
-case set the same way. The model's batch method ranks with
-`model.rank_cases`, and the expert's labels the set with one
-`expert_inference` call; both equal the per-case path byte for byte.
+Each engine ranks in one place, a set-level `batch`: a callable that takes
+an iterable of (pos, neg) pairs and yields, in order, each case's (ranking,
+skipped) pair. The model's ranks with `model.rank_cases`, the expert's
+labels the set with one `expert_inference` call. Its predictor is `batch`
+run on one case, with `batch` attached; `rank_case_set` ranks a case set
+through that attribute, and calls a predictor without one case by case, so
+`evaluate` and `ddx predict` rank a case set the same way.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 from .data import CaseSet
 from .expert import expert_inference
 from .kb import KnowledgeBase
-from .model import ModelParameters, encode_case, predict_topk, rank_cases
+from .model import ModelParameters, encode_case, rank_cases
 from .simulate import ClinicalCase
 
 Predictor = Callable[[frozenset, frozenset], tuple[list[tuple[str, float]], int]]
@@ -87,21 +87,24 @@ def truth_label(case: ClinicalCase) -> str:
     return case.ddx.entries[0][0]  # entries are sorted, ties already on id
 
 
-def model_predictor(p: ModelParameters) -> Predictor:
-    """Rank every vocabulary disease with the model, dropout off; `batch`
-    ranks a sequence of cases with the same bytes."""
-    L = p.vocab.n_diseases
+def _per_case(batch: Callable) -> Predictor:
+    """The predictor that runs `batch` on one case, with `batch` attached."""
 
     def predict(pos: frozenset, neg: frozenset) -> tuple[list[tuple[str, float]], int]:
-        x, skipped = encode_case(p.vocab, pos, neg)
-        return predict_topk(p, x, L), skipped
+        return next(batch([(pos, neg)]))
+
+    predict.batch = batch
+    return predict
+
+
+def model_predictor(p: ModelParameters) -> Predictor:
+    """Rank every vocabulary disease with the model, dropout off."""
 
     def batch(cases: Iterable[tuple[frozenset, frozenset]]) -> Iterator[tuple[list[tuple[str, float]], int]]:
         encoded = [encode_case(p.vocab, pos, neg) for pos, neg in cases]
         return zip(rank_cases(p, [x for x, _ in encoded]), (skipped for _, skipped in encoded))
 
-    predict.batch = batch
-    return predict
+    return _per_case(batch)
 
 
 def rank_case_set(predictor: Predictor, cases: CaseSet) -> Iterator[tuple[list[tuple[str, float]], int]]:
@@ -112,8 +115,8 @@ def rank_case_set(predictor: Predictor, cases: CaseSet) -> Iterator[tuple[list[t
 
 
 def expert_predictor(kb: KnowledgeBase, top_k: int | None = None) -> Predictor:
-    """Rank diseases with the expert engine; `batch` labels a sequence of
-    cases in one expert_inference call.
+    """Rank diseases with the expert engine, a case set in one
+    expert_inference call.
 
     top_k=None ranks every non-excluded disease; a finite top_k mirrors the
     engine's short retained list, leaving deeper ranks unscored. Findings
@@ -126,17 +129,12 @@ def expert_predictor(kb: KnowledgeBase, top_k: int | None = None) -> Predictor:
         known_neg = {f for f in neg if kb.has_finding(f)}
         return known_pos, known_neg, len(pos) + len(neg) - len(known_pos) - len(known_neg)
 
-    def predict(pos: frozenset, neg: frozenset) -> tuple[list[tuple[str, float]], int]:
-        known_pos, known_neg, skipped = known(pos, neg)
-        return list(expert_inference(kb, [(known_pos, known_neg)], k)[0].entries), skipped
-
     def batch(cases: Iterable[tuple[frozenset, frozenset]]) -> Iterator[tuple[list[tuple[str, float]], int]]:
         found = [known(pos, neg) for pos, neg in cases]
         ddxs = expert_inference(kb, [(known_pos, known_neg) for known_pos, known_neg, _ in found], k)
         return ((list(ddx.entries), skipped) for ddx, (_, _, skipped) in zip(ddxs, found))
 
-    predict.batch = batch
-    return predict
+    return _per_case(batch)
 
 
 def evaluate(

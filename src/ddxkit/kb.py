@@ -33,6 +33,14 @@ class KBError(ValueError):
     """Malformed or invariant-violating knowledge base document."""
 
 
+class ConfigError(ValueError):
+    """A setting out of range; `field` names it, and the message begins with it."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field = field
+
+
 @dataclass(frozen=True)
 class Finding:
     id: str

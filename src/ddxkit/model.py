@@ -14,8 +14,8 @@ One forward path, `pooled_embedding` then `disease_log_probs`, runs on a
 batch in the embedding-bag layout (`Bags`: flat row ids plus per-case
 offsets) with one boolean dropout mask per batch. `bag` builds that layout
 from cases, and `Bags.take` gathers a batch out of a larger one with index
-arrays, which is how training draws its minibatches. `forward` and
-`predict_topk` run the path on a batch of one case.
+arrays, which is how training draws its minibatches. `encode_case` maps a
+case to ascending indices, the order every sum below adds in.
 
 Every per-case sum adds the case's rows in order, starting from 0.0, so a
 case's pooled row has the same bytes in any batch. A batch of many small
@@ -23,9 +23,9 @@ cases (see POSITION_MAJOR_CASE_SIZE) is summed position-major, one
 vectorised add per row position; other batches, width-1 rows and a lone
 case are summed per case.
 Training projects a batch with one (B, D) @ (D, L) product, whose rows can
-differ from a batch of one's by an ulp. `rank_cases` ranks many cases with
-the row-wise projection instead, one (1, D) product per row, so every
-ranking has the bytes of `predict_topk` on that case alone.
+differ from a batch of one's by an ulp. `rank_cases`, the one ranking path,
+projects each row with its own (1, D) product instead, so a case's ranking
+has the same bytes alone or in any set.
 
 Checkpoints are a versioned JSON container with the vocabulary and the
 parameter blocks as base64 little-endian float64 in row-major order.
@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .data import Vocabulary
-from .kb import KnowledgeBase, check_object, read_utf8, scoring_tables
+from .kb import ConfigError, KnowledgeBase, check_object, read_utf8, scoring_tables
 
 DEMOGRAPHIC_MASK = -30.0
 CHECKPOINT_FORMAT = "ddx-checkpoint"
@@ -62,22 +62,13 @@ RANK_CHUNK = 256
 POSITION_MAJOR_CASE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class ModelInput:
-    """Vocabulary-index view of one case; index tuples are kept sorted."""
+class ModelInput(NamedTuple):
+    """Vocabulary-index view of one case, as encode_case builds it: each
+    index tuple ascending and distinct, no finding both present and absent."""
 
     pos_clinical: tuple[int, ...]
     neg_clinical: tuple[int, ...]
     demo: tuple[int, ...]
-
-    def __post_init__(self):
-        for name in ("pos_clinical", "neg_clinical", "demo"):
-            indices = tuple(sorted(getattr(self, name)))
-            if len(set(indices)) != len(indices):
-                raise ValueError(f"{name} repeats an index")
-            object.__setattr__(self, name, indices)
-        if set(self.pos_clinical) & set(self.neg_clinical):
-            raise ValueError("a finding cannot be both present and absent")
 
     @property
     def n_rows(self) -> int:
@@ -125,7 +116,7 @@ class ModelParameters:
 def check_dim(dim: int) -> None:
     """Reject an embedding dimension below 1."""
     if dim < 1:
-        raise ValueError("dim must be >= 1")
+        raise ConfigError("dim", "must be >= 1")
 
 
 def init_parameters(
@@ -273,14 +264,8 @@ def disease_log_probs(p: ModelParameters, bags: Bags, h: np.ndarray, rowwise: bo
     product, so row b has the bytes of case b run alone; the default one
     (B, D) product is the one training's gradients and checkpoints rest on."""
     u = _bag_sums(p.demographic_embeddings[bags.demo], bags.demo_offsets, mean=False)
-    z = (h[:, None, :] @ p.projection)[:, 0, :] if rowwise else h @ p.projection
+    z = (h[:, None, :] @ p.projection)[:, 0, :] if rowwise and len(h) > 1 else h @ p.projection
     return log_softmax(log_softmax(z + p.bias) + log_softmax(u))
-
-
-def forward(p: ModelParameters, x: ModelInput) -> np.ndarray:
-    """Log-probability vector over the vocabulary's diseases for one case."""
-    bags = bag([x])
-    return disease_log_probs(p, bags, pooled_embedding(p, bags))[0]
 
 
 def _ranked(ids: np.ndarray, probs: np.ndarray, order: np.ndarray) -> list[tuple[str, float]]:
@@ -288,26 +273,26 @@ def _ranked(ids: np.ndarray, probs: np.ndarray, order: np.ndarray) -> list[tuple
 
 
 def predict_topk(p: ModelParameters, x: ModelInput, k: int) -> list[tuple[str, float]]:
-    """The k most probable diseases, ties broken by ascending disease id."""
+    """The k most probable diseases for one case, ties broken by ascending
+    disease id: the first k entries of its rank_cases ranking. It stays as
+    public API and because bench/tracing.py times the model under this name;
+    no command ranks through it."""
     L = p.vocab.n_diseases
     if not (1 <= k <= L):
         raise ValueError(f"k must be in [1, {L}], got {k}")
-    probs = np.exp(forward(p, x))
-    # The vocabulary's diseases ascend by id, so a stable sort breaks ties by id.
-    order = np.argsort(-probs, kind="stable")[:k]
-    return _ranked(p.vocab.disease_array, probs, order)
+    return next(rank_cases(p, [x]))[:k]
 
 
 def rank_cases(p: ModelParameters, xs: Sequence[ModelInput]) -> Iterator[list[tuple[str, float]]]:
-    """Every disease ranked for each case in turn, computed RANK_CHUNK cases
-    per pass with the row-wise projection; each ranking is byte-identical to
-    predict_topk(p, x, L). For a single case predict_topk is the faster call."""
+    """Every disease ranked for each case in turn, ties by ascending id,
+    RANK_CHUNK cases per pass with the row-wise projection."""
     ids = p.vocab.disease_array
 
     def chunks():
         for start in range(0, len(xs), RANK_CHUNK):
             bags = bag(xs[start : start + RANK_CHUNK])
             probs = np.exp(disease_log_probs(p, bags, pooled_embedding(p, bags), rowwise=True))
+            # The vocabulary's diseases ascend by id, so a stable sort breaks ties by id.
             orders = np.argsort(-probs, axis=-1, kind="stable")
             yield from map(_ranked, repeat(ids), probs, orders)
 
@@ -317,9 +302,12 @@ def rank_cases(p: ModelParameters, xs: Sequence[ModelInput]) -> Iterator[list[tu
 def encode_case(
     vocab: Vocabulary, pos: frozenset[str] | set[str], neg: frozenset[str] | set[str]
 ) -> tuple[ModelInput, int]:
-    """Map finding ids to model indices; returns the input and a count of
-    skipped findings (out-of-vocabulary, or demographics observed absent,
-    which the demographic stream cannot represent)."""
+    """Map finding ids to ascending model indices; returns the input and a
+    count of skipped findings (out-of-vocabulary, or demographics observed
+    absent, which the demographic stream cannot represent). A finding in
+    both `pos` and `neg` raises ValueError."""
+    if not pos.isdisjoint(neg):
+        raise ValueError(f"findings in both pos and neg: {sorted(pos & neg)}")
     skipped = 0
     pos_clinical: list[int] = []
     neg_clinical: list[int] = []
@@ -336,7 +324,7 @@ def encode_case(
             skipped += 1
         else:
             neg_clinical.append(vocab.finding_index(fid))
-    return ModelInput(tuple(pos_clinical), tuple(neg_clinical), tuple(demo)), skipped
+    return ModelInput(tuple(sorted(pos_clinical)), tuple(sorted(neg_clinical)), tuple(sorted(demo))), skipped
 
 
 def encode_target(vocab: Vocabulary, ddx) -> np.ndarray:

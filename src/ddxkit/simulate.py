@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .expert import DifferentialDiagnosis, expert_inference
-from .kb import KnowledgeBase, scoring_tables
+from .kb import ConfigError, KnowledgeBase, scoring_tables
 
 CASE_SOURCES = ("expert_sim", "assessment", "vignette")
 
@@ -48,13 +48,13 @@ class SimConfig:
 
     def __post_init__(self):
         if self.cases_total < 1:
-            raise ValueError("cases_total must be >= 1")
+            raise ConfigError("cases_total", "must be >= 1")
         if self.min_cases_per_disease < 0:
-            raise ValueError("min_cases_per_disease must be >= 0")
+            raise ConfigError("min_cases_per_disease", "must be >= 0")
         if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise ConfigError("seed", "must be a 64-bit unsigned integer")
         if self.ddx_top_k < 1:
-            raise ValueError("ddx_top_k must be >= 1")
+            raise ConfigError("ddx_top_k", "must be >= 1")
 
 
 @dataclass(frozen=True)

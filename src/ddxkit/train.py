@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CaseSet
+from .kb import ConfigError
 from .model import (
     Bags,
     ModelParameters,
@@ -58,15 +59,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+            raise ConfigError("learning_rate", f"must be finite and > 0, got {self.learning_rate}")
         if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must be in [0, 1)")
+            raise ConfigError("dropout_rate", "must be in [0, 1)")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size", "must be >= 1")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs", "must be >= 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
 
 
 class DivergedError(ValueError):

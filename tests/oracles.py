@@ -2,7 +2,8 @@
 
 Each is plain Python written for clarity, not speed: the case-file reader
 that validates a record field by field, the per-disease expert score, the
-list softmax, a disease's clinical walk order and the KL loss.
+list softmax, a disease's clinical walk order, the KL loss, and the model's
+log-probabilities and ranking of one case.
 """
 import json
 import math
@@ -12,6 +13,7 @@ import numpy as np
 from ddxkit.data import CaseFormatError, CaseSet, normalize_ddx
 from ddxkit.expert import score_all_diseases
 from ddxkit.kb import KnowledgeBase, check_object, scoring_tables
+from ddxkit.model import ModelInput, ModelParameters, bag, disease_log_probs, pooled_embedding
 from ddxkit.simulate import CASE_SOURCES, ClinicalCase
 
 
@@ -117,3 +119,16 @@ def kl_loss(target: np.ndarray, logprobs: np.ndarray) -> float:
     support = target > 0.0
     t = target[support]
     return float(np.sum(t * (np.log(t) - logprobs[support])))
+
+
+def reference_log_probs(p: ModelParameters, x: ModelInput) -> np.ndarray:
+    """The model's log-probability vector for one case: a batch of one,
+    projected with the plain (1, D) @ (D, L) product."""
+    bags = bag([x])
+    return disease_log_probs(p, bags, pooled_embedding(p, bags))[0]
+
+
+def reference_ranking(p: ModelParameters, x: ModelInput) -> list[tuple[str, float]]:
+    """Every disease of one case by descending probability, ties by ascending id."""
+    probs = np.exp(reference_log_probs(p, x)).tolist()
+    return sorted(zip(p.vocab.diseases, probs), key=lambda entry: (-entry[1], entry[0]))

@@ -486,6 +486,30 @@ def test_a_rejected_config_value_names_its_flag_before_reading_input(tmp_path, a
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (("eval", "missing.ckpt", "--cases", "empty.jsonl"), "empty.jsonl"),
+        (("eval", "--engine", "expert", "--kb", "missing.json", "--cases", "empty.jsonl", "blank.jsonl"), "empty.jsonl blank.jsonl"),
+        (("train", "--cases", "empty.jsonl", "--kb", "missing.json", "--out", "m.ckpt"), "empty.jsonl"),
+        (("train", "--cases", "empty.jsonl", "--cases", "blank.jsonl", "--out", "m.ckpt"), "empty.jsonl blank.jsonl"),
+    ],
+)
+def test_an_empty_case_set_names_its_files_before_any_other_input_is_read(tmp_path, argv, files):
+    # The checkpoint and KB do not exist: the case files are checked first.
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    (tmp_path / "blank.jsonl").write_text("\n \n", encoding="utf-8")
+    assert run_in(tmp_path, list(argv)) == (1, "", f"error: --cases {files}: no cases\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blank.jsonl", "empty.jsonl"]
+
+
+def test_predict_on_an_empty_case_set_writes_an_empty_output(workspace):
+    (workspace / "empty.jsonl").write_text("", encoding="utf-8")
+    argv = ["predict", "--engine", "expert", "--kb", "kb.json", "--cases", "empty.jsonl", "--out", "p.jsonl"]
+    assert run_in(workspace, argv) == (0, "", "")
+    assert (workspace / "p.jsonl").read_bytes() == b""
+
+
 def test_negative_train_seed_is_rejected_before_training(workspace):
     assert simulate(workspace).returncode == 0
     result = train(workspace, extra=("--seed", "-1"))

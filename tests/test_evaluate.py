@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddxkit.data import CaseSet, Vocabulary, build_vocabulary, normalize_ddx
 from ddxkit.evaluate import (
@@ -12,9 +14,12 @@ from ddxkit.evaluate import (
     rank_case_set,
     truth_label,
 )
-from ddxkit.model import init_parameters
+from ddxkit.expert import ARRAY_PASS_CASES
+from ddxkit.model import RANK_CHUNK, encode_case, init_parameters
 from ddxkit.simulate import ClinicalCase, SimConfig, simulate_dataset
 from ddxkit.synthetic import make_separable_kb
+
+from oracles import reference_ranking
 
 
 def case(cid, ddx_weights, pos=("f0",), seed_disease=None):
@@ -111,6 +116,39 @@ def test_expert_batch_method_ranks_like_the_per_case_predictor(top_k):
     batched = list(rank_case_set(predictor, cs))
     assert repr(batched) == repr(list(rank_case_set(per_case, cs)))
     assert batched[-1][1] == 1  # the unknown finding is counted as skipped
+
+
+PROPERTY_KB = make_separable_kb(n_diseases=6)
+PROPERTY_CASES = simulate_dataset(PROPERTY_KB, SimConfig(cases_total=120, min_cases_per_disease=10, seed=29))
+PROPERTY_VOCAB = build_vocabulary([CaseSet(cases=tuple(PROPERTY_CASES))], kb=PROPERTY_KB)
+SET_SIZES = st.one_of(st.integers(1, 2 * ARRAY_PASS_CASES), st.integers(RANK_CHUNK - 2, RANK_CHUNK + ARRAY_PASS_CASES))
+
+
+@given(n=SET_SIZES, seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1.0, 30.0]))
+@example(n=ARRAY_PASS_CASES, seed=0, scale=1.0).via("the expert's first array pass")
+@example(n=RANK_CHUNK + 1, seed=1, scale=1.0).via("a second model chunk of one case")
+@settings(max_examples=8, deadline=None)
+def test_each_predictor_ranks_a_case_alone_as_in_its_set(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in rng.integers(len(PROPERTY_CASES), size=n):
+        pos, neg = set(PROPERTY_CASES[i].pos), set(PROPERTY_CASES[i].neg)
+        if rng.random() < 0.2:
+            (pos if rng.random() < 0.5 else neg).add("alien")  # skipped by both engines
+        if rng.random() < 0.05:
+            pos, neg = set(), set()
+        pairs.append((frozenset(pos), frozenset(neg)))
+    p = init_parameters(PROPERTY_VOCAB, dim=8, seed=seed % 1000, kb=PROPERTY_KB)
+    for arr in (p.finding_embeddings, p.projection, p.bias):
+        arr += rng.normal(0.0, scale, size=arr.shape)
+    model = model_predictor(p)
+    for predictor in (model, expert_predictor(PROPERTY_KB), expert_predictor(PROPERTY_KB, top_k=3)):
+        batched = list(predictor.batch(pairs))
+        assert len(batched) == n
+        assert repr([predictor(pos, neg) for pos, neg in pairs]) == repr(batched)
+        if predictor is model:
+            expected = [reference_ranking(p, encode_case(p.vocab, pos, neg)[0]) for pos, neg in pairs]
+            assert repr([ranked for ranked, _ in batched]) == repr(expected)
 
 
 def test_evaluate_seed_disease_mode_requires_seed():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from ddxkit.model import (
     disease_log_probs,
     encode_case,
     encode_target,
-    forward,
     init_parameters,
     load_checkpoint,
     make_dropout_plan,
@@ -32,6 +32,7 @@ from ddxkit.model import (
 from ddxkit.data import normalize_ddx
 
 from conftest import GARBAGE, make_kb
+from oracles import reference_log_probs, reference_ranking
 
 
 def small_vocab(n_findings=4, n_diseases=3, demo=("age_a", "age_b")):
@@ -52,7 +53,7 @@ def random_input(vocab, rng, allow_empty=True):
     n_pos = int(rng.integers(lo, max(lo + 1, len(clin))))
     n_neg = int(rng.integers(0, max(1, len(clin) - n_pos + 1)))
     demo = [vocab.demo_index(f) for f in vocab.demographic_list if rng.random() < 0.5]
-    return ModelInput(tuple(clin[:n_pos]), tuple(clin[n_pos : n_pos + n_neg]), tuple(demo))
+    return ModelInput(tuple(sorted(clin[:n_pos])), tuple(sorted(clin[n_pos : n_pos + n_neg])), tuple(demo))
 
 
 def test_init_is_deterministic_and_bounded():
@@ -103,7 +104,7 @@ def test_zero_parameters_give_uniform_output():
     for arr in p.blocks().values():
         arr[:] = 0.0
     x = ModelInput((0, 1), (2,), (0,))
-    out = forward(p, x)
+    out = reference_log_probs(p, x)
     assert np.allclose(out, math.log(1.0 / vocab.n_diseases), atol=1e-12)
 
 
@@ -115,7 +116,7 @@ def test_forward_normalization_over_random_draws():
         for arr in p.blocks().values():
             arr += rng.normal(0, 2.0, size=arr.shape)
         x = random_input(vocab, rng)
-        total = np.exp(forward(p, x)).sum()
+        total = np.exp(reference_log_probs(p, x)).sum()
         assert abs(total - 1.0) < 1e-9
 
 
@@ -124,10 +125,10 @@ def test_masked_disease_is_suppressed():
     p = init_parameters(vocab, dim=8, seed=1)
     p.demographic_embeddings[0, 2] = DEMOGRAPHIC_MASK
     x = ModelInput((0, 1), (), (0,))
-    probs = np.exp(forward(p, x))
+    probs = np.exp(reference_log_probs(p, x))
     assert probs[2] / probs.max() < 1e-10
     # without the demographic observed the disease is not suppressed
-    probs2 = np.exp(forward(p, ModelInput((0, 1), (), ())))
+    probs2 = np.exp(reference_log_probs(p, ModelInput((0, 1), (), ())))
     assert probs2[2] / probs2.max() > 1e-3
 
 
@@ -136,7 +137,7 @@ def test_dropout_rate_zero_is_exactly_inference():
     p = init_parameters(vocab, dim=8, seed=2)
     x = ModelInput((0, 2), (1,), (1,))
     mask = make_dropout_plan(x.n_rows, 8, 0.0, np.random.default_rng(0))
-    assert np.array_equal(disease_log_probs(p, bag([x]), pooled_embedding(p, bag([x]), mask, 0.0))[0], forward(p, x))
+    assert np.array_equal(disease_log_probs(p, bag([x]), pooled_embedding(p, bag([x]), mask, 0.0))[0], reference_log_probs(p, x))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 64, 256, 257])
@@ -195,12 +196,19 @@ def test_dropout_scaling_is_unbiased():
     assert np.allclose(draws.mean(axis=0), h, atol=0.02 * max(1.0, np.abs(h).max()))
 
 
-def test_forward_is_invariant_to_input_order():
-    vocab = small_vocab()
-    p = init_parameters(vocab, dim=8, seed=5)
-    a = ModelInput((2, 0, 1), (3,), (1, 0))
-    b = ModelInput((0, 1, 2), (3,), (0, 1))
-    assert np.array_equal(forward(p, a), forward(p, b))
+def test_encode_case_is_invariant_to_insertion_order():
+    vocab = small_vocab(n_findings=40)
+    rng = np.random.default_rng(5)
+    ids = list(vocab.findings) + ["mystery", "other"]
+    for _ in range(50):
+        rng.shuffle(ids)
+        n_pos = int(rng.integers(0, len(ids) + 1))
+        pos, neg = ids[:n_pos], ids[n_pos : n_pos + int(rng.integers(0, len(ids) - n_pos + 1))]
+        a = encode_case(vocab, set(pos), frozenset(neg))
+        b = encode_case(vocab, frozenset(reversed(pos)), set(reversed(neg)))
+        assert a == b
+        for indices in a[0]:
+            assert list(indices) == sorted(set(indices))
 
 
 def test_forward_permutation_equivariance():
@@ -212,14 +220,14 @@ def test_forward_permutation_equivariance():
     q.bias = q.bias[perm]
     q.demographic_embeddings = q.demographic_embeddings[:, perm]
     x = ModelInput((0, 1), (2,), (0,))
-    assert np.allclose(forward(q, x), forward(p, x)[perm], atol=1e-12)
+    assert np.allclose(reference_log_probs(q, x), reference_log_probs(p, x)[perm], atol=1e-12)
 
 
 def test_empty_clinical_input_uses_bias_only():
     vocab = small_vocab()
     p = init_parameters(vocab, dim=8, seed=7)
     x = ModelInput((), (), (0,))
-    out = forward(p, x)
+    out = reference_log_probs(p, x)
     assert np.isfinite(out).all()
     assert abs(np.exp(out).sum() - 1.0) < 1e-9
 
@@ -263,19 +271,19 @@ def test_rank_cases_equals_predict_topk_bytewise(dim, n_known, scale):
     L = vocab.n_diseases
     ranked = list(rank_cases(p, xs))
     assert len(ranked) == len(xs)
-    assert [i for i, x in enumerate(xs) if repr(ranked[i]) != repr(predict_topk(p, x, L))] == []
+    assert [i for i, x in enumerate(xs) if repr(ranked[i]) != repr(reference_ranking(p, x))] == []
+    assert [i for i, x in enumerate(xs[:40]) if repr(predict_topk(p, x, L)) != repr(ranked[i])] == []
     assert list(rank_cases(p, [])) == []
 
 
-def test_model_input_validates_overlap():
-    with pytest.raises(ValueError):
-        ModelInput((0, 1), (1,), ())
-    with pytest.raises(ValueError, match="pos_clinical repeats"):
-        ModelInput((1, 1), (), ())
-    with pytest.raises(ValueError, match="neg_clinical repeats"):
-        ModelInput((0,), (2, 2), ())
-    with pytest.raises(ValueError, match="demo repeats"):
-        ModelInput((), (), (0, 3, 0))
+def test_encode_case_rejects_a_finding_both_present_and_absent():
+    vocab = small_vocab()
+    for pos, neg, overlap in [
+        ({"f0", "f1"}, {"f1"}, "['f1']"),
+        ({"age_a", "mystery"}, {"mystery", "age_a", "f2"}, "['age_a', 'mystery']"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"findings in both pos and neg: {overlap}")):
+            encode_case(vocab, pos, neg)
 
 
 def test_encode_case_routes_and_skips():
