@@ -474,6 +474,7 @@ def test_out_naming_a_directory_is_rejected(workspace):
         (("train", "--dim", "0"), "--dim 0: dim must be >= 1"),
         (("train", "--seed", "-1"), "--seed -1: seed must be >= 0, got -1"),
         (("simulate", "--cases", "0"), "--cases 0: cases_total must be >= 1"),
+        (("simulate", "--cases", "4294967297"), "--cases 4294967297: cases_total must be <= 2**32"),
         (("simulate", "--cases", "5", "--min-per-disease", "-1"), "--min-per-disease -1: min_cases_per_disease must be >= 0"),
         (("simulate", "--cases", "5", "--ddx-top-k", "0"), "--ddx-top-k 0: ddx_top_k must be >= 1"),
         (("simulate", "--cases", "5", "--seed", "-1"), "--seed -1: seed must be a 64-bit unsigned integer"),

@@ -3,10 +3,12 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddxkit.data import write_cases
 from ddxkit.expert import expert_inference
-from ddxkit.kb import CLINICAL, DEMOGRAPHIC, frequency
+from ddxkit.kb import CLINICAL, DEMOGRAPHIC, ConfigError, frequency
 from ddxkit.simulate import (
     MAX_FINDINGS_CAP,
     NEG_GATE,
@@ -14,7 +16,7 @@ from ddxkit.simulate import (
     ClinicalCase,
     SimConfig,
     case_rng,
-    case_rngs,
+    case_states,
     simulable_diseases,
     simulate_case,
     simulate_dataset,
@@ -183,11 +185,20 @@ def test_simulate_case_equals_the_reference_walk(build):
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
 def test_case_rngs_seed_each_case_as_its_seed_sequence(seed):
-    got = list(case_rngs(seed, 3))
-    for i, rng in enumerate(got):
+    rng = np.random.default_rng(0)
+    for i, state in enumerate(case_states(seed, 3)):
         expected = np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
-        assert rng.bit_generator.state == expected.bit_generator.state
+        assert state == expected.bit_generator.state
+        rng.bit_generator.state = state
         assert rng.random(4).tolist() == expected.random(4).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)), n=st.integers(0, 40))
+def test_case_states_equal_numpys_seeding(seed, n):
+    # One-word and two-word seeds hash different numbers of entropy words.
+    expected = [np.random.default_rng(np.random.SeedSequence([seed, 1, i])).bit_generator.state for i in range(n)]
+    assert list(case_states(seed, n)) == expected
 
 
 def test_dataset_equals_the_reference_walk_at_a_two_word_seed(mutex_kb):
@@ -195,6 +206,20 @@ def test_dataset_equals_the_reference_walk_at_a_two_word_seed(mutex_kb):
     cfg = SimConfig(cases_total=60, min_cases_per_disease=0, seed=seed, ddx_top_k=3)
     ref = [reference_simulate_case(mutex_kb, "d", case_rng(seed, i), cfg, f"sim-{i}") for i in range(60)]
     assert write_cases(simulate_dataset(mutex_kb, cfg)) == write_cases(ref)
+
+
+@pytest.mark.parametrize("seed", [11, 2**33 + 5])
+def test_dataset_past_the_floor_equals_the_reference_walk(seed):
+    # Five diseases, so the seed diseases drawn past the floor are not all one.
+    kb = make_separable_kb(n_diseases=5)
+    cfg = SimConfig(cases_total=70, min_cases_per_disease=4, seed=seed, ddx_top_k=3)
+    dstar = simulable_diseases(kb)
+    labels = [d for d in dstar for _ in range(cfg.min_cases_per_disease)]
+    chooser = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    labels += [dstar[int(chooser.integers(len(dstar)))] for _ in range(cfg.cases_total - len(labels))]
+    assert len(set(labels[len(dstar) * cfg.min_cases_per_disease :])) > 1
+    ref = [reference_simulate_case(kb, d, case_rng(seed, i), cfg, f"sim-{i}") for i, d in enumerate(labels)]
+    assert write_cases(simulate_dataset(kb, cfg)) == write_cases(ref)
 
 
 def test_certain_findings_are_always_elicited():
@@ -305,5 +330,9 @@ def test_clinical_case_validates_itself():
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(cases_total=0)
+    with pytest.raises(ConfigError, match=r"cases_total must be <= 2\*\*32") as e:
+        SimConfig(cases_total=2**32 + 1)
+    assert e.value.field == "cases_total"
+    assert SimConfig(cases_total=2**32).cases_total == 2**32
     with pytest.raises(ValueError):
         SimConfig(cases_total=1, seed=-1)
