@@ -8,7 +8,9 @@ controlled by --seed, so reruns with identical flags and inputs reproduce
 identical output bytes; manifests are exempt (they carry timing), except
 their `metrics` block, which a rerun reproduces byte for byte: `simulate`
 records the label quality of its cases there (`simulate.label_metrics`), and
-`train` the mean training loss of each epoch (`epoch_loss`).
+`train` the mean training loss of each epoch (`epoch_loss`). The `train`
+manifest also has a `timing` block, kept apart from `metrics`: each epoch's
+wall-clock seconds and training samples per second.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ class RunManifest:
     tool_version: str
     wall_clock_seconds: float
     metrics: dict | None = None
+    timing: dict | None = None
 
 
 def _emit_manifest(
@@ -49,6 +52,7 @@ def _emit_manifest(
     outputs: list[str],
     t0: float,
     metrics: dict | None = None,
+    timing: dict | None = None,
 ) -> None:
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = RunManifest(
@@ -60,6 +64,7 @@ def _emit_manifest(
         tool_version=__version__,
         wall_clock_seconds=time.monotonic() - t0,
         metrics=metrics,
+        timing=timing,
     )
     out = getattr(args, "out", None)
     path = Path(f"{out}.manifest.json") if out else Path(f"{command.replace(' ', '-')}.manifest.json")
@@ -207,7 +212,11 @@ def cmd_train(args) -> int:
     print(f"wrote checkpoint to {args.out}")
     inputs = list(args.cases) + ([args.kb] if args.kb else [])
     metrics = {"epoch_loss": [r.mean_loss for r in history]}
-    _emit_manifest("train", args, inputs, [args.out, str(log_path)], t0, metrics=metrics)
+    timing = {
+        "epoch_seconds": [r.seconds for r in history],
+        "epoch_samples_per_s": [len(cases) / r.seconds for r in history],
+    }
+    _emit_manifest("train", args, inputs, [args.out, str(log_path)], t0, metrics=metrics, timing=timing)
     return 0
 
 

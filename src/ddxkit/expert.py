@@ -15,9 +15,10 @@ built once per knowledge base.
 
 `expert_inference` labels a sequence of cases. From ARRAY_PASS_CASES
 cases on it labels them in array passes of LABEL_CHUNK cases: one
-position-major sum of the cases' table rows, a row-wise top k, and the
-softmax over all retained entries. A shorter call labels its cases one at a
-time, which is cheaper for a few cases. Either way the retained list is
+position-major sum of the cases' table rows (`sums.position_major_sums`,
+shared with model pooling and the training scatter), a row-wise top k, and
+the softmax over all retained entries. A shorter call labels its cases one
+at a time, which is cheaper for a few cases. Either way the retained list is
 ranked by (-score, id) and then by (-probability, id), with the IEEE
 operations of a Python softmax over the retained scores (the maximum
 subtracted, `math.exp` per score, one left-to-right sum): a differential has
@@ -36,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .kb import SMOOTHING_EPS, KnowledgeBase, scoring_tables  # noqa: F401
+from .sums import position_major_sums
 
 DEFAULT_DDX_TOP_K = 5
 # Cases per array pass, so its temporaries stay (LABEL_CHUNK, L), as in
@@ -116,23 +118,16 @@ def _row_scores(tables, pos, neg, index: int = 0) -> np.ndarray:
 
 def _set_scores(tables, cases, start: int) -> np.ndarray:
     """(B, L) raw scores of `cases`, whose first has index `start`, with the
-    bytes of _row_scores. Position-major: with the cases sorted by row count,
-    descending, position j's rows belong to the first k_j cases."""
+    bytes of _row_scores: each case's rows added position-major in order."""
     rows, counts = [], []
     for i, (pos, neg) in enumerate(cases, start):
         case_rows = _case_rows(tables, pos, neg, i)
         rows += case_rows
         counts.append(len(case_rows))
-    counts = np.array(counts)
+    counts = np.array(counts, dtype=np.intp)
     rows = np.array(rows, dtype=np.intp)
-    order = np.argsort(-counts, kind="stable")
-    starts = (np.cumsum(counts) - counts)[order]
-    sums = np.zeros((len(counts), tables.log_terms.shape[1]))
-    for j, k in enumerate((len(counts) - np.cumsum(np.bincount(counts)))[:-1].tolist()):
-        sums[:k] += tables.log_terms[rows[starts[:k] + j]]
-    out = np.empty_like(sums)
-    out[order] = sums
-    return out
+    terms = tables.log_terms
+    return position_major_sums(counts, np.cumsum(counts) - counts, lambda items: terms[rows[items]], terms.shape[1])
 
 
 def score_all_diseases(

@@ -20,8 +20,9 @@ case to ascending indices, the order every sum below adds in.
 Every per-case sum adds the case's rows in order, starting from 0.0, so a
 case's pooled row has the same bytes in any batch. A batch of many small
 cases (see POSITION_MAJOR_CASE_SIZE) is summed position-major, one
-vectorised add per row position; other batches, width-1 rows and a lone
-case are summed per case.
+vectorised add per row position, by `sums.position_major_sums`, which expert
+scoring and the training scatter share; other batches, width-1 rows and a
+lone case are summed per case.
 Training projects a batch with one (B, D) @ (D, L) product, whose rows can
 differ from a batch of one's by an ulp. `rank_cases`, the one ranking path,
 projects each row with its own (1, D) product instead, so a case's ranking
@@ -42,6 +43,7 @@ import numpy as np
 
 from .data import Vocabulary
 from .kb import ConfigError, KnowledgeBase, check_object, read_utf8, scoring_tables
+from .sums import position_major_sums
 
 DEMOGRAPHIC_MASK = -30.0
 CHECKPOINT_FORMAT = "ddx-checkpoint"
@@ -218,7 +220,10 @@ def _bag_sums(gathered: np.ndarray, offsets: np.ndarray, mean: bool) -> np.ndarr
     if B > 2 and width > 1:  # 1 or 2 cases pass the bound on the longest case only when empty
         counts = offsets[1:] - offsets[:-1]
         if 2 * counts.max() < B and gathered.size <= POSITION_MAJOR_CASE_SIZE * B:
-            return _position_major_sums(gathered, offsets, counts, mean)
+            out = position_major_sums(counts, offsets[:-1], gathered.__getitem__, width)
+            if mean:
+                out /= np.maximum(counts, 1)[:, None]
+            return out
     out = np.zeros((B, width))
     bounds = offsets.tolist()
     for b, (s, e) in enumerate(zip(bounds, bounds[1:])):
@@ -226,21 +231,6 @@ def _bag_sums(gathered: np.ndarray, offsets: np.ndarray, mean: bool) -> np.ndarr
             row = np.add.reduce(gathered[s:e], axis=0, out=out[b])
             if mean:
                 row /= e - s
-    return out
-
-
-def _position_major_sums(gathered: np.ndarray, offsets: np.ndarray, counts: np.ndarray, mean: bool) -> np.ndarray:
-    # With the cases sorted by count, descending, position j's rows belong to the first k_j cases.
-    B = len(counts)
-    order = np.argsort(-counts, kind="stable")
-    starts = offsets[:-1][order]
-    sums = np.zeros((B, gathered.shape[1]))
-    for j, k in enumerate((B - np.cumsum(np.bincount(counts)))[:-1].tolist()):
-        sums[:k] += gathered[starts[:k] + j]
-    out = np.empty_like(sums)
-    out[order] = sums
-    if mean:
-        out /= np.maximum(counts, 1)[:, None]
     return out
 
 

@@ -11,15 +11,20 @@ are validated against central finite differences in the test suite.
 
 `train` encodes the training set once, into one `Bags` and an (n, L)
 target matrix, and gathers each minibatch from them with index arrays.
-`backward` scatters row gradients through the batch's flat row ids, adding
-each row's terms in case order from 0.0; gradients and Adam moments are
-dicts keyed like `ModelParameters.blocks()`.
+`backward` scatters each case's pooled gradient (and its demographic
+gradient) into the table rows the case gathered, through the dropout mask,
+without building a per-item array of contributions: a batch of narrow rows
+(see BINCOUNT_CASE_SIZE) with one np.bincount, wider ones position-major by
+table row (`sums.position_major_sums`). Either way each row adds its terms
+in item order from 0.0, and a row a case gathers twice gets both terms.
+Gradients and Adam moments are dicts keyed like `ModelParameters.blocks()`.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from .model import (
     make_dropout_plan,
     pooled_embedding,
 )
+from .sums import position_major_sums
 
 logger = logging.getLogger(__name__)
 
@@ -42,10 +48,13 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # _scatter_rows adds a batch's row gradients with one np.bincount when its cases
-# hold at most this many numbers (rows x width) on average, and case by case
-# above it. Measured on a 2-core VM over batches of 16 and 64 cases with 0-2,
-# 0-9, 3-10, 1-40, 5-40 and 20-40 rows a case at widths 2 to 1024: bincount took
-# 0.04-1.07x the per-case loop's time up to this bound and 0.91-2.7x above it.
+# hold at most this many numbers (rows x width) on average, and position-major
+# over the table rows above it. Measured on a 2-core VM over batches of 16 and
+# 64 cases with 0-2, 0-9, 3-10, 1-40, 5-40 and 20-40 rows a case at widths 2 to
+# 1024, on tables of 144 and 600 rows, with and without a dropout mask: bincount
+# took 0.16-2.3x the position-major time up to this bound (median 0.45x; above
+# 1x only at widths 128 to 1024 with few rows a case) and 0.98-10x above it
+# (median 1.6-2.4x). Bounds of 1024 and 1536 chose no better.
 BINCOUNT_CASE_SIZE = 2048
 
 
@@ -100,18 +109,33 @@ class AdamState:
         return cls(m=zero_grads(p), v=zero_grads(p), scratch=scratch, t=0)
 
 
-def _scatter_rows(ids: np.ndarray, offsets: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """(n, width) sums of values[i] into row ids[i], each row's terms added in
-    order from 0.0. The ids within one case's slice of `offsets` are distinct."""
-    width = values.shape[1]
-    if values.size <= BINCOUNT_CASE_SIZE * (len(offsets) - 1):
+def _scatter_rows(
+    ids: np.ndarray, offsets: np.ndarray, per_case: np.ndarray, n: int, mask: np.ndarray | None = None
+) -> np.ndarray:
+    """(n, width) sums into row ids[i] of per_case[b] for each item i of case b
+    (ids[offsets[b]:offsets[b + 1]]), times mask[i] when a mask is given. Each
+    row adds its terms in item order from 0.0; a row repeated within a case
+    gets each of its terms."""
+    width = per_case.shape[1]
+    case = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    if len(ids) * width <= BINCOUNT_CASE_SIZE * (len(offsets) - 1):
+        values = per_case[case]
+        if mask is not None:
+            values *= mask
         flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
         return np.bincount(flat, weights=values.reshape(-1), minlength=n * width).reshape(n, width)
-    out = np.zeros((n, width))
-    bounds = offsets.tolist()
-    for s, e in zip(bounds, bounds[1:]):
-        out[ids[s:e]] += values[s:e]
-    return out
+    # One group per table row; the stable sort keeps each row's items in item order.
+    by_row = np.argsort(ids, kind="stable")
+    row_case = case[by_row]
+    counts = np.bincount(ids, minlength=n)
+
+    def take(items):
+        terms = per_case[row_case[items]]
+        if mask is not None:
+            terms *= mask[by_row[items]]
+        return terms
+
+    return position_major_sums(counts, np.cumsum(counts) - counts, take, width)
 
 
 def backward(
@@ -149,15 +173,11 @@ def backward(
     # through the mask. Dividing before the mask is exact: the mask is 0 or 1.
     counts = np.diff(bags.offsets)
     G_H /= ((1.0 if mask is None else 1.0 - rate) * np.maximum(counts, 1))[:, None]
-    contrib = G_H[np.repeat(np.arange(B), counts)]
-    if mask is not None:
-        contrib *= mask
-    G_U = G_C[np.repeat(np.arange(B), np.diff(bags.demo_offsets))]
     grads = {
-        "finding_embeddings": _scatter_rows(bags.rows, bags.offsets, contrib, len(p.finding_embeddings)),
+        "finding_embeddings": _scatter_rows(bags.rows, bags.offsets, G_H, len(p.finding_embeddings), mask),
         "projection": H.T @ G_C,
         "bias": G_C.sum(axis=0),
-        "demographic_embeddings": _scatter_rows(bags.demo, bags.demo_offsets, G_U, len(p.demographic_embeddings)),
+        "demographic_embeddings": _scatter_rows(bags.demo, bags.demo_offsets, G_C, len(p.demographic_embeddings)),
     }
     return grads, mean_loss
 
@@ -194,8 +214,12 @@ def adam_step(
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One epoch's mean training loss and its wall-clock seconds. The seconds
+    vary between runs, so they take no part in equality or in the log line."""
+
     epoch: int
     mean_loss: float
+    seconds: float = field(default=0.0, compare=False)
 
     def format_line(self) -> str:
         return f"epoch {self.epoch} loss {self.mean_loss:.6f}"
@@ -218,7 +242,8 @@ def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[Mo
 
     Every epoch reshuffles with the config-seeded stream, walks batches of
     cfg.batch_size (the final short batch is kept), draws a new dropout
-    mask per batch, and records the mean training loss. The first epoch
+    mask per batch, and records the mean training loss and the epoch's
+    wall-clock seconds. The first epoch
     whose mean loss is not finite raises DivergedError.
     """
     if len(train_set) == 0:
@@ -236,6 +261,7 @@ def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[Mo
     order = np.arange(n)
 
     for epoch in range(1, cfg.epochs + 1):
+        t0 = time.perf_counter()
         rng.shuffle(order)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -245,7 +271,7 @@ def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[Mo
             grads, loss = backward(p, batch, targets[chunk], mask, rate)
             adam_step(p, grads, state, cfg)
             total += loss * len(chunk)
-        record = EpochRecord(epoch=epoch, mean_loss=total / n)
+        record = EpochRecord(epoch=epoch, mean_loss=total / n, seconds=time.perf_counter() - t0)
         if not math.isfinite(record.mean_loss):
             raise DivergedError(epoch, record.mean_loss, cfg.learning_rate)
         history.append(record)

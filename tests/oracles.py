@@ -2,8 +2,9 @@
 
 Each is plain Python written for clarity, not speed: the case-file reader
 that validates a record field by field, the per-disease expert score, the
-list softmax, a disease's clinical walk order, the KL loss, and the model's
-log-probabilities and ranking of one case.
+list softmax, a disease's clinical walk order, the KL loss, the model's
+log-probabilities and ranking of one case, and row sums added one item at a
+time.
 """
 import json
 import math
@@ -132,3 +133,12 @@ def reference_ranking(p: ModelParameters, x: ModelInput) -> list[tuple[str, floa
     """Every disease of one case by descending probability, ties by ascending id."""
     probs = np.exp(reference_log_probs(p, x)).tolist()
     return sorted(zip(p.vocab.diseases, probs), key=lambda entry: (-entry[1], entry[0]))
+
+
+def reference_row_sums(ids, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, width) sums of values[i] into row ids[i], one item after another
+    from 0.0, so each row adds its terms in item order."""
+    out = np.zeros((n, values.shape[1]))
+    for i, row in enumerate(ids):
+        out[row] += values[i]
+    return out

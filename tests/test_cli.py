@@ -288,12 +288,19 @@ def test_simulate_manifest_records_label_metrics(workspace):
 
 def test_train_manifest_records_epoch_losses(workspace):
     assert simulate(workspace).returncode == 0
-    metrics = []
+    metrics, timings = [], []
     for out in ("a.ckpt", "b.ckpt"):
         result = train(workspace, out)
         assert result.returncode == 0, result.stderr
-        metrics.append(json.loads((workspace / f"{out}.manifest.json").read_text())["metrics"])
+        manifest = json.loads((workspace / f"{out}.manifest.json").read_text())
+        metrics.append(manifest["metrics"])
+        timings.append(manifest["timing"])
     assert json.dumps(metrics[0]) == json.dumps(metrics[1])
+    assert (workspace / "a.ckpt.log").read_bytes() == (workspace / "b.ckpt.log").read_bytes()
+    for timing in timings:
+        assert set(timing) == {"epoch_seconds", "epoch_samples_per_s"}
+        assert len(timing["epoch_seconds"]) == len(timing["epoch_samples_per_s"]) == 3
+        assert all(s > 0 for s in timing["epoch_seconds"] + timing["epoch_samples_per_s"])
     losses = metrics[0]["epoch_loss"]
     assert set(metrics[0]) == {"epoch_loss"}
     assert len(losses) == 3 and all(type(x) is float and x > 0 for x in losses)

@@ -1,21 +1,27 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddxkit import train as train_module
 from ddxkit.data import CaseSet, Vocabulary, normalize_ddx
 from ddxkit.model import (
+    Bags,
     ModelInput,
     bag,
     checkpoint_to_json,
+    disease_log_probs,
     encode_case,
     encode_target,
     init_parameters,
     make_dropout_plan,
+    pooled_embedding,
 )
 from ddxkit.simulate import ClinicalCase
+from ddxkit.sums import position_major_sums
 from ddxkit.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -28,7 +34,7 @@ from ddxkit.train import (
     zero_grads,
 )
 
-from oracles import kl_loss, reference_log_probs
+from oracles import kl_loss, reference_log_probs, reference_row_sums
 
 
 def test_kl_of_identical_distributions_is_zero():
@@ -91,8 +97,19 @@ def batch_arrays(batch):
     return bag(xs), np.array(ts)
 
 
-def finite_difference_grads(p, batch, h=1e-4):
-    """Central differences of the mean KL loss, the long way around."""
+def batch_loss(p, batch):
+    """The mean KL loss of (x, target) pairs, one case at a time."""
+    return np.mean([kl_loss(t, reference_log_probs(p, x)) for x, t in batch])
+
+
+def bags_loss(p, bags, targets):
+    """The mean KL loss of a batch in the embedding-bag layout."""
+    O = disease_log_probs(p, bags, pooled_embedding(p, bags))
+    return np.mean([kl_loss(t, o) for t, o in zip(targets, O)])
+
+
+def finite_difference_grads(p, loss, h=1e-4):
+    """Central differences of loss() in every parameter, the long way around."""
     fd = zero_grads(p)
     for name, theta in p.blocks().items():
         target_arr = fd[name]
@@ -101,9 +118,9 @@ def finite_difference_grads(p, batch, h=1e-4):
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + h
-            up = np.mean([kl_loss(t, reference_log_probs(p, x)) for x, t in batch])
+            up = loss()
             flat[i] = keep - h
-            down = np.mean([kl_loss(t, reference_log_probs(p, x)) for x, t in batch])
+            down = loss()
             flat[i] = keep
             out[i] = (up - down) / (2 * h)
     return fd
@@ -124,7 +141,22 @@ def test_backward_matches_finite_differences():
         arr += rng.normal(0, 0.5, size=arr.shape)
     batch = [random_example(vocab, rng) for _ in range(3)]
     analytic, _ = backward(p, *batch_arrays(batch))
-    numeric = finite_difference_grads(p, batch)
+    numeric = finite_difference_grads(p, lambda: batch_loss(p, batch))
+    assert_grads_close(analytic, numeric)
+
+
+@pytest.mark.parametrize("dim", [2, 1024])  # 1024: the finding rows take the position-major scatter
+def test_backward_counts_a_repeated_row_each_time(dim):
+    # Pooling adds a row once per occurrence, so its gradient must too.
+    vocab, p = toy_setup(n_findings=2, n_diseases=2, dim=dim)
+    rng = np.random.default_rng(6)
+    for arr in p.blocks().values():
+        arr += rng.normal(0, 0.5, size=arr.shape)
+    fields = ([3, 3, 1, 0, 2, 2], [0, 3, 6], [0, 0, 1], [0, 2, 3])  # rows 3 and 2, demographic 0 repeated
+    bags = Bags(*(np.array(f, dtype=np.intp) for f in fields))
+    targets = np.array([[0.3, 0.7], [0.9, 0.1]])
+    analytic, _ = backward(p, bags, targets)
+    numeric = finite_difference_grads(p, lambda: bags_loss(p, bags, targets))
     assert_grads_close(analytic, numeric)
 
 
@@ -212,6 +244,54 @@ def test_backward_equals_the_per_case_reference_exactly(rate, dim):
             assert np.array_equal(grads[name], arr), name
             assert grads[name].tobytes() == arr.tobytes(), name  # array_equal ignores the sign of zero
         assert rng_.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def scatter_problems(draw):
+    """Row ids per case (repeats within and across cases, empty cases),
+    per-case values with signed zeros, and a dropout mask or None."""
+    width = draw(st.sampled_from([1, 2, 257, 1024]))
+    n = draw(st.integers(1, 6))
+    cases = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=12), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_case = rng.normal(size=(len(cases), width))
+    per_case[rng.random(per_case.shape) < 0.2] = 0.0
+    per_case[rng.random(per_case.shape) < 0.2] = -0.0
+    ids = np.array([i for case in cases for i in case], dtype=np.intp)
+    offsets = np.cumsum([0] + [len(case) for case in cases])
+    mask = rng.random((len(ids), width)) >= 0.5 if draw(st.booleans()) else None
+    return ids, offsets, per_case, n, mask
+
+
+@given(scatter_problems())
+@settings(max_examples=80, deadline=None)
+def test_scatter_rows_equals_the_item_order_reference_bytewise(problem):
+    ids, offsets, per_case, n, mask = problem
+    values = per_case[np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))]
+    if mask is not None:
+        values = values * mask
+    expected = reference_row_sums(ids, values, n).tobytes()
+    assert train_module._scatter_rows(ids, offsets, per_case, n, mask).tobytes() == expected
+    for bound in (0, 2**40):  # every batch scattered position-major, then every one by bincount
+        with mock.patch.object(train_module, "BINCOUNT_CASE_SIZE", bound):
+            assert train_module._scatter_rows(ids, offsets, per_case, n, mask).tobytes() == expected, bound
+
+
+@given(st.lists(st.integers(0, 9), max_size=12), st.sampled_from([1, 2, 257, 1024]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_position_major_sums_equal_the_item_order_reference_bytewise(counts, width, seed):
+    # Groups own contiguous runs of items, laid out in a shuffled order.
+    rng = np.random.default_rng(seed)
+    counts = np.array(counts, dtype=np.intp)
+    layout = rng.permutation(len(counts))
+    starts = np.zeros(len(counts), dtype=np.intp)
+    starts[layout] = np.cumsum(counts[layout]) - counts[layout]
+    values = rng.normal(size=(int(counts.sum()), width))
+    values[rng.random(values.shape) < 0.3] = -0.0
+    items = [starts[g] + j for g in range(len(counts)) for j in range(counts[g])]
+    expected = reference_row_sums(np.repeat(np.arange(len(counts)), counts), values[items], len(counts))
+    got = position_major_sums(counts, starts, values.__getitem__, width)
+    assert got.tobytes() == expected.tobytes()
 
 
 def scalar_problem():
@@ -386,9 +466,13 @@ def test_training_is_deterministic():
     vocab, p = toy_setup()
     cases = toy_cases(vocab, 20, seed=3)
     cfg = TrainConfig(learning_rate=0.01, batch_size=4, epochs=3, dropout_rate=0.5, seed=7)
-    a, _ = train(p, cases, cfg)
-    b, _ = train(p, cases, cfg)
+    a, history_a = train(p, cases, cfg)
+    b, history_b = train(p, cases, cfg)
     assert checkpoint_to_json(a) == checkpoint_to_json(b)
+    # Each epoch's seconds are recorded, and left out of equality and the log line.
+    assert history_a == history_b and all(r.seconds > 0 for r in history_a + history_b)
+    assert [r.seconds for r in history_a] != [r.seconds for r in history_b]
+    assert [r.format_line() for r in history_a] == [f"epoch {r.epoch} loss {r.mean_loss:.6f}" for r in history_b]
     c, _ = train(p, cases, TrainConfig(learning_rate=0.01, batch_size=4, epochs=3, dropout_rate=0.5, seed=8))
     assert checkpoint_to_json(c) != checkpoint_to_json(a)
 
