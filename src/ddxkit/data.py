@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class Vocabulary:
 
     `findings` and `diseases` are ascending-id tuples; their positions are
     the embedding/logit indices, so a vocabulary fully determines checkpoint
-    layout. `mutex_groups` holds one entry per finding, None where the
-    finding has no group; construction fills in the missing ones.
+    layout. `demographic_ids` are the findings the demographic stream reads.
     `disease_array` holds the disease ids as a read-only object array, so a
     gather by logit index returns the id strings.
     """
@@ -68,7 +67,6 @@ class Vocabulary:
     findings: tuple[str, ...]
     diseases: tuple[str, ...]
     demographic_ids: frozenset[str]
-    mutex_groups: dict[str, str | None] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(set(self.findings)) != len(self.findings):
@@ -81,10 +79,6 @@ class Vocabulary:
             raise ValueError("vocabulary has no diseases")
         if not self.demographic_ids <= set(self.findings):
             raise ValueError("demographic_ids must be a subset of findings")
-        unknown = sorted(set(self.mutex_groups) - set(self.findings))
-        if unknown:
-            raise ValueError(f"mutex_groups names findings outside the vocabulary: {unknown}")
-        object.__setattr__(self, "mutex_groups", {f: self.mutex_groups.get(f) for f in self.findings})
         object.__setattr__(self, "_finding_index", {f: i for i, f in enumerate(self.findings)})
         object.__setattr__(self, "_disease_index", {d: i for i, d in enumerate(self.diseases)})
         object.__setattr__(self, "_demo_index", {f: i for i, f in enumerate(self.demographic_list)})
@@ -125,18 +119,15 @@ class Vocabulary:
             "findings": list(self.findings),
             "diseases": list(self.diseases),
             "demographic_ids": sorted(self.demographic_ids),
-            "mutex_groups": {f: g for f, g in sorted(self.mutex_groups.items()) if g is not None},
         }
 
     @classmethod
     def from_dict(cls, doc: dict, where: str = "vocab") -> "Vocabulary":
         """Inverse of to_dict; raises ValueError naming a field it cannot use."""
         lists = dict.fromkeys(("findings", "diseases", "demographic_ids"), list)
-        errors = check_object(doc, lists | {"mutex_groups": dict}, set(lists), where)
+        errors = check_object(doc, lists, set(lists), where)
         if not errors and not all(isinstance(f, str) for key in lists for f in doc[key]):
             errors.append(f"{where}: findings, diseases and demographic_ids must hold ids")
-        if not errors and not all(isinstance(g, str) for g in doc.get("mutex_groups", {}).values()):
-            errors.append(f"{where}: mutex_groups must map finding ids to group names")
         if errors:
             raise ValueError("; ".join(errors))
         try:
@@ -144,7 +135,6 @@ class Vocabulary:
                 findings=tuple(doc["findings"]),
                 diseases=tuple(doc["diseases"]),
                 demographic_ids=frozenset(doc["demographic_ids"]),
-                mutex_groups=doc.get("mutex_groups", {}),
             )
         except ValueError as e:
             raise ValueError(f"{where}: {e}") from None
@@ -361,20 +351,13 @@ def build_vocabulary(
         raise ValueError("no diseases observed; vocabulary would be empty")
 
     demographic: set[str] = set()
-    groups: dict[str, str | None] = {}
     for fid in findings:
-        if kb is not None and kb.has_finding(fid):
-            f = kb.finding(fid)
-            if f.kind != CLINICAL:
-                demographic.add(fid)
-            groups[fid] = f.mutex_group
-        else:
-            groups[fid] = None
+        if kb is not None and kb.has_finding(fid) and kb.finding(fid).kind != CLINICAL:
+            demographic.add(fid)
     return Vocabulary(
         findings=tuple(sorted(findings)),
         diseases=tuple(sorted(diseases)),
         demographic_ids=frozenset(demographic),
-        mutex_groups=groups,
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .data import CaseSet
-from .expert import expert_inference
+from .expert import CaseError, expert_inference
 from .kb import KnowledgeBase
 from .model import ModelParameters, encode_case, rank_cases
 from .simulate import ClinicalCase
@@ -148,10 +148,10 @@ def evaluate(
     read both accuracy tables off the records.
 
     Every case's truth is resolved before anything is ranked, so a case
-    without a seed disease under truth="seed-disease" fails before the
-    predictor runs. A predictor whose rankings do not pair one-to-one with
-    the cases raises ValueError. Each record keeps the first max(ks + [5])
-    ids of its ranking.
+    without a seed disease under truth="seed-disease" raises CaseError, naming
+    its index, before the predictor runs. A predictor whose rankings do not
+    pair one-to-one with the cases raises ValueError. Each record keeps the
+    first max(ks + [5]) ids of its ranking.
     """
     if len(cases) == 0:
         raise ValueError("empty case set")
@@ -163,10 +163,10 @@ def evaluate(
     depth = max(ks + [5])
 
     truths = []
-    for case in cases:
+    for i, case in enumerate(cases):
         if truth == "seed-disease":
             if case.seed_disease is None:
-                raise ValueError(f"case {case.id!r} has no seed_disease; cannot use truth=seed-disease")
+                raise CaseError(i, "no seed_disease, needed by truth=seed-disease")
             truths.append(case.seed_disease)
         else:
             truths.append(truth_label(case))

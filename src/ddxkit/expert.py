@@ -98,8 +98,11 @@ def _case_rows(tables, pos, neg, index: int) -> list[int]:
     overlap = set(pos).intersection(neg)
     if overlap:
         raise CaseError(index, f"findings in both pos and neg: {sorted(overlap)}")
-    absent = len(tables.finding_row)
-    return [tables.row(fid) for fid in sorted(pos)] + [absent + tables.row(fid) for fid in sorted(neg)]
+    row = tables.finding_row
+    try:
+        return [row[fid] for fid in sorted(pos)] + [len(row) + row[fid] for fid in sorted(neg)]
+    except KeyError as e:
+        raise CaseError(index, f"unknown finding {e.args[0]!r}") from None
 
 
 def _row_scores(tables, pos, neg, index: int = 0) -> np.ndarray:
@@ -130,19 +133,6 @@ def _set_scores(tables, cases, start: int) -> np.ndarray:
     return position_major_sums(counts, np.cumsum(counts) - counts, lambda items: terms[rows[items]], terms.shape[1])
 
 
-def score_all_diseases(
-    kb: KnowledgeBase, pos: set[str] | frozenset[str], neg: set[str] | frozenset[str]
-) -> np.ndarray:
-    """Raw expert score of every disease, in kb.diseases order.
-
-    One table row is added per finding, sorted positives then sorted
-    negatives, starting from 0.0: each entry is the same float sum the
-    scoring rule above spells out. Excluded diseases score -inf.
-    """
-    tables = scoring_tables(kb)
-    return _row_scores(tables, pos, neg)[tables.kb_columns]
-
-
 def expert_inference(
     kb: KnowledgeBase,
     cases: Sequence[tuple[set[str] | frozenset[str], set[str] | frozenset[str]]],
@@ -153,7 +143,9 @@ def expert_inference(
 
     The softmax runs over the retained raw scores only, so the reported
     probabilities are relative weights within the short list. A case that
-    cannot be labelled raises CaseError naming its index in `cases`.
+    cannot be labelled (a finding the KB does not know, a finding in both pos
+    and neg, every disease excluded) raises CaseError naming its index in
+    `cases`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -72,13 +72,12 @@ class ValidationReport:
 class ScoringTables:
     """The KB compiled for the expert scoring rule and the case simulator.
 
-    Row r of `log_terms` holds ln(eps + FREQ) of finding `findings[r]` and
+    Row r of `log_terms` holds ln(eps + FREQ) of finding `kb.findings[r]` and
     row F + r its ln(eps + 1 - FREQ), F findings in all; a demographic
     finding a disease never has is -inf in its present row, so adding that
     row excludes the disease. Column j belongs to disease `disease_ids[j]`
     (an object array, so a gather by column returns the id strings), in
     ascending id order: a stable sort of a score row breaks ties by id.
-    `kb_columns[c]` is the column of `kb.diseases[c]`.
 
     `walks[d]` holds disease d's demographic findings by ascending id, then
     its clinical findings with FREQ > 0 by descending frequency and id, each
@@ -89,14 +88,7 @@ class ScoringTables:
     finding_row: dict[str, int]
     log_terms: np.ndarray
     disease_ids: np.ndarray
-    kb_columns: np.ndarray
     walks: dict[str, tuple[tuple, tuple, dict[str, int]]]
-
-    def row(self, fid: str) -> int:
-        try:
-            return self.finding_row[fid]
-        except KeyError:
-            raise KeyError(f"unknown finding id: {fid!r}") from None
 
 
 @dataclass
@@ -173,8 +165,7 @@ def _build_scoring_tables(kb: KnowledgeBase) -> ScoringTables:
             if group is not None:
                 group_counts[group] = group_counts.get(group, 0) + 1
         walks[d.id] = (demographic, tuple(sorted(clinical[d.id], key=lambda e: (-e[1], e[0]))), group_counts)
-    kb_columns = np.array([disease_col[d.id] for d in kb.diseases], dtype=np.intp)
-    return ScoringTables(finding_row, log_terms, np.array(disease_ids, dtype=object), kb_columns, walks)
+    return ScoringTables(finding_row, log_terms, np.array(disease_ids, dtype=object), walks)
 
 
 def read_utf8(path, error: type[ValueError] = ValueError) -> str:

@@ -28,8 +28,12 @@ differ from a batch of one's by an ulp. `rank_cases`, the one ranking path,
 projects each row with its own (1, D) product instead, so a case's ranking
 has the same bytes alone or in any set.
 
-Checkpoints are a versioned JSON container with the vocabulary and the
-parameter blocks as base64 little-endian float64 in row-major order.
+A checkpoint (format 2) is one JSON object with sorted keys: "format"
+("ddx-checkpoint"), "version" (2), "byte_order" ("little"), "dtype"
+("float64"), "dim" (the embedding dimension D), "vocab" (the vocabulary's
+findings, diseases and demographic_ids) and "arrays" (each parameter block
+as base64 little-endian float64 in row-major order). The vocabulary gives
+every other block dimension.
 """
 from __future__ import annotations
 
@@ -47,9 +51,8 @@ from .sums import position_major_sums
 
 DEMOGRAPHIC_MASK = -30.0
 CHECKPOINT_FORMAT = "ddx-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 BLOCK_NAMES = ("finding_embeddings", "projection", "bias", "demographic_embeddings")
-DIM_NAMES = ("n_findings", "n_diseases", "dim", "n_demographics")  # checkpoint keys of ModelParameters.dims
 # Cases per pass in rank_cases, so its temporaries stay (RANK_CHUNK, L). A memory
 # bound, not a tuned size: one chunk of 1024 ranked desk-cli no faster.
 RANK_CHUNK = 256
@@ -354,7 +357,7 @@ def checkpoint_to_json(p: ModelParameters) -> str:
         "version": CHECKPOINT_VERSION,
         "byte_order": "little",
         "dtype": "float64",
-        "dims": dict(zip(DIM_NAMES, p.dims)),
+        "dim": p.finding_embeddings.shape[1],
         "vocab": p.vocab.to_dict(),
         "arrays": {name: _encode_array(a) for name, a in p.blocks().items()},
     }
@@ -376,15 +379,11 @@ def checkpoint_from_json(text: str) -> ModelParameters:
     if doc.get("byte_order") != "little" or doc.get("dtype") != "float64":
         raise ValueError("unsupported checkpoint encoding")
     header = {"format": str, "version": int, "byte_order": str, "dtype": str}
-    _checked(doc, header | {"dims": dict, "vocab": dict, "arrays": dict}, "checkpoint")
+    _checked(doc, header | {"dim": int, "vocab": dict, "arrays": dict}, "checkpoint")
     vocab = Vocabulary.from_dict(doc["vocab"], where="checkpoint vocab")
-    dims = _checked(doc["dims"], dict.fromkeys(DIM_NAMES, int), "checkpoint dims")
-    K, L, D, M = (dims[name] for name in DIM_NAMES)
-    if (K, L, M) != (vocab.n_findings, vocab.n_diseases, vocab.n_demographics):
-        raise ValueError("checkpoint dims disagree with its vocabulary")
-    if D < 1:
-        raise ValueError("checkpoint dims: field 'dim' must be >= 1")
-    shapes = _block_shapes(K, L, D, M)
+    if doc["dim"] < 1:
+        raise ValueError("checkpoint: field 'dim' must be >= 1")
+    shapes = _block_shapes(vocab.n_findings, vocab.n_diseases, doc["dim"], vocab.n_demographics)
     arrays = _checked(doc["arrays"], dict.fromkeys(shapes, str), "checkpoint arrays")
     p = ModelParameters(**{name: _decode_array(arrays, name, shape) for name, shape in shapes.items()}, vocab=vocab)
     p.validate()

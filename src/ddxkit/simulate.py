@@ -214,6 +214,8 @@ def simulate_case(
     `rng` is consumed past the walk: the clinical walk draws one uniform per
     clinical finding of the disease, whether or not it reaches them all.
     """
+    if not kb.has_disease(disease_id):
+        raise KeyError(f"unknown disease id: {disease_id!r}")
     walk = scoring_tables(kb).walks[disease_id]
     if not walk[1]:
         raise ValueError(f"disease {disease_id!r} has no nonzero clinical findings; cannot simulate")

@@ -1,18 +1,18 @@
 """Reference implementations that the tests hold the package against.
 
 Each is plain Python written for clarity, not speed: the case-file reader
-that validates a record field by field, the per-disease expert score, the
-list softmax, a disease's clinical walk order, the KL loss, the model's
-log-probabilities and ranking of one case, and row sums added one item at a
-time.
+that validates a record field by field, the expert's score of every disease
+in KB order and of one disease, the list softmax, a disease's clinical walk
+order, the KL loss, the model's log-probabilities and ranking of one case,
+and row sums added one item at a time.
 """
 import json
 import math
 
 import numpy as np
 
+from ddxkit import expert
 from ddxkit.data import CaseFormatError, CaseSet, normalize_ddx
-from ddxkit.expert import score_all_diseases
 from ddxkit.kb import KnowledgeBase, check_object, scoring_tables
 from ddxkit.model import ModelInput, ModelParameters, bag, disease_log_probs, pooled_embedding
 from ddxkit.simulate import CASE_SOURCES, ClinicalCase
@@ -76,6 +76,20 @@ def reference_read_cases(text: str, provenance: str = "<string>") -> CaseSet:
             raise CaseFormatError(f"{where}: duplicate case id {case.id!r} (first on line {first})")
         cases.append(case)
     return CaseSet(cases=tuple(cases), provenance=(provenance,))
+
+
+def score_all_diseases(kb: KnowledgeBase, pos, neg) -> np.ndarray:
+    """Raw expert score of every disease, in kb.diseases order.
+
+    One table row is added per finding, sorted positives then sorted
+    negatives, starting from 0.0: each entry is the same float sum the
+    scoring rule in ddxkit.expert spells out. Excluded diseases score -inf.
+    The row sum is expert._row_scores, looked up at each call, so a test
+    that monkeypatches it feeds this reference too.
+    """
+    tables = scoring_tables(kb)
+    column = {did: c for c, did in enumerate(tables.disease_ids.tolist())}
+    return expert._row_scores(tables, pos, neg)[[column[d.id] for d in kb.diseases]]
 
 
 def score_disease(kb: KnowledgeBase, disease_id: str, pos, neg) -> float:

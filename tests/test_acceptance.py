@@ -100,7 +100,6 @@ def random_small_model(rng):
         findings=findings,
         diseases=tuple(f"d{i}" for i in range(L)),
         demographic_ids=frozenset(demo_ids),
-        mutex_groups={f: None for f in findings},
     )
     p = init_parameters(vocab, dim=D, seed=int(rng.integers(2**31)))
     for arr in p.blocks().values():

@@ -270,6 +270,15 @@ def test_expert_engine_names_a_case_it_cannot_label(workspace):
         )
 
 
+def test_seed_disease_truth_names_a_seedless_case_and_its_file(workspace):
+    seeded = {"id": "s", "pos": ["d00_f0"], "neg": [], "ddx": [{"disease": "d00", "p": 1.0}], "source": "assessment"}
+    (workspace / "a.jsonl").write_text(json.dumps(seeded | {"seed_disease": "d00"}) + "\n", encoding="utf-8")
+    (workspace / "c.jsonl").write_text(json.dumps(seeded | {"id": "a"}) + "\n", encoding="utf-8")
+    argv = ["eval", "--engine", "expert", "--kb", "kb.json", "--cases", "a.jsonl", "c.jsonl", "--truth", "seed-disease"]
+    message = "error: --cases c.jsonl: case 'a': no seed_disease, needed by truth=seed-disease\n"
+    assert run_in(workspace, argv) == (1, "", message)
+
+
 def test_simulate_manifest_records_label_metrics(workspace):
     metrics = []
     for out in ("a.jsonl", "b.jsonl"):

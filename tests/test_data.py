@@ -388,8 +388,6 @@ def test_build_vocabulary_with_kb_flags_and_extension():
     # KB widens the finding set; out-of-KB findings stay and default to clinical
     assert vocab.findings == ("cough", "female", "hospital_personnel", "male")
     assert vocab.demographic_ids == frozenset({"male", "female"})
-    assert vocab.mutex_groups["male"] == "sex"
-    assert vocab.mutex_groups["hospital_personnel"] is None
 
     restricted = build_vocabulary([cs], kb=kb, restrict_to={f.id for f in kb.findings})
     assert "hospital_personnel" not in restricted.findings

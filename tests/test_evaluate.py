@@ -14,7 +14,7 @@ from ddxkit.evaluate import (
     rank_case_set,
     truth_label,
 )
-from ddxkit.expert import ARRAY_PASS_CASES
+from ddxkit.expert import ARRAY_PASS_CASES, CaseError
 from ddxkit.model import RANK_CHUNK, encode_case, init_parameters
 from ddxkit.simulate import ClinicalCase, SimConfig, simulate_dataset
 from ddxkit.synthetic import make_separable_kb
@@ -44,7 +44,6 @@ def uniform_model(n_diseases=4):
         findings=("f0", "f1"),
         diseases=tuple(f"d{i}" for i in range(n_diseases)),
         demographic_ids=frozenset(),
-        mutex_groups={"f0": None, "f1": None},
     )
     p = init_parameters(vocab, dim=4, seed=0)
     for arr in p.blocks().values():
@@ -171,7 +170,7 @@ def test_seedless_case_fails_before_any_ranking():
 
     seeded = case("c0", [("d0", 1.0)], seed_disease="d0")
     cases = CaseSet(cases=(seeded, case("c1", [("d0", 1.0)])), provenance=("x",))
-    with pytest.raises(ValueError, match="case 'c1' has no seed_disease"):
+    with pytest.raises(CaseError, match="^case 1: no seed_disease, needed by truth=seed-disease$"):
         evaluate(predict, cases, ks=[1], truth="seed-disease")
     assert calls == []
 

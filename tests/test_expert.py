@@ -11,7 +11,6 @@ from ddxkit.expert import (
     DifferentialDiagnosis,
     SMOOTHING_EPS,
     expert_inference,
-    score_all_diseases,
 )
 from ddxkit import expert as expert_module
 from ddxkit import kb as kb_module
@@ -20,7 +19,7 @@ from ddxkit.simulate import SimConfig, simulate_dataset
 from ddxkit.synthetic import make_separable_kb
 
 from conftest import make_kb, oracle_inference, oracle_score
-from oracles import score_disease, softmax_normalize
+from oracles import score_all_diseases, score_disease, softmax_normalize
 
 
 def test_empty_observations_score_zero(flu_kb):
@@ -54,7 +53,7 @@ def test_unlinked_demographic_excludes_disease():
 def test_score_rejects_bad_inputs(flu_kb):
     with pytest.raises(ValueError, match="both pos and neg"):
         score_disease(flu_kb, "flu", {"fever"}, {"fever"})
-    with pytest.raises(KeyError):
+    with pytest.raises(CaseError, match="^case 0: unknown finding 'hiccups'$"):
         score_disease(flu_kb, "flu", {"hiccups"}, set())
     with pytest.raises(KeyError):
         score_disease(flu_kb, "plague", {"fever"}, set())
@@ -254,7 +253,7 @@ def reference_entries(kb, pos, neg, k):
     by (-p, id). Scores come from score_all_diseases, which reads the module's
     `_row_scores`, so a monkeypatched `_row_scores` feeds both sides.
     """
-    scores = expert_module.score_all_diseases(kb, pos, neg).tolist()
+    scores = score_all_diseases(kb, pos, neg).tolist()
     finite = [(d.id, s) for d, s in zip(kb.diseases, scores) if s != -math.inf]
     kept = sorted(finite, key=lambda e: (-e[1], e[0]))[:k]
     probs = softmax_normalize([s for _, s in kept])
@@ -369,15 +368,59 @@ def test_set_inference_ranks_a_tie_across_the_top_k_cut_by_id():
         assert [repr(ddx.entries) for ddx in got] == [repr(reference_entries(kb, pos, neg, k)) for pos, neg in cases]
 
 
-@pytest.mark.parametrize("n", [3, 10])
+# A call of fewer than ARRAY_PASS_CASES cases labels them one at a time, a
+# longer one in array passes; at LABEL_CHUNK + 2 the bad case is in the second.
+@pytest.mark.parametrize("n", [1, 3, 10, expert_module.ARRAY_PASS_CASES, expert_module.LABEL_CHUNK + 2])
 def test_a_case_that_cannot_be_labelled_is_named_by_its_index(n):
     kb = make_kb(
         ["d0", "d1"],
         ["f", ("male", DEMOGRAPHIC, "sex"), ("female", DEMOGRAPHIC, "sex")],
         {("d0", "f"): 0.5, ("d1", "f"): 0.5, ("d0", "male"): 1.0, ("d1", "female"): 1.0},
     )
-    bad_cases = {"findings in both pos and neg": ({"f"}, {"f"}), "all diseases excluded": ({"male", "female"}, set())}
+    bad_cases = {
+        "findings in both pos and neg": ({"f"}, {"f"}),
+        "all diseases excluded": ({"male", "female"}, set()),
+        "unknown finding 'nope'": ({"f"}, {"nope"}),
+    }
     for reason, bad in bad_cases.items():
         with pytest.raises(CaseError, match=f"^case {n - 1}: {reason}") as raised:
             expert_inference(kb, [({"f"}, set())] * (n - 1) + [bad], 3)
         assert raised.value.index == n - 1
+
+
+def cannot_be_labelled(kb, pos, neg) -> bool:
+    """Whether a case holds an unknown finding, a finding in both pos and
+    neg, or a demographic that excludes every disease, by the brute-force
+    scoring rule."""
+    if not all(kb.has_finding(f) for f in pos | neg) or pos & neg:
+        return True
+    return all(oracle_score(kb, d.id, pos, neg) == -math.inf for d in kb.diseases)
+
+
+@st.composite
+def kb_and_faulty_cases(draw):
+    """A random_kb_and_cases KB and its cases, repeated to 1 to 2 *
+    ARRAY_PASS_CASES, up to two of them made faulty: a finding the KB does not
+    know, or one finding in both pos and neg, is added."""
+    kb, cases = draw(random_kb_and_cases())
+    n = draw(st.integers(1, 2 * expert_module.ARRAY_PASS_CASES))
+    cases = (cases * n)[:n]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(cases) - 1))
+        f = draw(st.sampled_from([f.id for f in kb.findings] + ["nope"]))
+        cases[i] = (cases[i][0] | {f}, cases[i][1] | {draw(st.sampled_from([f, "zz"]))})
+    return kb, cases
+
+
+@given(kb_and_faulty_cases(), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_a_faulty_case_list_raises_only_case_error(drawn, k):
+    kb, cases = drawn
+    try:
+        got = expert_inference(kb, cases, k)
+    except CaseError as e:
+        # With several faults, the per-case and array paths may name different ones.
+        assert cannot_be_labelled(kb, *cases[e.index])
+    else:
+        assert len(got) == len(cases) and all(isinstance(ddx, DifferentialDiagnosis) for ddx in got)
+        assert not any(cannot_be_labelled(kb, pos, neg) for pos, neg in cases)

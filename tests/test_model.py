@@ -41,7 +41,6 @@ def small_vocab(n_findings=4, n_diseases=3, demo=("age_a", "age_b")):
         findings=findings,
         diseases=tuple(f"d{i}" for i in range(n_diseases)),
         demographic_ids=frozenset(demo),
-        mutex_groups={f: ("age" if f in demo else None) for f in findings},
     )
 
 
@@ -91,7 +90,6 @@ def test_init_leaves_unknown_diseases_unmasked():
         findings=("age_a",),
         diseases=("d0", "novel"),
         demographic_ids=frozenset({"age_a"}),
-        mutex_groups={"age_a": "age"},
     )
     p = init_parameters(vocab, dim=2, seed=0, kb=kb)
     assert p.demographic_embeddings[0, 0] == DEMOGRAPHIC_MASK  # d0 known, freq 0
@@ -261,7 +259,7 @@ def test_rank_cases_equals_predict_topk_bytewise(dim, n_known, scale):
     freqs = {(d, a): float(rng.choice([0.0, 0.5])) for d in known for a in demo}
     kb = make_kb(known, [(a, DEMOGRAPHIC, "age") for a in demo], freqs)
     findings = small_vocab(n_findings=40, demo=demo).findings
-    vocab = Vocabulary(findings, tuple(known) + ("novel",), frozenset(demo), {a: "age" for a in demo})
+    vocab = Vocabulary(findings, tuple(known) + ("novel",), frozenset(demo))
     p = init_parameters(vocab, dim=dim, seed=dim, kb=kb)
     for arr in (p.finding_embeddings, p.projection, p.bias):
         arr += rng.normal(0.0, scale, size=arr.shape)
@@ -321,12 +319,10 @@ def random_parameters(draw):
     K, L, D = draw(st.integers(0, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
     M = draw(st.integers(0, K))
     findings = tuple(f"f{i}" for i in range(K))
-    groups = draw(st.lists(st.sampled_from([None, "age", "sex"]), min_size=K, max_size=K))
     vocab = Vocabulary(
         findings=findings,
         diseases=tuple(f"d{j}" for j in range(L)),
         demographic_ids=frozenset(findings[:M]),
-        mutex_groups=dict(zip(findings, groups)),
     )
     finite = st.floats(allow_nan=False, allow_infinity=False)
     blocks = {
@@ -353,6 +349,18 @@ def test_checkpoint_round_trip_keeps_every_byte(p):
     assert checkpoint_to_json(q) == text
 
 
+def test_a_tiny_checkpoint_has_the_format_2_text():
+    # A change to this text is a change to the checkpoint format: raise
+    # CHECKPOINT_VERSION with it.
+    vocab = Vocabulary(findings=("age_a", "f0"), diseases=("d0", "d1"), demographic_ids=frozenset({"age_a"}))
+    assert checkpoint_to_json(init_parameters(vocab, dim=1, seed=0)) == (
+        '{"arrays":{"bias":"wFeaJ8nWhT+kmpZZHYCXPw==","demographic_embeddings":"AAAAAAAAAAAAAAAAAAAAAA==",'
+        '"finding_embeddings":"0M5HprwMjD9HDzI255KXv9LWiUSNgKe/nfLIDvjAqL8=","projection":"ql9vfhgKoD8GQCHlESKlPw=="},'
+        '"byte_order":"little","dim":1,"dtype":"float64","format":"ddx-checkpoint","version":2,'
+        '"vocab":{"demographic_ids":["age_a"],"diseases":["d0","d1"],"findings":["age_a","f0"]}}\n'
+    )
+
+
 def test_save_checkpoint_that_fails_validation_writes_nothing(tmp_path):
     p = init_parameters(small_vocab(), dim=4, seed=0)
     p.bias[1] = math.nan
@@ -370,8 +378,9 @@ def test_checkpoint_rejects_foreign_or_versioned_files():
     vocab = small_vocab()
     p = init_parameters(vocab, dim=4, seed=0)
     text = checkpoint_to_json(p)
-    with pytest.raises(ValueError, match="version"):
-        checkpoint_from_json(text.replace('"version":1', '"version":99'))
+    for version in ("1", "99"):
+        with pytest.raises(ValueError, match=f"^unsupported checkpoint version {version}, expected 2$"):
+            checkpoint_from_json(text.replace('"version":2', f'"version":{version}'))
     with pytest.raises(ValueError, match="not a"):
         checkpoint_from_json('{"format": "something-else"}')
 
@@ -384,23 +393,19 @@ def test_checkpoint_rejects_foreign_or_versioned_files():
         ("[1]", "checkpoint: expected an object, got list"),
         ("{not json", "parse error at line 1"),
         (edited(lambda d: d.pop("vocab")), "checkpoint: missing field 'vocab'"),
-        (edited(lambda d: d.pop("dims")), "checkpoint: missing field 'dims'"),
+        (edited(lambda d: d.pop("dim")), "checkpoint: missing field 'dim'"),
         (edited(lambda d: d.pop("arrays")), "checkpoint: missing field 'arrays'"),
         (edited(lambda d: d["vocab"].pop("diseases")), "checkpoint vocab: missing field 'diseases'"),
-        (edited(lambda d: d["dims"].pop("dim")), "checkpoint dims: missing field 'dim'"),
         (edited(lambda d: d["arrays"].pop("bias")), "checkpoint arrays: missing field 'bias'"),
         (edited(lambda d: d.update(vocab=[])), "checkpoint: field 'vocab' must be dict"),
         (edited(lambda d: d["vocab"].update(findings="f0")), "checkpoint vocab: field 'findings' must be list"),
         (edited(lambda d: d["vocab"].update(diseases=["d0", 1, "d2"])), "checkpoint vocab: .* must hold ids"),
-        (edited(lambda d: d["vocab"].update(mutex_groups={"age_a": 1})), "checkpoint vocab: mutex_groups must map"),
-        (
-            edited(lambda d: d["vocab"]["mutex_groups"].update(zz="age")),
-            r"checkpoint vocab: mutex_groups names findings outside the vocabulary: \['zz'\]",
-        ),
-        (edited(lambda d: d.update(dims=[4])), "checkpoint: field 'dims' must be dict"),
-        (edited(lambda d: d["dims"].update(dim="4")), "checkpoint dims: field 'dim' must be int"),
-        (edited(lambda d: d["dims"].update(dim=True)), "checkpoint dims: field 'dim' must be int"),
-        (edited(lambda d: d["dims"].update(dim=0)), "checkpoint dims: field 'dim' must be >= 1"),
+        (edited(lambda d: d["vocab"].update(mutex_groups={})), "checkpoint vocab: unknown field 'mutex_groups'"),
+        (edited(lambda d: d.update(dims={"dim": 4})), "checkpoint: unknown field 'dims'"),
+        (edited(lambda d: d.update(dim="4")), "checkpoint: field 'dim' must be int"),
+        (edited(lambda d: d.update(dim=True)), "checkpoint: field 'dim' must be int"),
+        (edited(lambda d: d.update(dim=0)), "checkpoint: field 'dim' must be >= 1"),
+        (edited(lambda d: d.update(dim=3)), r"checkpoint arrays: field 'finding_embeddings' is not \(12, 3\) float64"),
         (edited(lambda d: d.update(arrays="")), "checkpoint: field 'arrays' must be dict"),
         (edited(lambda d: d["arrays"].update(bias=3)), "checkpoint arrays: field 'bias' must be str"),
         (edited(lambda d: d["arrays"].update(bias="AAAA")), r"checkpoint arrays: field 'bias' is not \(3,\) float64"),
@@ -413,7 +418,6 @@ def test_checkpoint_rejects_foreign_or_versioned_files():
 
 def test_directly_built_vocabulary_survives_a_checkpoint_round_trip():
     vocab = Vocabulary(findings=("a", "b"), diseases=("d",), demographic_ids=frozenset())
-    assert vocab.mutex_groups == {"a": None, "b": None}
     assert Vocabulary.from_dict(vocab.to_dict()) == vocab
     p = init_parameters(vocab, dim=2, seed=0)
     assert checkpoint_from_json(checkpoint_to_json(p)).vocab == vocab

@@ -238,6 +238,12 @@ def test_unsimulable_disease_raises():
     assert simulable_diseases(kb) == []
 
 
+def test_unknown_disease_is_named():
+    with pytest.raises(KeyError) as raised:
+        simulate_case(build_mutex_kb(), "nope", case_rng(0, 0), SimConfig(cases_total=1))
+    assert raised.value.args == ("unknown disease id: 'nope'",)
+
+
 def test_mutex_demographics_yield_exactly_one(mutex_kb):
     for seed in range(1000):
         case = simulate_case(mutex_kb, "d", case_rng(seed, 0), SimConfig(cases_total=1))

@@ -71,7 +71,6 @@ def toy_setup(n_findings=5, n_diseases=3, dim=6, seed=0, demo=("g0", "g1")):
         findings=findings,
         diseases=tuple(f"d{i}" for i in range(n_diseases)),
         demographic_ids=frozenset(demo),
-        mutex_groups={f: None for f in findings},
     )
     return vocab, init_parameters(vocab, dim=dim, seed=seed)
 
@@ -295,9 +294,7 @@ def test_position_major_sums_equal_the_item_order_reference_bytewise(counts, wid
 
 
 def scalar_problem():
-    vocab = Vocabulary(
-        findings=("f0",), diseases=("d0", "d1"), demographic_ids=frozenset(), mutex_groups={"f0": None}
-    )
+    vocab = Vocabulary(findings=("f0",), diseases=("d0", "d1"), demographic_ids=frozenset())
     p = init_parameters(vocab, dim=1, seed=0)
     return p
 
