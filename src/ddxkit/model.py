@@ -370,6 +370,8 @@ def checkpoint_from_json(text: str) -> ModelParameters:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"checkpoint: parse error at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # an integer literal longer than the interpreter converts
+        raise ValueError(f"checkpoint: parse error: {e}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint: expected an object, got {type(doc).__name__}")
     if doc.get("format") != CHECKPOINT_FORMAT:
@@ -398,4 +400,9 @@ def save_checkpoint(p: ModelParameters, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParameters:
-    return checkpoint_from_json(read_utf8(path))
+    """The checkpoint at `path`; input it cannot use raises ValueError naming the path."""
+    text = read_utf8(path)
+    try:
+        return checkpoint_from_json(text)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

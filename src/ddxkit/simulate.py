@@ -17,13 +17,12 @@ in one call, one per clinical finding of the disease.
 
 Every case owns an RNG stream derived from (seed, case index), which makes
 datasets reproducible byte-for-byte and independent of generation order:
-case i's stream is PCG64 seeded by NumPy's SeedSequence from the words of
-[seed, 1, i] (`case_rng`). `simulate_dataset` reuses one generator and sets
-each case's state before its walk; `case_states` computes every state with
-SeedSequence's hash (NEP 19) and PCG64's seeding (O'Neill 2014) run on
-arrays, one element per case, and `tests/test_simulate.py` holds each state
-equal to NumPy's. The seed diseases past the per-disease floor are drawn
-from their own stream, seeded from [seed, 0].
+case i's stream is PCG64 seeded by NumPy's SeedSequence from [seed, 1] and
+advanced by i * 2**64 draws (`case_rng`), so cases read disjoint substreams
+of one generator. `simulate_dataset` reuses that generator, resetting it to
+the seeded state and advancing it before each case's walk. The seed diseases
+past the per-disease floor are drawn from their own stream, seeded from
+[seed, 0].
 
 The label feeds no draw, so `simulate_dataset` runs in two passes: it draws
 every case's findings, then labels the whole set with one `expert_inference`
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +57,9 @@ class SimConfig:
         if self.cases_total < 1:
             raise ConfigError("cases_total", "must be >= 1")
         if self.cases_total > 2**32:
-            raise ConfigError("cases_total", "must be <= 2**32")  # a case index is one 32-bit seed word
+            # Keeps every case index far below 2**64, the number of disjoint
+            # 2**64-draw substreams of one PCG64 stream (`case_rng`).
+            raise ConfigError("cases_total", "must be <= 2**32")
         if self.min_cases_per_disease < 0:
             raise ConfigError("min_cases_per_disease", "must be >= 0")
         if not (0 <= self.seed < 2**64):
@@ -86,77 +87,10 @@ class ClinicalCase:
 
 def case_rng(seed: int, case_index: int) -> np.random.Generator:
     """Case `case_index`'s own stream: PCG64 seeded by NumPy's SeedSequence
-    from the words of [seed, 1, case_index], so generation order cannot
-    matter. `simulate_dataset` gives each case this stream's state through
-    `case_states`, which reproduces SeedSequence's hash and PCG64's seeding on
-    arrays; `test_case_states_equal_numpys_seeding` holds the two equal."""
-    return np.random.default_rng(np.random.SeedSequence([seed, 1, case_index]))
-
-
-# SeedSequence's constants (NumPy NEP 19, numpy/random/bit_generator.pyx):
-# entropy words are hashed into a pool of four words, which are mixed and
-# then hashed again into the words a bit generator is seeded with.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
-# PCG64's multiplier (O'Neill 2014, PCG_DEFAULT_MULTIPLIER_128).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix on uint32 arrays: each call XORs in the hash
-    constant, advances it by `mult` and multiplies by the new constant."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return result ^ (result >> _XSHIFT)
-
-
-def case_states(seed: int, n: int) -> Iterator[dict]:
-    """`case_rng(seed, i).bit_generator.state` for i in range(n).
-
-    SeedSequence reads [seed, 1, i] as the 32-bit words of each int, least
-    significant first, one word for an int below 2**32; a seed below 2**64
-    and i below 2**32 (`SimConfig` caps `cases_total`) give at most four
-    words, which fill the pool without a second mixing pass. Each case is
-    one array element through the hash and the pool's four generated 64-bit
-    words; PCG64 is then seeded from them with Python ints (its state and
-    increment are 128-bit), and each state is built only when the caller
-    takes it.
-    """
-    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)] + [1]
-    entropy = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(n)
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(row) for row in entropy]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    halves = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
-    # generate_state(4, uint64) pairs its uint32 words little-endian.
-    generated = [(halves[2 * k] | halves[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
-
-    for s_hi, s_lo, q_hi, q_lo in zip(*generated):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    from [seed, 1], then advanced by `case_index` * 2**64 draws. Each case
+    reads its own 2**64 draws of that stream, so generation order cannot
+    matter."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])).advance(case_index << 64))
 
 
 def _draw_findings(walk: tuple[tuple, tuple, dict], rng: np.random.Generator) -> tuple[set[str], set[str]]:
@@ -255,10 +189,14 @@ def simulate_dataset(kb: KnowledgeBase, cfg: SimConfig) -> list[ClinicalCase]:
     labels.extend(dstar[j] for j in chooser.integers(len(dstar), size=cfg.cases_total - floor).tolist())
 
     walks = scoring_tables(kb).walks
-    rng = np.random.default_rng(0)  # each case sets its own state before its walk
+    rng = case_rng(cfg.seed, 0)
+    bit_generator = rng.bit_generator
+    seeded = bit_generator.state  # case 0's state: the stream as seeded
     drawn = []
-    for label, state in zip(labels, case_states(cfg.seed, len(labels))):
-        rng.bit_generator.state = state
+    for i, label in enumerate(labels):
+        # case_rng(cfg.seed, i)'s state; setting it also drops a buffered 32-bit draw
+        bit_generator.state = seeded
+        bit_generator.advance(i << 64)
         drawn.append(_draw_findings(walks[label], rng))
     ddxs = expert_inference(kb, drawn, cfg.ddx_top_k)
     return [

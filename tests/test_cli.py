@@ -92,6 +92,17 @@ def test_missing_checkpoint_names_the_file(workspace):
     assert "missing.ckpt" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_corrupt_checkpoint_is_named(workspace, command):
+    assert simulate(workspace).returncode == 0
+    header = '"format":"ddx-checkpoint","version":2,"byte_order":"little","dtype":"float64"'
+    (workspace / "m.ckpt").write_text(f'{{{header},"dim":1,"arrays":{{}}}}', encoding="utf-8")
+    result = ddx(command, "m.ckpt", "--cases", "cases.jsonl", cwd=workspace)
+    assert result.returncode == 1
+    assert "error: m.ckpt: checkpoint: missing field 'vocab'" in result.stderr
+    assert result.stdout == ""
+
+
 def test_non_finite_learning_rate_is_rejected_before_training(workspace):
     assert simulate(workspace).returncode == 0
     for lr in ("nan", "0"):

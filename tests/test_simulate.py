@@ -16,7 +16,6 @@ from ddxkit.simulate import (
     ClinicalCase,
     SimConfig,
     case_rng,
-    case_states,
     simulable_diseases,
     simulate_case,
     simulate_dataset,
@@ -183,24 +182,6 @@ def test_simulate_case_equals_the_reference_walk(build):
         assert write_cases(new) == write_cases(ref)
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
-def test_case_rngs_seed_each_case_as_its_seed_sequence(seed):
-    rng = np.random.default_rng(0)
-    for i, state in enumerate(case_states(seed, 3)):
-        expected = np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
-        assert state == expected.bit_generator.state
-        rng.bit_generator.state = state
-        assert rng.random(4).tolist() == expected.random(4).tolist()
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)), n=st.integers(0, 40))
-def test_case_states_equal_numpys_seeding(seed, n):
-    # One-word and two-word seeds hash different numbers of entropy words.
-    expected = [np.random.default_rng(np.random.SeedSequence([seed, 1, i])).bit_generator.state for i in range(n)]
-    assert list(case_states(seed, n)) == expected
-
-
 def test_dataset_equals_the_reference_walk_at_a_two_word_seed(mutex_kb):
     seed = 2**40 + 12345
     cfg = SimConfig(cases_total=60, min_cases_per_disease=0, seed=seed, ddx_top_k=3)
@@ -220,6 +201,34 @@ def test_dataset_past_the_floor_equals_the_reference_walk(seed):
     assert len(set(labels[len(dstar) * cfg.min_cases_per_disease :])) > 1
     ref = [reference_simulate_case(kb, d, case_rng(seed, i), cfg, f"sim-{i}") for i, d in enumerate(labels)]
     assert write_cases(simulate_dataset(kb, cfg)) == write_cases(ref)
+
+
+def test_a_tiny_dataset_has_its_stream_text():
+    # Pins both streams, case_rng's and the [seed, 0] label chooser's: every
+    # other test draws through case_rng itself. ddx_top_k=1 keeps the expert's
+    # probabilities, which are not the streams', out of the text.
+    cfg = SimConfig(cases_total=4, min_cases_per_disease=0, seed=2**40 + 7, ddx_top_k=1)
+    assert write_cases(simulate_dataset(make_separable_kb(3), cfg)) == (
+        '{"id":"sim-0","pos":["age_mid","bg1","d00_f0","d00_f1","d00_f2","male"],"neg":[],'
+        '"ddx":[{"disease":"d00","p":1.0}],"source":"expert_sim","seed_disease":"d00"}\n'
+        '{"id":"sim-1","pos":["age_child","bg0","d02_f0","d02_f1","d02_f2","female"],"neg":["bg3","bg5"],'
+        '"ddx":[{"disease":"d02","p":1.0}],"source":"expert_sim","seed_disease":"d02"}\n'
+        '{"id":"sim-2","pos":["age_child","d01_f0","d01_f1","d01_f2","male"],"neg":["bg3","bg4"],'
+        '"ddx":[{"disease":"d01","p":1.0}],"source":"expert_sim","seed_disease":"d01"}\n'
+        '{"id":"sim-3","pos":["age_child","bg0","bg1","bg2","d00_f0","d00_f1","d00_f2"],"neg":["bg3"],'
+        '"ddx":[{"disease":"d00","p":1.0}],"source":"expert_sim","seed_disease":"d00"}\n'
+    )
+
+
+@pytest.mark.parametrize("floor", [0, 4])
+@pytest.mark.parametrize("seed", [11, 2**40 + 12345])
+def test_a_dataset_is_a_prefix_of_a_larger_one(floor, seed):
+    kb = make_separable_kb(n_diseases=5)
+    small, large = (
+        simulate_dataset(kb, SimConfig(cases_total=n, min_cases_per_disease=floor, seed=seed, ddx_top_k=3))
+        for n in (30, 47)
+    )
+    assert write_cases(small) == write_cases(large[:30])
 
 
 def test_certain_findings_are_always_elicited():
