@@ -10,7 +10,6 @@ from .kb import (  # noqa: F401
     frequency,
     parse_knowledge_base,
     serialize_knowledge_base,
-    validate_knowledge_base,
 )
 from .expert import DifferentialDiagnosis, expert_inference  # noqa: F401
 from .simulate import ClinicalCase, SimConfig, simulate_case, simulate_dataset  # noqa: F401

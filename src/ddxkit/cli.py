@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .data import CaseSet, build_vocabulary, merge, read_cases_file, write_cases_file
 from .evaluate import evaluate, expert_predictor, format_table, model_predictor, rank_case_set
-from .expert import CaseError
+from .expert import DEFAULT_DDX_TOP_K, CaseError
 from .kb import ConfigError, KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
 from .model import check_dim, init_parameters, load_checkpoint, save_checkpoint
 from .simulate import SimConfig, label_metrics, simulate_dataset
@@ -172,13 +172,10 @@ def cmd_kb_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.monotonic()
-    cfg = _config(
-        SimConfig,
-        args,
-        {"cases_total": "cases", "seed": "seed", "min_cases_per_disease": "min_per_disease", "ddx_top_k": "ddx_top_k"},
-    )
+    flags = {"cases_total": "cases", "seed": "seed", "min_cases_per_disease": "min_per_disease", "ddx_top_k": "ddx_top_k"}
+    cfg = _config(SimConfig, args, flags)
     kb = _read_kb(args.kb)
-    cases = simulate_dataset(kb, cfg)
+    cases = _config(lambda **_: simulate_dataset(kb, cfg), args, flags)  # a case floor the KB sets names --cases
     write_cases_file(cases, args.out)
     print(f"wrote {len(cases)} cases to {args.out}")
     _emit_manifest("simulate", args, [args.kb], [args.out], t0, metrics=label_metrics(cases))
@@ -317,9 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate labeled cases from a KB")
     p_sim.add_argument("--kb", required=True, help="knowledge base JSON document")
     p_sim.add_argument("--cases", type=int, required=True, help="total number of cases")
-    p_sim.add_argument("--min-per-disease", type=int, default=50, help="per-disease case floor")
-    p_sim.add_argument("--ddx-top-k", type=int, default=5, help="differential size kept by the expert engine")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument(
+        "--min-per-disease", type=int, default=SimConfig.min_cases_per_disease, help="per-disease case floor"
+    )
+    p_sim.add_argument(
+        "--ddx-top-k", type=int, default=SimConfig.ddx_top_k, help="differential size kept by the expert engine"
+    )
+    p_sim.add_argument("--seed", type=int, default=SimConfig.seed)
     p_sim.add_argument("--out", required=True, help="output case file (jsonl)")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -330,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--restrict-findings", default=None, help="KB document or finding-id list; limits the finding vocabulary"
     )
     p_train.add_argument("--dim", type=int, default=1024, help="embedding dimension")
-    p_train.add_argument("--dropout", type=float, default=0.7)
-    p_train.add_argument("--lr", type=float, default=0.01)
-    p_train.add_argument("--epochs", type=int, default=15)
-    p_train.add_argument("--batch", type=int, default=512)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--dropout", type=float, default=TrainConfig.dropout_rate)
+    p_train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p_train.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p_train.add_argument("--seed", type=int, default=TrainConfig.seed)
     p_train.add_argument("--out", required=True, help="checkpoint path")
     p_train.set_defaults(func=cmd_train)
 
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--engine", choices=("model", "expert"), default="model")
         p.add_argument("--kb", default=None, help="knowledge base (for --engine expert)")
         p.add_argument("--cases", nargs="+", action="extend", required=True, help="case files (repeatable)")
-        p.add_argument("--ddx-top-k", type=int, default=5, help=depth_help)
+        p.add_argument("--ddx-top-k", type=int, default=DEFAULT_DDX_TOP_K, help=depth_help)
         p.add_argument("--out", default=None)
         if name == "eval":
             p.add_argument("--topk", default="1,3,5", help="comma-separated accuracy depths")

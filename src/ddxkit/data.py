@@ -287,7 +287,7 @@ def read_cases(text: str, provenance: str = "<string>") -> CaseSet:
             doc = json.loads(line)
         except json.JSONDecodeError as e:
             raise CaseFormatError(f"{where}: parse error at column {e.colno}: {e.msg}") from None
-        except ValueError as e:  # an integer literal longer than the interpreter converts
+        except (ValueError, RecursionError) as e:  # an over-long integer literal, or nesting too deep to decode
             raise CaseFormatError(f"{where}: parse error: {e}") from None
         case = _case_from_dict(doc, where)
         first = first_line.setdefault(case.id, lineno)

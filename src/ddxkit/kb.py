@@ -8,9 +8,16 @@ The KB document is a JSON object with three arrays:
                       "mutex_group": "sex"}, ...],
      "frequencies": [{"disease": "flu", "finding": "fever", "freq": 0.8}, ...]}
 
-A missing (disease, finding) pair means frequency exactly 0. Unknown fields
-are rejected. Findings sharing a mutex_group are mutually exclusive in a
-patient; every demographic finding must carry one.
+A missing (disease, finding) pair means frequency exactly 0, and a zero
+entry is checked like any other, then dropped. Unknown fields are rejected.
+Findings sharing a mutex_group are mutually exclusive in a patient; every
+demographic finding must carry one.
+
+One pass (`_read_document`) decodes and checks a document, behind both
+`validate_kb_document` and `parse_knowledge_base`. It reports every error,
+in document order, each beginning with where it is: `top level`,
+`diseases[i]`, `findings[i]`, `frequencies[i]`, or `syntax error` for text
+that is not JSON.
 
 Parsing compiles nothing; `scoring_tables(kb)` compiles the KB on first use,
 once, into the expert's log-frequency tables and the simulator's walks.
@@ -200,138 +207,101 @@ def check_object(obj, allowed: dict[str, type], required: set[str], where: str) 
     return errors
 
 
-def _collect_parts(doc) -> tuple[list[Disease], list[Finding], dict[tuple[str, str], float], list[str]]:
-    """Shape-check a decoded document; returns parts plus shape errors."""
+def _read_document(text: str, min_clinical_findings: int) -> tuple[KnowledgeBase | None, ValidationReport]:
+    """Decode and check a KB document; no KB when there is an error.
+
+    An entry of the wrong shape gets no further check. A duplicate id or pair
+    repeats an earlier entry of the right shape. Reference checks (a
+    frequency's disease and finding) run against the entries that passed
+    their own checks. With no error, a disease with fewer than
+    `min_clinical_findings` nonzero clinical findings draws a warning: the
+    case simulator targets at least five elicited findings per case.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        return None, ValidationReport(errors=(f"syntax error at line {e.lineno} column {e.colno}: {e.msg}",))
+    except (ValueError, RecursionError) as e:  # an over-long integer literal, or nesting too deep to decode
+        return None, ValidationReport(errors=(f"syntax error: {e}",))
     errors = check_object(doc, dict.fromkeys(("diseases", "findings", "frequencies"), list), set(), "top level")
-    if not isinstance(doc, dict):
-        return [], [], {}, errors
-    arrays = {key: value for key, value in doc.items() if isinstance(value, list)}
+    arrays = {key: value for key, value in doc.items() if isinstance(value, list)} if isinstance(doc, dict) else {}
+
+    def entries(name: str, allowed: dict[str, type], required: set[str]):
+        """(location, object) of each entry of array `name` that has the right shape."""
+        for i, obj in enumerate(arrays.get(name, [])):
+            where = f"{name}[{i}]"
+            shape_errors = check_object(obj, allowed, required, where)
+            errors.extend(shape_errors)
+            if not shape_errors:
+                yield where, obj
+
     diseases: list[Disease] = []
+    seen = set()
+    for where, obj in entries("diseases", {"id": str, "name": str}, {"id", "name"}):
+        did = obj["id"]
+        if not did:
+            errors.append(f"{where}: disease with empty id")
+        elif did in seen:
+            errors.append(f"{where}: duplicate disease id {did!r}")
+        else:
+            diseases.append(Disease(id=did, display_name=obj["name"]))
+        seen.add(did)
+
     findings: list[Finding] = []
-    freqs: dict[tuple[str, str], float] = {}
-    zero_keys: set[tuple[str, str]] = set()
-
-    for i, obj in enumerate(arrays.get("diseases", [])):
-        where = f"diseases[{i}]"
-        errs = check_object(obj, {"id": str, "name": str}, {"id", "name"}, where)
-        if errs:
-            errors.extend(errs)
-            continue
-        diseases.append(Disease(id=obj["id"], display_name=obj["name"]))
-
-    for i, obj in enumerate(arrays.get("findings", [])):
-        where = f"findings[{i}]"
-        errs = check_object(
-            obj, {"id": str, "name": str, "kind": str, "mutex_group": str}, {"id", "name", "kind"}, where
-        )
-        if errs:
-            errors.extend(errs)
-            continue
-        findings.append(
-            Finding(id=obj["id"], display_name=obj["name"], kind=obj["kind"], mutex_group=obj.get("mutex_group"))
-        )
+    seen = set()
+    allowed = {"id": str, "name": str, "kind": str, "mutex_group": str}
+    for where, obj in entries("findings", allowed, {"id", "name", "kind"}):
+        n_errors = len(errors)
+        fid, kind, group = obj["id"], obj["kind"], obj.get("mutex_group")
+        if not fid:
+            errors.append(f"{where}: finding with empty id")
+        elif fid in seen:
+            errors.append(f"{where}: duplicate finding id {fid!r}")
+        seen.add(fid)
+        if kind not in FINDING_KINDS:
+            errors.append(f"{where}: finding {fid!r}: kind must be one of {FINDING_KINDS}, got {kind!r}")
+        if kind == DEMOGRAPHIC and not group:
+            errors.append(f"{where}: finding {fid!r}: demographic finding without mutex_group")
+        if len(errors) == n_errors:
+            findings.append(Finding(id=fid, display_name=obj["name"], kind=kind, mutex_group=group))
 
     disease_ids = {d.id for d in diseases}
-    finding_ids = {f.id for f in findings}
-
-    for i, obj in enumerate(arrays.get("frequencies", [])):
-        where = f"frequencies[{i}]"
-        errs = check_object(
-            obj, {"disease": str, "finding": str, "freq": (int, float)}, {"disease", "finding", "freq"}, where
-        )
-        if errs:
-            errors.extend(errs)
-            continue
-        key = (obj["disease"], obj["finding"])
-        if key in freqs or key in zero_keys:
+    kinds = {f.id: f.kind for f in findings}
+    freqs: dict[tuple[str, str], float] = {}
+    seen = set()
+    allowed = {"disease": str, "finding": str, "freq": (int, float)}
+    for where, obj in entries("frequencies", allowed, set(allowed)):
+        n_errors = len(errors)
+        key = did, fid = obj["disease"], obj["finding"]
+        if key in seen:
             errors.append(f"{where}: duplicate frequency entry for {key}")
-            continue
+        seen.add(key)
+        if did not in disease_ids:
+            errors.append(f"{where}: unknown disease {did!r}")
+        if fid not in kinds:
+            errors.append(f"{where}: unknown finding {fid!r}")
         try:
             q = float(obj["freq"])
         except OverflowError:
             errors.append(f"{where}: field 'freq' is too large for a float")
             continue
-        if q == 0.0:
-            # Zero entries are equivalent to absent ones; check references, drop.
-            did, fid = key
-            if did not in disease_ids:
-                errors.append(f"{where}: unknown disease")
-            if fid not in finding_ids:
-                errors.append(f"{where}: unknown finding")
-            zero_keys.add(key)
-            continue
-        freqs[key] = q
-
-    return diseases, findings, freqs, errors
-
-
-def validate_knowledge_base(kb: KnowledgeBase, min_clinical_findings: int = 3) -> ValidationReport:
-    """Report every violated invariant; empty errors iff the KB is valid.
-
-    Diseases with fewer than `min_clinical_findings` nonzero clinical
-    findings draw a warning: the case simulator targets at least five
-    elicited findings per case and such diseases yield degenerate cases.
-    """
-    errors: list[str] = []
-    warnings: list[str] = []
-
-    seen_d: set[str] = set()
-    for d in kb.diseases:
-        if not d.id:
-            errors.append("disease with empty id")
-        elif d.id in seen_d:
-            errors.append(f"duplicate disease id: {d.id!r}")
-        seen_d.add(d.id)
-
-    seen_f: set[str] = set()
-    for f in kb.findings:
-        if not f.id:
-            errors.append("finding with empty id")
-        elif f.id in seen_f:
-            errors.append(f"duplicate finding id: {f.id!r}")
-        seen_f.add(f.id)
-        if f.kind not in FINDING_KINDS:
-            errors.append(f"finding {f.id!r}: kind must be one of {FINDING_KINDS}, got {f.kind!r}")
-        if f.kind == DEMOGRAPHIC and not f.mutex_group:
-            errors.append(f"finding {f.id!r}: demographic finding without mutex_group")
-
-    for (did, fid), q in kb.frequencies.items():
-        where = f"frequency ({did!r}, {fid!r})"
-        if did not in seen_d:
-            errors.append(f"{where}: unknown disease")
-        if fid not in seen_f:
-            errors.append(f"{where}: unknown finding")
-        if not (0.0 <= q <= 1.0):
+        if not 0.0 <= q <= 1.0:  # NaN too
             errors.append(f"{where}: frequency out of range [0, 1]: {q}")
+        if len(errors) == n_errors and q != 0.0:  # a zero entry means the same as no entry
+            freqs[key] = q
 
-    if not errors:
-        n_clinical = dict.fromkeys(seen_d, 0)
-        for (did, fid), q in kb.frequencies.items():
-            n_clinical[did] += q > 0.0 and kb.finding(fid).kind == CLINICAL
-        for d in kb.diseases:
-            n = n_clinical[d.id]
-            if n < min_clinical_findings:
-                warnings.append(
-                    f"disease {d.id!r}: insufficient findings for simulation "
-                    f"({n} nonzero clinical findings, want >= {min_clinical_findings})"
-                )
-
-    return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
-
-
-def _read_document(text: str, min_clinical_findings: int) -> tuple[KnowledgeBase | None, ValidationReport]:
-    """Decode, shape-check and validate a KB document; no KB when the shape is wrong."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        return None, ValidationReport(errors=(f"syntax error at line {e.lineno} column {e.colno}: {e.msg}",))
-    except ValueError as e:  # an integer literal longer than the interpreter converts
-        return None, ValidationReport(errors=(f"syntax error: {e}",))
-    diseases, findings, freqs, shape_errors = _collect_parts(doc)
-    if shape_errors:
-        return None, ValidationReport(errors=tuple(shape_errors))
-    kb = KnowledgeBase(diseases=diseases, findings=findings, frequencies=freqs)
-    return kb, validate_knowledge_base(kb, min_clinical_findings)
+    if errors:
+        return None, ValidationReport(errors=tuple(errors))
+    n_clinical = dict.fromkeys(disease_ids, 0)
+    for did, fid in freqs:
+        n_clinical[did] += kinds[fid] == CLINICAL
+    warnings = tuple(
+        f"diseases[{i}]: disease {d.id!r}: insufficient findings for simulation "
+        f"({n_clinical[d.id]} nonzero clinical findings, want >= {min_clinical_findings})"
+        for i, d in enumerate(diseases)
+        if n_clinical[d.id] < min_clinical_findings
+    )
+    return KnowledgeBase(diseases=diseases, findings=findings, frequencies=freqs), ValidationReport(warnings=warnings)
 
 
 def validate_kb_document(text: str, min_clinical_findings: int = 3) -> ValidationReport:

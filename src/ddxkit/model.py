@@ -370,7 +370,7 @@ def checkpoint_from_json(text: str) -> ModelParameters:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"checkpoint: parse error at line {e.lineno} column {e.colno}: {e.msg}") from None
-    except ValueError as e:  # an integer literal longer than the interpreter converts
+    except (ValueError, RecursionError) as e:  # an over-long integer literal, or nesting too deep to decode
         raise ValueError(f"checkpoint: parse error: {e}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint: expected an object, got {type(doc).__name__}")

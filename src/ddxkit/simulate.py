@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expert import DifferentialDiagnosis, expert_inference
+from .expert import DEFAULT_DDX_TOP_K, DifferentialDiagnosis, expert_inference
 from .kb import ConfigError, KnowledgeBase, scoring_tables
 
 CASE_SOURCES = ("expert_sim", "assessment", "vignette")
@@ -51,7 +51,7 @@ class SimConfig:
     cases_total: int
     seed: int = 0
     min_cases_per_disease: int = 50
-    ddx_top_k: int = 5
+    ddx_top_k: int = DEFAULT_DDX_TOP_K
 
     def __post_init__(self):
         if self.cases_total < 1:
@@ -180,9 +180,9 @@ def simulate_dataset(kb: KnowledgeBase, cfg: SimConfig) -> list[ClinicalCase]:
         raise ValueError("no simulable disease in knowledge base")
     floor = len(dstar) * cfg.min_cases_per_disease
     if cfg.cases_total < floor:
-        raise ValueError(
-            f"cases_total={cfg.cases_total} cannot cover {len(dstar)} diseases "
-            f"x min_cases_per_disease={cfg.min_cases_per_disease} (= {floor})"
+        raise ConfigError(
+            "cases_total",
+            f"must be >= {floor} to cover {len(dstar)} diseases x min_cases_per_disease={cfg.min_cases_per_disease}",
         )
     labels = [d for d in dstar for _ in range(cfg.min_cases_per_disease)]
     chooser = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))

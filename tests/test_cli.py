@@ -103,6 +103,31 @@ def test_a_corrupt_checkpoint_is_named(workspace, command):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, where",
+    [
+        (("kb", "validate", "deep.txt"), "syntax error: "),
+        (("eval", "--engine", "expert", "--kb", "kb.json", "--cases", "deep.txt"), "deep.txt:1: parse error: "),
+        (("predict", "deep.txt", "--cases", "cases.jsonl"), "deep.txt: checkpoint: parse error: "),
+    ],
+    ids=["kb-validate", "eval", "predict"],
+)
+def test_nesting_too_deep_to_decode_is_an_error_not_a_traceback(workspace, args, where):
+    assert simulate(workspace).returncode == 0
+    (workspace / "deep.txt").write_text("[" * 200000, encoding="utf-8")
+    result = ddx(*args, cwd=workspace)
+    assert result.returncode == 1
+    assert f"error: {where}maximum recursion depth exceeded" in result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_an_unreachable_case_floor_names_the_cases_flag(workspace):
+    result = ddx("simulate", "--kb", "kb.json", "--cases", "10", "--out", "x.jsonl", cwd=workspace)
+    assert result.returncode == 1
+    assert result.stderr == "error: --cases 10: cases_total must be >= 200 to cover 4 diseases x min_cases_per_disease=50\n"
+    assert not (workspace / "x.jsonl").exists()
+
+
 def test_non_finite_learning_rate_is_rejected_before_training(workspace):
     assert simulate(workspace).returncode == 0
     for lr in ("nan", "0"):

@@ -65,6 +65,7 @@ def test_read_empty_document():
         (line(neg=["rash", "rash"]), ":1: neg repeats finding id 'rash'"),
         (line(ddx=[{"disease": "flu", "p": 10**400}]), ":1: a ddx 'p' is too large for a float"),
         ('{"id": ' + "1" * 5000 + "}", ":1: parse error: Exceeds the limit"),
+        pytest.param("[" * 200000, ":1: parse error: maximum recursion depth exceeded", id="nested-too-deep"),
     ],
 )
 def test_read_rejects_bad_lines(text, match):

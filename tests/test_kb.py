@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from ddxkit.kb import (
     parse_knowledge_base,
     serialize_knowledge_base,
     validate_kb_document,
-    validate_knowledge_base,
 )
 
 from conftest import field_key, make_kb, valid_or_garbage
@@ -97,6 +97,7 @@ FREQ_TYPE = r"frequencies\[0\]: field 'freq' must be int or float"
             r"frequencies\[0\]: field 'freq' is too large for a float",
         ),
         ('{"diseases": ' + "1" * 5000 + "}", "syntax error: Exceeds the limit"),
+        pytest.param("[" * 200000, "^syntax error: maximum recursion depth exceeded", id="nested-too-deep"),
     ],
 )
 def test_parse_rejects_invalid_documents(text, match):
@@ -123,11 +124,19 @@ def kb_documents():
     )
 
 
+LOCATION = re.compile(r"(syntax error|top level: |(diseases|findings|frequencies)\[(\d+)\]: )")
+
+
 @given(kb_documents())
 @settings(max_examples=300)
 def test_garbage_documents_raise_only_kb_errors(document):
     text = json.dumps(document)
-    validate_kb_document(text)
+    report = validate_kb_document(text)
+    for message in report.errors + report.warnings:
+        where = LOCATION.match(message)
+        assert where, message
+        if where[2]:
+            assert int(where[3]) < len(document[where[2]]), message
     try:
         parse_knowledge_base(text)
     except KBError:
@@ -165,17 +174,17 @@ def test_sorted_findings_excludes_demographics(flu_kb):
 
 
 def test_validate_clean_kb_is_empty(flu_kb):
-    report = validate_knowledge_base(flu_kb)
+    report = validate_kb_document(serialize_knowledge_base(flu_kb))
     assert report.ok
     assert report.errors == () and report.warnings == ()
 
 
 def test_validate_warns_on_sparse_disease():
     kb = make_kb(["d"], ["a", "b"], {("d", "a"): 0.5})
-    report = validate_knowledge_base(kb)
+    report = validate_kb_document(serialize_knowledge_base(kb))
     assert report.ok
     assert any("insufficient findings" in w for w in report.warnings)
-    assert not validate_knowledge_base(kb, min_clinical_findings=1).warnings
+    assert not validate_kb_document(serialize_knowledge_base(kb), min_clinical_findings=1).warnings
 
 
 def test_validate_reports_duplicate_ids_without_raising():
@@ -184,7 +193,7 @@ def test_validate_reports_duplicate_ids_without_raising():
         findings=[Finding("f", "f", CLINICAL), Finding("f", "f2", CLINICAL)],
         frequencies={},
     )
-    report = validate_knowledge_base(kb)
+    report = validate_kb_document(serialize_knowledge_base(kb))
     assert not report.ok
     assert any("duplicate finding id" in e for e in report.errors)
 
@@ -275,4 +284,52 @@ def test_missing_fields_are_reported_in_declared_order():
         "findings[0]: missing field 'kind'",
         "frequencies[0]: missing field 'disease'",
         "frequencies[0]: missing field 'finding'",
+    )
+
+
+def test_every_error_is_reported_at_its_entry_in_document_order():
+    text = json.dumps(
+        {
+            "diseases": [
+                {"id": "flu"},
+                {"id": "flu", "name": "Flu"},
+                {"id": "flu", "name": "Flu again"},
+                {"id": "", "name": "Nameless"},
+            ],
+            "extra": [],
+            "findings": [
+                {"id": "male", "name": "Male", "kind": "demographic"},
+                {"id": "fever", "name": "Fever", "kind": "viral"},
+                {"id": "cough", "name": "Cough", "kind": "clinical"},
+                {"id": "cough", "name": 3, "kind": "clinical"},
+                {"id": "cough", "name": "Cough again", "kind": "clinical"},
+            ],
+            "frequencies": [
+                {"disease": "flu", "finding": "cough", "freq": 1.5},
+                {"disease": "flu", "finding": "cough", "freq": 0.5},
+                {"disease": "cold", "finding": "fever", "freq": 0},
+                {"disease": "flu", "finding": "cough"},
+                {"disease": "flu", "finding": "male", "freq": 10**400},
+                {"disease": "", "finding": "cough", "freq": float("nan")},
+            ],
+        }
+    )
+    assert validate_kb_document(text).errors == (
+        "top level: unknown field 'extra'",
+        "diseases[0]: missing field 'name'",
+        "diseases[2]: duplicate disease id 'flu'",
+        "diseases[3]: disease with empty id",
+        "findings[0]: finding 'male': demographic finding without mutex_group",
+        "findings[1]: finding 'fever': kind must be one of ('demographic', 'clinical'), got 'viral'",
+        "findings[3]: field 'name' must be str",
+        "findings[4]: duplicate finding id 'cough'",
+        "frequencies[0]: frequency out of range [0, 1]: 1.5",
+        "frequencies[1]: duplicate frequency entry for ('flu', 'cough')",
+        "frequencies[2]: unknown disease 'cold'",
+        "frequencies[2]: unknown finding 'fever'",
+        "frequencies[3]: missing field 'freq'",
+        "frequencies[4]: unknown finding 'male'",
+        "frequencies[4]: field 'freq' is too large for a float",
+        "frequencies[5]: unknown disease ''",
+        "frequencies[5]: frequency out of range [0, 1]: nan",
     )

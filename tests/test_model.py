@@ -393,6 +393,7 @@ def test_checkpoint_rejects_foreign_or_versioned_files():
         ("[1]", "checkpoint: expected an object, got list"),
         ("{not json", "parse error at line 1"),
         ('{"dim": ' + "1" * 5000 + "}", "^checkpoint: parse error: Exceeds the limit"),
+        ("[" * 200000, "^checkpoint: parse error: maximum recursion depth exceeded"),
         (edited(lambda d: d.pop("vocab")), "checkpoint: missing field 'vocab'"),
         (edited(lambda d: d.pop("dim")), "checkpoint: missing field 'dim'"),
         (edited(lambda d: d.pop("arrays")), "checkpoint: missing field 'arrays'"),

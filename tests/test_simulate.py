@@ -298,6 +298,13 @@ def test_dataset_rejects_unreachable_floor():
         simulate_dataset(kb, SimConfig(cases_total=100, min_cases_per_disease=50, seed=0))
 
 
+def test_an_unreachable_floor_is_a_config_error_of_cases_total():
+    with pytest.raises(ConfigError) as raised:
+        simulate_dataset(make_separable_kb(n_diseases=5), SimConfig(cases_total=10))
+    assert raised.value.field == "cases_total"
+    assert str(raised.value) == "cases_total must be >= 250 to cover 5 diseases x min_cases_per_disease=50"
+
+
 def test_dataset_is_deterministic():
     kb = make_separable_kb(n_diseases=5)
     cfg = SimConfig(cases_total=80, min_cases_per_disease=10, seed=42)
