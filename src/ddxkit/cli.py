@@ -1,16 +1,19 @@
 """Command-line entry point.
 
-Subcommands: `kb validate`, `simulate`, `train`, `eval`, `predict`. Every
-run writes a JSON manifest next to its primary output (or into the working
-directory for commands without one) recording the resolved configuration,
-seeds, paths, tool version, and wall-clock duration. All randomness is
-controlled by --seed, so reruns with identical flags and inputs reproduce
-identical output bytes; manifests are exempt (they carry timing), except
-their `metrics` block, which a rerun reproduces byte for byte: `simulate`
-records the label quality of its cases there (`simulate.label_metrics`), and
-`train` the mean training loss of each epoch (`epoch_loss`). The `train`
-manifest also has a `timing` block, kept apart from `metrics`: each epoch's
-wall-clock seconds and training samples per second.
+Subcommands: `kb validate`, `simulate`, `train`, `eval`, `predict`. Each
+`cmd_*` returns its exit code and what its run read, wrote and measured, and
+`main` writes the run's JSON manifest next to its primary output (or into the
+working directory for commands without one) recording the resolved
+configuration, seeds, paths, tool version, and wall-clock duration. A command
+that fails writes none; `kb validate` on an invalid KB exits 1 and writes one.
+`main` also names the flag behind a ConfigError (`CONFIG_FLAGS`). All
+randomness is controlled by --seed, so reruns with identical flags and inputs
+reproduce identical output bytes; manifests are exempt (they carry timing),
+except their `metrics` block, which a rerun reproduces byte for byte:
+`simulate` records the label quality of its cases there
+(`simulate.label_metrics`), and `train` the mean training loss of each epoch
+(`epoch_loss`). The `train` manifest also has a `timing` block, kept apart
+from `metrics`: each epoch's wall-clock seconds and samples per second.
 """
 from __future__ import annotations
 
@@ -19,56 +22,25 @@ import json
 import logging
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
 from .data import CaseSet, build_vocabulary, merge, read_cases_file, write_cases_file
 from .evaluate import evaluate, expert_predictor, format_table, model_predictor, rank_case_set
 from .expert import DEFAULT_DDX_TOP_K, CaseError
-from .kb import ConfigError, KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
+from .kb import MIN_CLINICAL_FINDINGS, ConfigError, KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
 from .model import check_dim, init_parameters, load_checkpoint, save_checkpoint
 from .simulate import SimConfig, label_metrics, simulate_dataset
 from .train import DivergedError, TrainConfig, train
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seeds: dict
-    inputs: list[str]
-    outputs: list[str]
-    tool_version: str
-    wall_clock_seconds: float
-    metrics: dict | None = None
-    timing: dict | None = None
-
-
-def _emit_manifest(
-    command: str,
-    args: argparse.Namespace,
-    inputs: list[str],
-    outputs: list[str],
-    t0: float,
-    metrics: dict | None = None,
-    timing: dict | None = None,
-) -> None:
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        seeds={"seed": getattr(args, "seed", None)},
-        inputs=inputs,
-        outputs=outputs,
-        tool_version=__version__,
-        wall_clock_seconds=time.monotonic() - t0,
-        metrics=metrics,
-        timing=timing,
-    )
-    out = getattr(args, "out", None)
-    path = Path(f"{out}.manifest.json") if out else Path(f"{command.replace(' ', '-')}.manifest.json")
-    path.write_text(json.dumps(asdict(manifest), indent=1, default=str) + "\n", encoding="utf-8")
+# The flag behind each field a ConfigError can name; the flag's argparse dest
+# is the flag with its dashes turned into underscores.
+CONFIG_FLAGS = {
+    "cases_total": "--cases", "min_cases_per_disease": "--min-per-disease", "ddx_top_k": "--ddx-top-k",
+    "learning_rate": "--lr", "batch_size": "--batch", "dropout_rate": "--dropout", "epochs": "--epochs",
+    "seed": "--seed", "dim": "--dim",
+}  # fmt: skip
 
 
 def _parse_topk(text: str) -> list[int]:
@@ -123,17 +95,6 @@ def _check_out_path(out: str | None) -> None:
         raise ValueError(f"--out {out}: is a directory")
 
 
-def _config(build, args, flags: dict[str, str]):
-    """build(**values), each keyword's value read from the args attribute that
-    `flags` maps it to. A value `build` rejects with a ConfigError is named
-    with the flag of the error's field, as in "--epochs 0: epochs must be >= 1"."""
-    values = {field: getattr(args, dest) for field, dest in flags.items()}
-    try:
-        return build(**values)
-    except ConfigError as e:
-        raise ValueError(f"--{flags[e.field].replace('_', '-')} {values[e.field]}: {e}") from None
-
-
 def _some_cases(paths: list[str]) -> tuple[list[CaseSet], CaseSet]:
     """The case files `paths` and their merged set, which must hold a case."""
     case_sets = [read_cases_file(p) for p in paths]
@@ -157,8 +118,7 @@ def _naming_the_case(case_sets: list[CaseSet], run):
         raise
 
 
-def cmd_kb_validate(args) -> int:
-    t0 = time.monotonic()
+def cmd_kb_validate(args) -> tuple[int, dict]:
     text = read_utf8(args.kb_path)
     report = validate_kb_document(text, min_clinical_findings=args.min_findings)
     lines = report.lines()
@@ -166,27 +126,25 @@ def cmd_kb_validate(args) -> int:
     if args.out:
         Path(args.out).write_text(body, encoding="utf-8")
     sys.stdout.write(body if body else "ok: knowledge base is valid\n")
-    _emit_manifest("kb validate", args, [args.kb_path], [args.out] if args.out else [], t0)
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), {"inputs": [args.kb_path], "outputs": [args.out] if args.out else []}
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.monotonic()
-    flags = {"cases_total": "cases", "seed": "seed", "min_cases_per_disease": "min_per_disease", "ddx_top_k": "ddx_top_k"}
-    cfg = _config(SimConfig, args, flags)
+def cmd_simulate(args) -> tuple[int, dict]:
+    cfg = SimConfig(
+        cases_total=args.cases, seed=args.seed, min_cases_per_disease=args.min_per_disease, ddx_top_k=args.ddx_top_k
+    )
     kb = _read_kb(args.kb)
-    cases = _config(lambda **_: simulate_dataset(kb, cfg), args, flags)  # a case floor the KB sets names --cases
+    cases = simulate_dataset(kb, cfg)
     write_cases_file(cases, args.out)
     print(f"wrote {len(cases)} cases to {args.out}")
-    _emit_manifest("simulate", args, [args.kb], [args.out], t0, metrics=label_metrics(cases))
-    return 0
+    return 0, {"inputs": [args.kb], "outputs": [args.out], "metrics": label_metrics(cases)}
 
 
-def cmd_train(args) -> int:
-    t0 = time.monotonic()
-    flags = {"learning_rate": "lr", "batch_size": "batch", "epochs": "epochs", "dropout_rate": "dropout", "seed": "seed"}
-    cfg = _config(TrainConfig, args, flags)
-    _config(check_dim, args, {"dim": "dim"})
+def cmd_train(args) -> tuple[int, dict]:
+    cfg = TrainConfig(
+        learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs, dropout_rate=args.dropout, seed=args.seed
+    )
+    check_dim(args.dim)
     _, cases = _some_cases(args.cases)
     kb = _read_kb(args.kb) if args.kb else None
     restrict = _read_restrict_findings(args.restrict_findings) if args.restrict_findings else None
@@ -213,8 +171,7 @@ def cmd_train(args) -> int:
         "epoch_seconds": [r.seconds for r in history],
         "epoch_samples_per_s": [len(cases) / r.seconds for r in history],
     }
-    _emit_manifest("train", args, inputs, [args.out, str(log_path)], t0, metrics=metrics, timing=timing)
-    return 0
+    return 0, {"inputs": inputs, "outputs": [args.out, str(log_path)], "metrics": metrics, "timing": timing}
 
 
 def _ranking_depth(k: int) -> int | None:
@@ -243,8 +200,7 @@ def _cases_hold(cases, disease: str) -> bool:
     return any(c.seed_disease == disease or any(d == disease for d, _ in c.ddx.entries) for c in cases)
 
 
-def cmd_eval(args) -> int:
-    t0 = time.monotonic()
+def cmd_eval(args) -> tuple[int, dict]:
     ks = _parse_topk(args.topk)
     case_sets, cases = _some_cases(args.cases)
     predictor, diseases, inputs = _make_predictor(args)
@@ -264,12 +220,10 @@ def cmd_eval(args) -> int:
         print(format_table(name, report.target_accuracy))
     if report.skipped_findings:
         print(f"\nskipped {report.skipped_findings} out-of-vocabulary findings")
-    _emit_manifest("eval", args, inputs + list(args.cases), [args.out] if args.out else [], t0)
-    return 0
+    return 0, {"inputs": inputs + list(args.cases), "outputs": [args.out] if args.out else []}
 
 
-def cmd_predict(args) -> int:
-    t0 = time.monotonic()
+def cmd_predict(args) -> tuple[int, dict]:
     predictor, _, inputs = _make_predictor(args)
     case_sets = [read_cases_file(p) for p in args.cases]
     cases = merge(case_sets)
@@ -279,23 +233,14 @@ def cmd_predict(args) -> int:
     for case, (ranked, skipped) in zip(cases, rankings):
         if depth is not None:
             ranked = ranked[:depth]
-        lines.append(
-            json.dumps(
-                {
-                    "id": case.id,
-                    "prediction": [{"disease": d, "p": p} for d, p in ranked],
-                    "skipped_findings": skipped,
-                },
-                separators=(",", ":"),
-            )
-        )
+        row = {"id": case.id, "prediction": [{"disease": d, "p": p} for d, p in ranked], "skipped_findings": skipped}
+        lines.append(json.dumps(row, separators=(",", ":")))
     body = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         Path(args.out).write_text(body, encoding="utf-8")
     else:
         sys.stdout.write(body)
-    _emit_manifest("predict", args, inputs + list(args.cases), [args.out] if args.out else [], t0)
-    return 0
+    return 0, {"inputs": inputs + list(args.cases), "outputs": [args.out] if args.out else []}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = kb_sub.add_parser("validate", help="validate a KB document")
     p_val.add_argument("kb_path", help="knowledge base JSON document")
     p_val.add_argument("--out", default=None, help="write the report to this file")
-    p_val.add_argument("--min-findings", type=int, default=3, help="warn threshold for nonzero clinical findings")
+    p_val.add_argument(
+        "--min-findings", type=int, default=MIN_CLINICAL_FINDINGS, help="warn threshold for nonzero clinical findings"
+    )
     p_val.set_defaults(func=cmd_kb_validate)
 
     p_sim = sub.add_parser("simulate", help="generate labeled cases from a KB")
@@ -364,13 +311,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_manifest(args, run: dict, seconds: float) -> None:
+    """The run's manifest, written next to its --out file, or else into the working directory."""
+    command = f"kb {args.kb_command}" if args.command == "kb" else args.command
+    manifest = {
+        "command": command,
+        "config": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+        "seeds": {"seed": getattr(args, "seed", None)},
+        "inputs": run["inputs"],
+        "outputs": run["outputs"],
+        "tool_version": __version__,
+        "wall_clock_seconds": seconds,
+        "metrics": run.get("metrics"),
+        "timing": run.get("timing"),
+    }
+    path = Path(f"{args.out}.manifest.json") if args.out else Path(f"{command.replace(' ', '-')}.manifest.json")
+    path.write_text(json.dumps(manifest, indent=1, default=str) + "\n", encoding="utf-8")
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
         _check_out_path(args.out)
-        return args.func(args)
+        code, run = args.func(args)
+        _write_manifest(args, run, time.monotonic() - t0)
+        return code
+    except ConfigError as e:
+        flag = CONFIG_FLAGS[e.field]
+        print(f"error: {flag} {getattr(args, flag[2:].replace('-', '_'))}: {e}", file=sys.stderr)
+        return 1
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)  # strerror and file name, not the bare errno
         return 1

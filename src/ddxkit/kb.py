@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ DEMOGRAPHIC = "demographic"
 CLINICAL = "clinical"
 FINDING_KINDS = (DEMOGRAPHIC, CLINICAL)
 SMOOTHING_EPS = 1e-3
+# A disease with fewer nonzero clinical findings draws a warning: a simulated case targets at least five.
+MIN_CLINICAL_FINDINGS = 3
 
 
 class KBError(ValueError):
@@ -207,22 +210,21 @@ def check_object(obj, allowed: dict[str, type], required: set[str], where: str) 
     return errors
 
 
-def _read_document(text: str, min_clinical_findings: int) -> tuple[KnowledgeBase | None, ValidationReport]:
-    """Decode and check a KB document; no KB when there is an error.
+def _read_document(text: str) -> tuple[KnowledgeBase | None, tuple[str, ...]]:
+    """Decode and check a KB document: the KB and no errors, or no KB.
 
     An entry of the wrong shape gets no further check. A duplicate id or pair
-    repeats an earlier entry of the right shape. Reference checks (a
-    frequency's disease and finding) run against the entries that passed
-    their own checks. With no error, a disease with fewer than
-    `min_clinical_findings` nonzero clinical findings draws a warning: the
-    case simulator targets at least five elicited findings per case.
+    repeats an earlier entry of the right shape. A frequency's disease or
+    finding is unknown only when no entry of that array has that id as a
+    string, whatever else is wrong with the entry, so one bad entry draws one
+    error rather than one for each frequency that names it.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        return None, ValidationReport(errors=(f"syntax error at line {e.lineno} column {e.colno}: {e.msg}",))
+        return None, (f"syntax error at line {e.lineno} column {e.colno}: {e.msg}",)
     except (ValueError, RecursionError) as e:  # an over-long integer literal, or nesting too deep to decode
-        return None, ValidationReport(errors=(f"syntax error: {e}",))
+        return None, (f"syntax error: {e}",)
     errors = check_object(doc, dict.fromkeys(("diseases", "findings", "frequencies"), list), set(), "top level")
     arrays = {key: value for key, value in doc.items() if isinstance(value, list)} if isinstance(doc, dict) else {}
 
@@ -265,8 +267,10 @@ def _read_document(text: str, min_clinical_findings: int) -> tuple[KnowledgeBase
         if len(errors) == n_errors:
             findings.append(Finding(id=fid, display_name=obj["name"], kind=kind, mutex_group=group))
 
-    disease_ids = {d.id for d in diseases}
-    kinds = {f.id: f.kind for f in findings}
+    def ids(name: str) -> set[str]:
+        return {obj["id"] for obj in arrays.get(name, []) if isinstance(obj, dict) and isinstance(obj.get("id"), str)}
+
+    disease_ids, finding_ids = ids("diseases"), ids("findings")
     freqs: dict[tuple[str, str], float] = {}
     seen = set()
     allowed = {"disease": str, "finding": str, "freq": (int, float)}
@@ -278,7 +282,7 @@ def _read_document(text: str, min_clinical_findings: int) -> tuple[KnowledgeBase
         seen.add(key)
         if did not in disease_ids:
             errors.append(f"{where}: unknown disease {did!r}")
-        if fid not in kinds:
+        if fid not in finding_ids:
             errors.append(f"{where}: unknown finding {fid!r}")
         try:
             q = float(obj["freq"])
@@ -291,29 +295,31 @@ def _read_document(text: str, min_clinical_findings: int) -> tuple[KnowledgeBase
             freqs[key] = q
 
     if errors:
-        return None, ValidationReport(errors=tuple(errors))
-    n_clinical = dict.fromkeys(disease_ids, 0)
-    for did, fid in freqs:
-        n_clinical[did] += kinds[fid] == CLINICAL
+        return None, tuple(errors)
+    return KnowledgeBase(diseases=diseases, findings=findings, frequencies=freqs), ()
+
+
+def validate_kb_document(text: str, min_clinical_findings: int = MIN_CLINICAL_FINDINGS) -> ValidationReport:
+    """Validate a raw KB document. With no error, a disease with fewer than
+    `min_clinical_findings` nonzero clinical findings draws a warning."""
+    kb, errors = _read_document(text)
+    if kb is None:
+        return ValidationReport(errors=errors)
+    n_clinical = Counter(did for did, fid in kb.frequencies if kb.finding(fid).kind == CLINICAL)
     warnings = tuple(
         f"diseases[{i}]: disease {d.id!r}: insufficient findings for simulation "
         f"({n_clinical[d.id]} nonzero clinical findings, want >= {min_clinical_findings})"
-        for i, d in enumerate(diseases)
+        for i, d in enumerate(kb.diseases)
         if n_clinical[d.id] < min_clinical_findings
     )
-    return KnowledgeBase(diseases=diseases, findings=findings, frequencies=freqs), ValidationReport(warnings=warnings)
-
-
-def validate_kb_document(text: str, min_clinical_findings: int = 3) -> ValidationReport:
-    """Validate a raw KB document."""
-    return _read_document(text, min_clinical_findings)[1]
+    return ValidationReport(warnings=warnings)
 
 
 def parse_knowledge_base(text: str) -> KnowledgeBase:
     """Parse and validate a KB document; raises KBError on any violation."""
-    kb, report = _read_document(text, min_clinical_findings=3)
-    if not report.ok:
-        raise KBError("; ".join(report.errors))
+    kb, errors = _read_document(text)
+    if kb is None:
+        raise KBError("; ".join(errors))
     return kb
 
 

@@ -275,5 +275,4 @@ def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[Mo
         if not math.isfinite(record.mean_loss):
             raise DivergedError(epoch, record.mean_loss, cfg.learning_rate)
         history.append(record)
-        logger.info("%s", record.format_line())
     return p, history

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddxkit.cli import build_parser, main
+from ddxkit import __version__
+from ddxkit.cli import CONFIG_FLAGS, build_parser, main
 from ddxkit.data import read_cases_file
-from ddxkit.kb import serialize_knowledge_base
-from ddxkit.simulate import label_metrics
+from ddxkit.kb import MIN_CLINICAL_FINDINGS, serialize_knowledge_base
+from ddxkit.simulate import SimConfig, label_metrics
 from ddxkit.synthetic import make_separable_kb
+from ddxkit.train import TrainConfig
 
 from conftest import subprocess_env
 
@@ -724,3 +727,110 @@ def test_threads_flag_is_gone(tmp_path, argv):
     code, _, err = run_in(tmp_path, [*argv, "--threads", "1"])
     assert code == 2
     assert "unrecognized arguments: --threads 1" in err
+
+
+def test_train_prints_each_epoch_line_once_on_stdout(workspace):
+    assert simulate(workspace).returncode == 0
+    result = train(workspace)
+    assert result.returncode == 0, result.stderr
+    assert [line for line in result.stdout.splitlines() if line.startswith("epoch ")] == (
+        (workspace / "m.ckpt.log").read_text().splitlines()
+    )
+    assert not [line for line in result.stderr.splitlines() if line.startswith("epoch ")]
+
+
+# --- config fields and the flags that set them -------------------------------
+
+# (command, field) -> an out-of-range value, as the rejection prints it.
+OUT_OF_RANGE = {
+    ("simulate", "cases_total"): "0",
+    ("simulate", "seed"): "-1",
+    ("simulate", "min_cases_per_disease"): "-1",
+    ("simulate", "ddx_top_k"): "0",
+    ("train", "learning_rate"): "0.0",
+    ("train", "batch_size"): "0",
+    ("train", "epochs"): "0",
+    ("train", "dropout_rate"): "1.0",
+    ("train", "seed"): "-1",
+    ("train", "dim"): "0",
+}
+VALID_RUN = {
+    "simulate": ["simulate", "--kb", "kb.json", "--cases", "20", "--min-per-disease", "2", "--out", "x.jsonl"],
+    "train": ["train", "--cases", "cases.jsonl", "--kb", "kb.json", "--dim", "4", "--epochs", "1", "--out", "x.ckpt"],
+}
+
+
+def test_every_config_field_has_a_flag_on_its_command():
+    fields = {
+        "simulate": [f.name for f in dataclasses.fields(SimConfig)],
+        "train": [f.name for f in dataclasses.fields(TrainConfig)] + ["dim"],
+    }
+    parsers = dict(COMMANDS)
+    for command, names in fields.items():
+        dests = {a.option_strings[0]: a.dest for a in parsers[(command,)]._actions if a.option_strings}
+        for name in names:
+            flag = CONFIG_FLAGS[name]
+            assert dests[flag] == flag[2:].replace("-", "_"), (command, name)
+    assert set(OUT_OF_RANGE) == {(command, name) for command, names in fields.items() for name in names}
+    assert set(CONFIG_FLAGS) == {name for names in fields.values() for name in names}
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [(command, field, value) for (command, field), value in OUT_OF_RANGE.items()]
+    + [("simulate", "cases_total", "5")],  # below the case floor the KB sets: 4 diseases x 2
+)
+def test_an_out_of_range_setting_writes_nothing_and_names_its_flag(fixture_files, tmp_path, command, field, value):
+    for name, data in fixture_files.items():
+        (tmp_path / name).write_bytes(data)
+    flag = CONFIG_FLAGS[field]
+    code, out, err = run_in(tmp_path, [*VALID_RUN[command], flag, value])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} {value}: {field} ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(fixture_files)
+
+
+def test_kb_validate_warns_at_the_library_threshold_by_default():
+    assert build_parser().parse_args(["kb", "validate", "kb.json"]).min_findings == MIN_CLINICAL_FINDINGS
+
+
+# --- manifests ---------------------------------------------------------------
+
+MANIFEST_KEYS = [
+    "command", "config", "seeds", "inputs", "outputs", "tool_version", "wall_clock_seconds", "metrics", "timing",
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "argv, code, manifest, inputs, outputs",
+    [
+        (["kb", "validate", "kb.json"], 0, "kb-validate.manifest.json", ["kb.json"], []),
+        (["kb", "validate", "bad.json", "--out", "r.txt"], 1, "r.txt.manifest.json", ["bad.json"], ["r.txt"]),
+        (VALID_RUN["simulate"], 0, "x.jsonl.manifest.json", ["kb.json"], ["x.jsonl"]),
+        (VALID_RUN["train"], 0, "x.ckpt.manifest.json", ["cases.jsonl", "kb.json"], ["x.ckpt", "x.ckpt.log"]),
+        (["eval", "m.ckpt", "--cases", "cases.jsonl"], 0, "eval.manifest.json", ["m.ckpt", "cases.jsonl"], []),
+        (
+            ["eval", "--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl", "--out", "r.json"],
+            0, "r.json.manifest.json", ["kb.json", "cases.jsonl"], ["r.json"],
+        ),
+        (["predict", "m.ckpt", "--cases", "cases.jsonl"], 0, "predict.manifest.json", ["m.ckpt", "cases.jsonl"], []),
+    ],
+    ids=["kb-validate", "kb-validate-invalid", "simulate", "train", "eval", "eval-expert", "predict"],
+)  # fmt: skip
+def test_each_command_writes_a_manifest_of_one_shape(fixture_files, tmp_path, argv, code, manifest, inputs, outputs):
+    for name, data in fixture_files.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "bad.json").write_text('{"diseases": []', encoding="utf-8")
+    assert run_in(tmp_path, argv)[0] == code
+    written = json.loads((tmp_path / manifest).read_text(encoding="utf-8"))
+    assert list(written) == MANIFEST_KEYS
+    args = vars(build_parser().parse_args(argv))
+    command = " ".join(argv[:2]) if argv[0] == "kb" else argv[0]
+    config = {k: v for k, v in args.items() if k not in ("func", "command")}
+    assert (written["command"], written["config"]) == (command, config)
+    assert written["seeds"] == {"seed": args.get("seed")}
+    assert (written["inputs"], written["outputs"]) == (inputs, outputs)
+    assert written["tool_version"] == __version__
+    assert written["wall_clock_seconds"] >= 0
+    assert (written["metrics"] is None) == (argv[0] not in ("simulate", "train"))
+    assert (written["timing"] is None) == (argv[0] != "train")

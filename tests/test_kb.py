@@ -9,6 +9,7 @@ from ddxkit.kb import (
     CLINICAL,
     DEMOGRAPHIC,
     FINDING_KINDS,
+    MIN_CLINICAL_FINDINGS,
     Disease,
     Finding,
     KBError,
@@ -18,6 +19,7 @@ from ddxkit.kb import (
     serialize_knowledge_base,
     validate_kb_document,
 )
+from ddxkit.synthetic import make_separable_kb
 
 from conftest import field_key, make_kb, valid_or_garbage
 from oracles import sorted_findings
@@ -326,10 +328,43 @@ def test_every_error_is_reported_at_its_entry_in_document_order():
         "frequencies[0]: frequency out of range [0, 1]: 1.5",
         "frequencies[1]: duplicate frequency entry for ('flu', 'cough')",
         "frequencies[2]: unknown disease 'cold'",
-        "frequencies[2]: unknown finding 'fever'",
         "frequencies[3]: missing field 'freq'",
-        "frequencies[4]: unknown finding 'male'",
         "frequencies[4]: field 'freq' is too large for a float",
-        "frequencies[5]: unknown disease ''",
         "frequencies[5]: frequency out of range [0, 1]: nan",
     )
+
+
+def _separable_document() -> dict:
+    return json.loads(serialize_knowledge_base(make_separable_kb(20)))
+
+
+def test_a_disease_entry_with_a_bad_name_is_one_error_not_one_per_frequency_naming_it():
+    document = _separable_document()
+    document["diseases"][0]["name"] = 3
+    assert validate_kb_document(json.dumps(document)).errors == ("diseases[0]: field 'name' must be str",)
+
+
+def test_a_finding_entry_with_a_bad_kind_is_one_error_not_one_per_frequency_naming_it():
+    document = _separable_document()
+    i = next(i for i, f in enumerate(document["findings"]) if f["id"] == "bg0")
+    document["findings"][i]["kind"] = "viral"
+    assert sum(e["finding"] == "bg0" for e in document["frequencies"]) == 20
+    assert validate_kb_document(json.dumps(document)).errors == (
+        f"findings[{i}]: finding 'bg0': kind must be one of {FINDING_KINDS}, got 'viral'",
+    )
+
+
+def test_a_reference_to_an_id_that_is_not_a_string_is_unknown():
+    document = _separable_document()
+    document["diseases"][0]["id"] = 0
+    errors = validate_kb_document(json.dumps(document)).errors
+    assert errors[0] == "diseases[0]: field 'id' must be str"
+    named = [i for i, e in enumerate(document["frequencies"]) if e["disease"] == "d00"]
+    assert errors[1:] == tuple(f"frequencies[{i}]: unknown disease 'd00'" for i in named)
+
+
+def test_the_warning_threshold_defaults_to_one_constant():
+    findings = [f"f{i}" for i in range(MIN_CLINICAL_FINDINGS)]
+    for n in range(MIN_CLINICAL_FINDINGS + 1):
+        kb = make_kb(["d"], findings, {("d", f): 0.5 for f in findings[:n]})
+        assert len(validate_kb_document(serialize_knowledge_base(kb)).warnings) == (n < MIN_CLINICAL_FINDINGS)
