@@ -22,11 +22,11 @@ check to fail raises CaseFormatError naming the file and line:
 4. each ddx entry, in order, is an object {"disease": id, "p": number};
 5. every p fits a float;
 6. source is one of CASE_SOURCES;
-7. the ddx is a distribution. One with distinct diseases that
-   DifferentialDiagnosis accepts as it stands (positive weights summing to 1
-   within 1e-9, sorted by descending p, ties by ascending id, as write_cases
-   writes it) is kept as read; any other goes through normalize_ddx, which
-   drops zero weights, rescales and sorts, or names what it cannot use;
+7. the ddx is a distribution, by normalize_ddx. One with distinct diseases
+   that DifferentialDiagnosis accepts as it stands (positive weights summing
+   to 1 within 1e-9, sorted by descending p, ties by ascending id, as
+   write_cases writes it) is kept as read; any other has its zero weights
+   dropped and is rescaled and sorted, or draws an error naming the fault;
 8. no finding is in both pos and neg;
 9. the id is not on an earlier line.
 """
@@ -163,8 +163,14 @@ def normalize_ddx(weights: list[tuple[str, float]]) -> DifferentialDiagnosis:
     """Turn non-negative weights into a ranked probability distribution.
 
     Zero-weight entries carry no differential mass and are dropped;
-    a single positive weight becomes a one-hot label.
+    a single positive weight becomes a one-hot label. Distinct diseases whose
+    weights DifferentialDiagnosis accepts as they stand are kept verbatim.
     """
+    if len(dict(weights)) == len(weights):
+        try:
+            return DifferentialDiagnosis(tuple(weights))
+        except ValueError:
+            pass
     if not weights:
         raise ValueError("empty ddx")
     seen = set()
@@ -217,18 +223,6 @@ def _finding_set(ids: list, key: str, where: str) -> frozenset[str]:
     return found
 
 
-def _read_ddx(weights: list[tuple[str, float]]) -> DifferentialDiagnosis:
-    """normalize_ddx(weights), taking weights that already form a
-    DifferentialDiagnosis with distinct diseases (as write_cases writes
-    them) as they are: normalize_ddx would keep those verbatim."""
-    if len(dict(weights)) == len(weights):
-        try:
-            return DifferentialDiagnosis(tuple(weights))
-        except ValueError:
-            pass
-    return normalize_ddx(weights)
-
-
 def _case_from_dict(doc, where: str) -> ClinicalCase:
     """One decoded record as a case, checked in one pass in the order the
     module docstring lists; the first check to fail raises CaseFormatError.
@@ -268,7 +262,7 @@ def _case_from_dict(doc, where: str) -> ClinicalCase:
     if doc["source"] not in CASE_SOURCES:
         raise CaseFormatError(f"{where}: source must be one of {CASE_SOURCES}")
     try:
-        return ClinicalCase(doc["id"], pos, neg, _read_ddx(weights), doc["source"], doc.get("seed_disease"))
+        return ClinicalCase(doc["id"], pos, neg, normalize_ddx(weights), doc["source"], doc.get("seed_disease"))
     except ValueError as e:
         raise CaseFormatError(f"{where}: {e}") from None
 

@@ -2,11 +2,11 @@
 
 Every finding owns two embedding rows, one for observed-present and one for
 observed-absent (rows 2i and 2i+1 for finding index i). A case's gathered
-rows are averaged, projected to disease logits, and log-softmax normalized.
-Observed demographic values contribute a second stream: their L-dimensional
-rows are summed and log-softmax normalized into a prior that is added to
-the finding stream, then the combination is renormalized. A demographic row
-initialized to MASK at a disease the KB rules out pins that disease's
+rows are averaged and projected to disease logits, to which the bias is
+added. Observed demographic values contribute a second stream: their
+L-dimensional rows are summed into logits added to the first, and one
+log-softmax normalizes the total. A demographic row initialized to
+DEMOGRAPHIC_MASK at a disease the KB rules out pins that disease's
 probability near zero whenever the demographic is observed, while staying
 trainable.
 
@@ -17,12 +17,14 @@ from cases, and `Bags.take` gathers a batch out of a larger one with index
 arrays, which is how training draws its minibatches. `encode_case` maps a
 case to ascending indices, the order every sum below adds in.
 
-Every per-case sum adds the case's rows in order, starting from 0.0, so a
-case's pooled row has the same bytes in any batch. A batch of many small
-cases (see POSITION_MAJOR_CASE_SIZE) is summed position-major, one
-vectorised add per row position, by `sums.position_major_sums`, which expert
-scoring and the training scatter share; other batches, width-1 rows and a
-lone case are summed per case.
+Every per-case sum depends only on the case's own rows, so a case's pooled
+row has the same bytes in any batch. Rows 2 or more wide are added in order
+from 0.0. A batch of many small cases (see POSITION_MAJOR_CASE_SIZE) is
+summed position-major, one vectorised add per row position, by
+`sums.position_major_sums`, which expert scoring and the training scatter
+share; other batches and a lone case are summed per case. One-column rows
+(D = 1, or L = 1 in the demographic sum) are always summed per case by
+np.add.reduce, which adds 8 or more rows pairwise rather than in order.
 Training projects a batch with one (B, D) @ (D, L) product, whose rows can
 differ from a batch of one's by an ulp. `rank_cases`, the one ranking path,
 projects each row with its own (1, D) product instead, so a case's ranking
@@ -46,7 +48,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .data import Vocabulary
-from .kb import ConfigError, KnowledgeBase, check_object, read_utf8, scoring_tables
+from .kb import DEMOGRAPHIC, ConfigError, KnowledgeBase, check_object, read_utf8
 from .sums import position_major_sums
 
 DEMOGRAPHIC_MASK = -30.0
@@ -132,8 +134,9 @@ def init_parameters(
     With a KB, demographic row m gets DEMOGRAPHIC_MASK at every disease the
     KB links to m with frequency 0 (the disease is implausible under that
     demographic) and 0 elsewhere. Pairs unknown to the KB, including novel
-    diseases, are left unmasked. Without a KB all rows are zero, a uniform
-    prior over every disease.
+    diseases and findings the KB does not know as demographic, are left
+    unmasked. Without a KB all rows are zero, a uniform prior over every
+    disease.
     """
     check_dim(dim)
     K, L = vocab.n_findings, vocab.n_diseases
@@ -144,16 +147,12 @@ def init_parameters(
     bias = rng.uniform(-0.05, 0.05, size=L)
     demographic = np.zeros((M, L))
     if kb is not None:
-        # The compiled KB holds -inf in a finding's present row exactly
-        # where a demographic finding has FREQ 0 for a disease.
-        tables = scoring_tables(kb)
-        kb_col = {did: c for c, did in enumerate(tables.disease_ids.tolist())}
-        known = [j for j, did in enumerate(vocab.diseases) if did in kb_col]
-        cols = [kb_col[vocab.diseases[j]] for j in known]
+        known = [(j, did) for j, did in enumerate(vocab.diseases) if kb.has_disease(did)]
         for m, fid in enumerate(vocab.demographic_list):
-            if fid in tables.finding_row:
-                excluded = tables.log_terms[tables.finding_row[fid], cols] == -np.inf
-                demographic[m, known] = np.where(excluded, DEMOGRAPHIC_MASK, 0.0)
+            if kb.has_finding(fid) and kb.finding(fid).kind == DEMOGRAPHIC:
+                for j, did in known:
+                    if kb.frequencies.get((did, fid), 0.0) == 0.0:
+                        demographic[m, j] = DEMOGRAPHIC_MASK
     return ModelParameters(
         finding_embeddings=finding_embeddings,
         projection=projection,
@@ -252,13 +251,13 @@ def pooled_embedding(
 
 def disease_log_probs(p: ModelParameters, bags: Bags, h: np.ndarray, rowwise: bool = False) -> np.ndarray:
     """Log-probabilities over the vocabulary's diseases, (B, L), from pooled
-    embeddings `h`: the finding stream's log-softmax plus the demographic
-    stream's, renormalized. `rowwise` projects each row with its own (1, D)
+    embeddings `h`: one log-softmax of the finding logits, the bias and the
+    demographic logits. `rowwise` projects each row with its own (1, D)
     product, so row b has the bytes of case b run alone; the default one
     (B, D) product is the one training's gradients and checkpoints rest on."""
     u = _bag_sums(p.demographic_embeddings[bags.demo], bags.demo_offsets, mean=False)
     z = (h[:, None, :] @ p.projection)[:, 0, :] if rowwise and len(h) > 1 else h @ p.projection
-    return log_softmax(log_softmax(z + p.bias) + log_softmax(u))
+    return log_softmax(z + p.bias + u)
 
 
 def _ranked(ids: np.ndarray, probs: np.ndarray, order: np.ndarray) -> list[tuple[str, float]]:

@@ -1,11 +1,10 @@
 """KL soft-label training with minibatch Adam.
 
 The loss per case is KL(p || g(x)) between the case's differential label p
-and the model distribution. Writing c for the combined pre-normalization
-logits (finding-stream log-softmax plus demographic log-softmax), the
-gradient of the loss in c is softmax(c) - p; because that difference sums
-to zero, it passes through both inner log-softmax layers unchanged, and
-the remaining chain rule is plain linear algebra over the projection, the
+and the model distribution g(x) = softmax(c), where c sums the finding
+logits, the bias and the demographic logits. The gradient of the loss in c
+is softmax(c) - p, which is also its gradient in each summand; the
+remaining chain rule is plain linear algebra over the projection, the
 pooling mean, the dropout scaling, and the embedding gathers. Gradients
 are validated against central finite differences in the test suite.
 
@@ -165,8 +164,7 @@ def backward(
         logP = np.where(P > 0.0, np.log(np.where(P > 0.0, P, 1.0)), 0.0)
     mean_loss = float(np.where(P > 0.0, P * (logP - O), 0.0).sum() / B)
 
-    # d(loss)/dC = Q - P sums to zero per case, so it is also the gradient
-    # at both inner log-softmax inputs.
+    # d(loss)/dC = Q - P, for C the summed logits and so for each summand.
     G_C = (Q - P) / B
     G_H = G_C @ p.projection.T
     # A row's gradient is its case's pooled gradient over (1 - rate) * n,

@@ -379,6 +379,34 @@ def test_restrict_findings_accepts_kb_document_and_id_list(workspace):
     assert set(ckpt["vocab"]["findings"]) <= set(ids)
 
 
+def test_the_skipped_findings_warning_reaches_the_stderr_of_its_own_run(workspace):
+    # In a child process: pytest's handlers on the root logger would catch the warning here.
+    ids = [f.id for f in make_separable_kb(n_diseases=4).findings][:8]
+    (workspace / "keep.txt").write_text("\n".join(ids) + "\n")
+    script = """
+import contextlib, io, json
+from ddxkit.cli import main
+runs = (
+    ["simulate", "--kb", "kb.json", "--cases", "60", "--min-per-disease", "10", "--seed", "7", "--out", "cases.jsonl"],
+    ["train", "--cases", "cases.jsonl", "--dim", "4", "--epochs", "1", "--restrict-findings", "keep.txt", "--out", "m.ckpt"],
+)
+errs = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) == 0
+    errs.append(err.getvalue())
+print(json.dumps(errs))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=workspace, env=subprocess_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    simulate_err, train_err = json.loads(result.stdout)
+    assert simulate_err == ""
+    assert train_err.startswith("training encode skipped ") and train_err.endswith(" findings outside the vocabulary\n")
+    assert result.stderr == ""
+
+
 @pytest.mark.parametrize("with_kb", [False, True])
 def test_restrict_findings_that_keep_no_finding_are_rejected(workspace, with_kb):
     assert simulate(workspace).returncode == 0

@@ -96,6 +96,18 @@ def test_init_leaves_unknown_diseases_unmasked():
     assert p.demographic_embeddings[0, 1] == 0.0  # novel disease stays plausible
 
 
+def test_init_leaves_demographics_the_kb_does_not_know_as_demographic_unmasked():
+    kb = make_kb(["d0", "d1"], ["age_b", ("age_c", DEMOGRAPHIC, "age")], {("d0", "age_c"): 0.5})
+    vocab = Vocabulary(
+        findings=("age_a", "age_b", "age_c"),
+        diseases=("d0", "d1"),
+        demographic_ids=frozenset({"age_a", "age_b", "age_c"}),
+    )
+    p = init_parameters(vocab, dim=2, seed=0, kb=kb)
+    # age_a is unknown to the KB and age_b is clinical there; age_c rules out d1 alone.
+    assert p.demographic_embeddings.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.0, DEMOGRAPHIC_MASK]]
+
+
 def test_zero_parameters_give_uniform_output():
     vocab = small_vocab()
     p = init_parameters(vocab, dim=8, seed=0)
@@ -116,6 +128,31 @@ def test_forward_normalization_over_random_draws():
         x = random_input(vocab, rng)
         total = np.exp(reference_log_probs(p, x)).sum()
         assert abs(total - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("rowwise", [False, True])
+@pytest.mark.parametrize("n_diseases", [1, 2, 7])
+def test_one_log_softmax_is_the_model_of_three_normalisations(n_diseases, rowwise):
+    # Each inner log-softmax of log_softmax(log_softmax(z + b) + log_softmax(u))
+    # only subtracts a per-case constant, which the outer one removes again.
+    def log_softmax_rows(z):
+        m = z.max(axis=1, keepdims=True)
+        return z - (m + np.log(np.exp(z - m).sum(axis=1, keepdims=True)))
+
+    rng = np.random.default_rng(n_diseases)
+    vocab = small_vocab(n_diseases=n_diseases)
+    for trial in range(40):
+        p = init_parameters(vocab, dim=5, seed=trial)
+        for arr in p.blocks().values():
+            arr += rng.normal(0, 2.0, size=arr.shape)
+        p.demographic_embeddings[rng.random(p.demographic_embeddings.shape) < 0.3] = DEMOGRAPHIC_MASK
+        bare = [ModelInput((), (), ()), ModelInput((0, 1), (2,), ()), ModelInput((), (3,), (0, 1))]
+        xs = bare + [random_input(vocab, rng) for _ in range(5)]
+        bags = bag(xs)
+        h = pooled_embedding(p, bags)
+        u = np.array([p.demographic_embeddings[list(x.demo)].sum(axis=0) for x in xs])
+        expected = log_softmax_rows(log_softmax_rows(h @ p.projection + p.bias) + log_softmax_rows(u))
+        assert np.allclose(disease_log_probs(p, bags, h, rowwise=rowwise), expected, rtol=0.0, atol=1e-12)
 
 
 def test_masked_disease_is_suppressed():

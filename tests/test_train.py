@@ -201,7 +201,7 @@ def reference_backward(p, batch, rate, rng):
             H[i] = (gathered if masks[i] is None else gathered * masks[i] / (1.0 - rate)).mean(axis=0)
         if x.demo:
             U[i] = p.demographic_embeddings[list(x.demo)].sum(axis=0)
-    O = log_softmax_rows(log_softmax_rows(H @ p.projection + p.bias) + log_softmax_rows(U))
+    O = log_softmax_rows(H @ p.projection + p.bias + U)
     with np.errstate(divide="ignore"):
         logP = np.where(P > 0.0, np.log(np.where(P > 0.0, P, 1.0)), 0.0)
     loss = float(np.where(P > 0.0, P * (logP - O), 0.0).sum() / B)
