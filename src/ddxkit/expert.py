@@ -130,7 +130,9 @@ def _set_scores(tables, cases, start: int) -> np.ndarray:
     counts = np.array(counts, dtype=np.intp)
     rows = np.array(rows, dtype=np.intp)
     terms = tables.log_terms
-    return position_major_sums(counts, np.cumsum(counts) - counts, lambda items: terms[rows[items]], terms.shape[1])
+    return position_major_sums(
+        counts, np.cumsum(counts) - counts, lambda items: terms[rows[items]], terms.shape[1], terms.dtype
+    )
 
 
 def expert_inference(

@@ -30,12 +30,18 @@ differ from a batch of one's by an ulp. `rank_cases`, the one ranking path,
 projects each row with its own (1, D) product instead, so a case's ranking
 has the same bytes alone or in any set.
 
-A checkpoint (format 2) is one JSON object with sorted keys: "format"
-("ddx-checkpoint"), "version" (2), "byte_order" ("little"), "dtype"
-("float64"), "dim" (the embedding dimension D), "vocab" (the vocabulary's
+The model's parameters are float32 (DTYPE), and every function here runs
+in the dtype of the parameters it is given, so float64 parameters give
+float64 sums, products and dropout draws. One rule holds in either dtype:
+the log-softmax normalises in float64, over the upcast (B, L) logit sum, so
+every ranking sums to 1 within float64 rounding.
+
+A checkpoint (format 3) is one JSON object with sorted keys: "format"
+("ddx-checkpoint"), "version" (3), "byte_order" ("little"), "dtype"
+("float32"), "dim" (the embedding dimension D), "vocab" (the vocabulary's
 findings, diseases and demographic_ids) and "arrays" (each parameter block
-as base64 little-endian float64 in row-major order). The vocabulary gives
-every other block dimension.
+as base64 little-endian float32 in row-major order). The vocabulary gives
+every other block dimension. A format-2 (float64) file is rejected.
 """
 from __future__ import annotations
 
@@ -52,8 +58,10 @@ from .kb import DEMOGRAPHIC, ConfigError, KnowledgeBase, check_object, read_utf8
 from .sums import position_major_sums
 
 DEMOGRAPHIC_MASK = -30.0
+# The parameters' dtype, as init_parameters casts its draws and a checkpoint stores them.
+DTYPE = np.dtype("<f4")
 CHECKPOINT_FORMAT = "ddx-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 BLOCK_NAMES = ("finding_embeddings", "projection", "bias", "demographic_embeddings")
 # Cases per pass in rank_cases, so its temporaries stay (RANK_CHUNK, L). A memory
 # bound, not a tuned size: one chunk of 1024 ranked desk-cli no faster.
@@ -61,11 +69,11 @@ RANK_CHUNK = 256
 # _bag_sums adds a batch position-major, one add per row position, when its
 # cases hold at most this many gathered numbers (rows x width) on average and
 # the batch has more than twice as many cases as its longest case has rows;
-# otherwise it adds each case's slice. Measured on a 2-core VM over batches of
-# 4 to 256 cases with 0-2, 0-9, 3-10, 1-40, 5-40 and 20-40 rows a case at
-# widths 2 to 1024: position-major took 0.05-0.95x the per-slice time in all 64
-# settings inside both bounds, 0.4-2.2x past the size bound alone, and up to 11x
-# past the longest-case bound (4 cases of 5-40 rows).
+# otherwise it adds each case's slice. Measured in float64 on a 2-core VM over
+# batches of 4 to 256 cases with 0-2, 0-9, 3-10, 1-40, 5-40 and 20-40 rows a
+# case at widths 2 to 1024: position-major took 0.05-0.95x the per-slice time
+# in all 64 settings inside both bounds, 0.4-2.2x past the size bound alone,
+# and up to 11x past the longest-case bound (4 cases of 5-40 rows).
 POSITION_MAJOR_CASE_SIZE = 1024
 
 
@@ -129,7 +137,8 @@ def check_dim(dim: int) -> None:
 def init_parameters(
     vocab: Vocabulary, dim: int, seed: int, kb: KnowledgeBase | None = None
 ) -> ModelParameters:
-    """Uniform [-0.05, 0.05] weights plus KB-derived demographic masks.
+    """Uniform [-0.05, 0.05] weights plus KB-derived demographic masks, all
+    float32 (DTYPE): the float64 draws are cast.
 
     With a KB, demographic row m gets DEMOGRAPHIC_MASK at every disease the
     KB links to m with frequency 0 (the disease is implausible under that
@@ -142,10 +151,10 @@ def init_parameters(
     K, L = vocab.n_findings, vocab.n_diseases
     M = vocab.n_demographics
     rng = np.random.default_rng(seed)
-    finding_embeddings = rng.uniform(-0.05, 0.05, size=(2 * K, dim))
-    projection = rng.uniform(-0.05, 0.05, size=(dim, L))
-    bias = rng.uniform(-0.05, 0.05, size=L)
-    demographic = np.zeros((M, L))
+    finding_embeddings = rng.uniform(-0.05, 0.05, size=(2 * K, dim)).astype(DTYPE)
+    projection = rng.uniform(-0.05, 0.05, size=(dim, L)).astype(DTYPE)
+    bias = rng.uniform(-0.05, 0.05, size=L).astype(DTYPE)
+    demographic = np.zeros((M, L), dtype=DTYPE)
     if kb is not None:
         known = [(j, did) for j, did in enumerate(vocab.diseases) if kb.has_disease(did)]
         for m, fid in enumerate(vocab.demographic_list):
@@ -199,11 +208,12 @@ def _take(flat: np.ndarray, offsets: np.ndarray, idx: np.ndarray) -> tuple[np.nd
     return flat[index], taken
 
 
-def make_dropout_plan(n_rows: int, dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Boolean keep-mask for a batch's `n_rows` gathered rows, one rng draw."""
+def make_dropout_plan(n_rows: int, dim: int, rate: float, rng: np.random.Generator, dtype=DTYPE) -> np.ndarray:
+    """Boolean keep-mask for a batch's `n_rows` gathered rows, one rng draw
+    of uniforms in `dtype`, the parameters' (float32 or float64)."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    return rng.random(size=(n_rows, dim)) >= rate
+    return rng.random(size=(n_rows, dim), dtype=dtype) >= rate
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -217,16 +227,16 @@ def _bag_sums(gathered: np.ndarray, offsets: np.ndarray, mean: bool) -> np.ndarr
     # np.add.reduce(axis=0) takes for rows 2 or more wide; np.add.reduceat's
     # order differs and would move trained bytes. Width 1 stays per slice,
     # because there the slice sum is pairwise from 8 rows on. The mean divides
-    # by the count, as a slice's .mean(axis=0) does.
+    # by the count, as a slice's .mean(axis=0) does. Sums are in gathered's dtype.
     B, width = len(offsets) - 1, gathered.shape[1]
     if B > 2 and width > 1:  # 1 or 2 cases pass the bound on the longest case only when empty
         counts = offsets[1:] - offsets[:-1]
         if 2 * counts.max() < B and gathered.size <= POSITION_MAJOR_CASE_SIZE * B:
-            out = position_major_sums(counts, offsets[:-1], gathered.__getitem__, width)
+            out = position_major_sums(counts, offsets[:-1], gathered.__getitem__, width, gathered.dtype)
             if mean:
-                out /= np.maximum(counts, 1)[:, None]
+                out /= np.maximum(counts, 1)[:, None].astype(out.dtype)
             return out
-    out = np.zeros((B, width))
+    out = np.zeros((B, width), dtype=gathered.dtype)
     bounds = offsets.tolist()
     for b, (s, e) in enumerate(zip(bounds, bounds[1:])):
         if e > s:
@@ -250,14 +260,15 @@ def pooled_embedding(
 
 
 def disease_log_probs(p: ModelParameters, bags: Bags, h: np.ndarray, rowwise: bool = False) -> np.ndarray:
-    """Log-probabilities over the vocabulary's diseases, (B, L), from pooled
-    embeddings `h`: one log-softmax of the finding logits, the bias and the
-    demographic logits. `rowwise` projects each row with its own (1, D)
-    product, so row b has the bytes of case b run alone; the default one
-    (B, D) product is the one training's gradients and checkpoints rest on."""
+    """Float64 log-probabilities over the vocabulary's diseases, (B, L), from
+    pooled embeddings `h`: one float64 log-softmax of the finding logits, the
+    bias and the demographic logits, summed in the parameters' dtype.
+    `rowwise` projects each row with its own (1, D) product, so row b has the
+    bytes of case b run alone; the default one (B, D) product is the one
+    training's gradients and checkpoints rest on."""
     u = _bag_sums(p.demographic_embeddings[bags.demo], bags.demo_offsets, mean=False)
     z = (h[:, None, :] @ p.projection)[:, 0, :] if rowwise and len(h) > 1 else h @ p.projection
-    return log_softmax(z + p.bias + u)
+    return log_softmax((z + p.bias + u).astype(np.float64, copy=False))
 
 
 def _ranked(ids: np.ndarray, probs: np.ndarray, order: np.ndarray) -> list[tuple[str, float]]:
@@ -330,15 +341,11 @@ def encode_target(vocab: Vocabulary, ddx) -> np.ndarray:
     return target
 
 
-def _encode_array(a: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
 def _decode_array(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     try:
-        return np.frombuffer(base64.b64decode(arrays[name]), dtype="<f8").reshape(shape).astype(float)
+        return np.frombuffer(base64.b64decode(arrays[name]), dtype=DTYPE).reshape(shape).copy()
     except ValueError:
-        raise ValueError(f"checkpoint arrays: field {name!r} is not {shape} float64 values in base64") from None
+        raise ValueError(f"checkpoint arrays: field {name!r} is not {shape} {DTYPE.name} values in base64") from None
 
 
 def _checked(obj, fields: dict[str, type], where: str):
@@ -350,15 +357,20 @@ def _checked(obj, fields: dict[str, type], where: str):
 
 
 def checkpoint_to_json(p: ModelParameters) -> str:
-    p.validate()
+    """The checkpoint text of `p`, its blocks cast to DTYPE. Blocks that fail
+    validation after the cast (a wrong shape, or an entry that is not finite
+    in float32) raise ValueError."""
+    with np.errstate(over="ignore"):  # a float64 entry past the float32 range casts to inf
+        stored = ModelParameters(**{name: a.astype(DTYPE) for name, a in p.blocks().items()}, vocab=p.vocab)
+    stored.validate()
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "byte_order": "little",
-        "dtype": "float64",
+        "dtype": DTYPE.name,
         "dim": p.finding_embeddings.shape[1],
         "vocab": p.vocab.to_dict(),
-        "arrays": {name: _encode_array(a) for name, a in p.blocks().items()},
+        "arrays": {name: base64.b64encode(a.tobytes()).decode("ascii") for name, a in stored.blocks().items()},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -377,7 +389,7 @@ def checkpoint_from_json(text: str) -> ModelParameters:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}, expected {CHECKPOINT_VERSION}")
-    if doc.get("byte_order") != "little" or doc.get("dtype") != "float64":
+    if doc.get("byte_order") != "little" or doc.get("dtype") != DTYPE.name:
         raise ValueError("unsupported checkpoint encoding")
     header = {"format": str, "version": int, "byte_order": str, "dtype": str}
     _checked(doc, header | {"dim": int, "vocab": dict, "arrays": dict}, "checkpoint")

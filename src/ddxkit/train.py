@@ -16,7 +16,12 @@ without building a per-item array of contributions: a batch of narrow rows
 (see BINCOUNT_CASE_SIZE) with one np.bincount, wider ones position-major by
 table row (`sums.position_major_sums`). Either way each row adds its terms
 in item order from 0.0, and a row a case gathers twice gets both terms.
-Gradients and Adam moments are dicts keyed like `ModelParameters.blocks()`.
+Sums, products, gradients and Adam moments follow the parameters' dtype,
+except that the bincount branch adds in float64 and rounds each row's sum
+once to that dtype. The loss and softmax(c) - p are float64, as the model's
+log-softmax is; the difference is cast to the parameters' dtype before the
+backward products. Gradients and Adam moments are dicts keyed like
+`ModelParameters.blocks()`.
 """
 from __future__ import annotations
 
@@ -48,12 +53,12 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # _scatter_rows adds a batch's row gradients with one np.bincount when its cases
 # hold at most this many numbers (rows x width) on average, and position-major
-# over the table rows above it. Measured on a 2-core VM over batches of 16 and
-# 64 cases with 0-2, 0-9, 3-10, 1-40, 5-40 and 20-40 rows a case at widths 2 to
-# 1024, on tables of 144 and 600 rows, with and without a dropout mask: bincount
-# took 0.16-2.3x the position-major time up to this bound (median 0.45x; above
-# 1x only at widths 128 to 1024 with few rows a case) and 0.98-10x above it
-# (median 1.6-2.4x). Bounds of 1024 and 1536 chose no better.
+# over the table rows above it. Measured in float64 on a 2-core VM over batches
+# of 16 and 64 cases with 0-2, 0-9, 3-10, 1-40, 5-40 and 20-40 rows a case at
+# widths 2 to 1024, on tables of 144 and 600 rows, with and without a dropout
+# mask: bincount took 0.16-2.3x the position-major time up to this bound
+# (median 0.45x; above 1x only at widths 128 to 1024 with few rows a case) and
+# 0.98-10x above it (median 1.6-2.4x). Bounds of 1024 and 1536 chose no better.
 BINCOUNT_CASE_SIZE = 2048
 
 
@@ -122,7 +127,8 @@ def _scatter_rows(
         if mask is not None:
             values *= mask
         flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
-        return np.bincount(flat, weights=values.reshape(-1), minlength=n * width).reshape(n, width)
+        sums = np.bincount(flat, weights=values.reshape(-1), minlength=n * width)
+        return sums.astype(per_case.dtype, copy=False).reshape(n, width)
     # One group per table row; the stable sort keeps each row's items in item order.
     by_row = np.argsort(ids, kind="stable")
     row_case = case[by_row]
@@ -134,7 +140,7 @@ def _scatter_rows(
             terms *= mask[by_row[items]]
         return terms
 
-    return position_major_sums(counts, np.cumsum(counts) - counts, take, width)
+    return position_major_sums(counts, np.cumsum(counts) - counts, take, width, per_case.dtype)
 
 
 def backward(
@@ -165,12 +171,12 @@ def backward(
     mean_loss = float(np.where(P > 0.0, P * (logP - O), 0.0).sum() / B)
 
     # d(loss)/dC = Q - P, for C the summed logits and so for each summand.
-    G_C = (Q - P) / B
+    G_C = ((Q - P) / B).astype(H.dtype, copy=False)
     G_H = G_C @ p.projection.T
     # A row's gradient is its case's pooled gradient over (1 - rate) * n,
     # through the mask. Dividing before the mask is exact: the mask is 0 or 1.
     counts = np.diff(bags.offsets)
-    G_H /= ((1.0 if mask is None else 1.0 - rate) * np.maximum(counts, 1))[:, None]
+    G_H /= ((1.0 if mask is None else 1.0 - rate) * np.maximum(counts, 1))[:, None].astype(G_H.dtype)
     grads = {
         "finding_embeddings": _scatter_rows(bags.rows, bags.offsets, G_H, len(p.finding_embeddings), mask),
         "projection": H.T @ G_C,
@@ -265,7 +271,7 @@ def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[Mo
         for start in range(0, n, cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
             batch = bags.take(chunk)
-            mask = make_dropout_plan(len(batch.rows), D, rate, rng) if rate > 0.0 else None
+            mask = make_dropout_plan(len(batch.rows), D, rate, rng, p.projection.dtype) if rate > 0.0 else None
             grads, loss = backward(p, batch, targets[chunk], mask, rate)
             adam_step(p, grads, state, cfg)
             total += loss * len(chunk)

@@ -4,7 +4,8 @@ Each is plain Python written for clarity, not speed: the case-file reader
 that validates a record field by field, the expert's score of every disease
 in KB order and of one disease, the list softmax, a disease's clinical walk
 order, the KL loss, the model's log-probabilities and ranking of one case,
-and row sums added one item at a time.
+and row sums added one item at a time. `float64_parameters` builds the
+float64 model these float64 oracles hold the package to.
 """
 import json
 import math
@@ -14,7 +15,7 @@ import numpy as np
 from ddxkit import expert
 from ddxkit.data import CaseFormatError, CaseSet, normalize_ddx
 from ddxkit.kb import KnowledgeBase, check_object, scoring_tables
-from ddxkit.model import ModelInput, ModelParameters, bag, disease_log_probs, pooled_embedding
+from ddxkit.model import ModelInput, ModelParameters, bag, disease_log_probs, init_parameters, pooled_embedding
 from ddxkit.simulate import CASE_SOURCES, ClinicalCase
 
 
@@ -136,6 +137,18 @@ def kl_loss(target: np.ndarray, logprobs: np.ndarray) -> float:
     return float(np.sum(t * (np.log(t) - logprobs[support])))
 
 
+def float64_parameters(vocab, dim: int, seed: int, kb=None) -> ModelParameters:
+    """init_parameters in float64: its uniform draws before their cast to
+    float32, and its demographic masks."""
+    p = init_parameters(vocab, dim=dim, seed=seed, kb=kb)
+    rng = np.random.default_rng(seed)
+    drawn = {  # in init_parameters' draw order
+        name: rng.uniform(-0.05, 0.05, size=getattr(p, name).shape)
+        for name in ("finding_embeddings", "projection", "bias")
+    }
+    return ModelParameters(**drawn, demographic_embeddings=p.demographic_embeddings.astype(np.float64), vocab=vocab)
+
+
 def reference_log_probs(p: ModelParameters, x: ModelInput) -> np.ndarray:
     """The model's log-probability vector for one case: a batch of one,
     projected with the plain (1, D) @ (D, L) product."""
@@ -152,7 +165,7 @@ def reference_ranking(p: ModelParameters, x: ModelInput) -> list[tuple[str, floa
 def reference_row_sums(ids, values: np.ndarray, n: int) -> np.ndarray:
     """(n, width) sums of values[i] into row ids[i], one item after another
     from 0.0, so each row adds its terms in item order."""
-    out = np.zeros((n, values.shape[1]))
+    out = np.zeros((n, values.shape[1]), dtype=values.dtype)
     for i, row in enumerate(ids):
         out[row] += values[i]
     return out

@@ -26,7 +26,7 @@ from ddxkit.synthetic import make_novel_disease_cases, make_separable_kb
 from ddxkit.train import TrainConfig, backward, train
 
 from conftest import make_kb, oracle_inference, subprocess_env
-from oracles import kl_loss, reference_log_probs
+from oracles import float64_parameters, kl_loss, reference_log_probs
 
 SIM_SEED = 11
 SPLIT_SEED = 13
@@ -89,7 +89,7 @@ def variant_models(experiment):
 # --- criterion 1: gradient oracle -----------------------------------------
 
 
-def random_small_model(rng):
+def random_small_model(rng, make_parameters=init_parameters):
     K = int(rng.integers(2, 7))
     L = int(rng.integers(2, 5))
     D = int(rng.integers(2, 9))
@@ -101,7 +101,7 @@ def random_small_model(rng):
         diseases=tuple(f"d{i}" for i in range(L)),
         demographic_ids=frozenset(demo_ids),
     )
-    p = init_parameters(vocab, dim=D, seed=int(rng.integers(2**31)))
+    p = make_parameters(vocab, dim=D, seed=int(rng.integers(2**31)))
     for arr in p.blocks().values():
         arr += rng.normal(0.0, 0.5, size=arr.shape)
     return vocab, p
@@ -127,7 +127,7 @@ def test_criterion_1_gradient_oracle():
     h = 1e-4
     worst = 0.0
     for _ in range(100):
-        vocab, p = random_small_model(rng)
+        vocab, p = random_small_model(rng, float64_parameters)
         batch = random_batch(vocab, rng)
         analytic, _ = backward(p, bag([x for x, _ in batch]), np.array([t for _, t in batch]))
         for name, theta in p.blocks().items():

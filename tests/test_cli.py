@@ -98,7 +98,7 @@ def test_missing_checkpoint_names_the_file(workspace):
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_a_corrupt_checkpoint_is_named(workspace, command):
     assert simulate(workspace).returncode == 0
-    header = '"format":"ddx-checkpoint","version":2,"byte_order":"little","dtype":"float64"'
+    header = '"format":"ddx-checkpoint","version":3,"byte_order":"little","dtype":"float32"'
     (workspace / "m.ckpt").write_text(f'{{{header},"dim":1,"arrays":{{}}}}', encoding="utf-8")
     result = ddx(command, "m.ckpt", "--cases", "cases.jsonl", cwd=workspace)
     assert result.returncode == 1

@@ -34,7 +34,7 @@ from ddxkit.train import (
     zero_grads,
 )
 
-from oracles import kl_loss, reference_log_probs, reference_row_sums
+from oracles import float64_parameters, kl_loss, reference_log_probs, reference_row_sums
 
 
 def test_kl_of_identical_distributions_is_zero():
@@ -66,13 +66,14 @@ def test_kl_is_non_negative(wp, wq):
 
 
 def toy_setup(n_findings=5, n_diseases=3, dim=6, seed=0, demo=("g0", "g1")):
+    """A toy vocabulary and float64 parameters, the dtype of the oracles here."""
     findings = tuple(sorted([f"f{i}" for i in range(n_findings)] + list(demo)))
     vocab = Vocabulary(
         findings=findings,
         diseases=tuple(f"d{i}" for i in range(n_diseases)),
         demographic_ids=frozenset(demo),
     )
-    return vocab, init_parameters(vocab, dim=dim, seed=seed)
+    return vocab, float64_parameters(vocab, dim=dim, seed=seed)
 
 
 def random_example(vocab, rng):
@@ -235,7 +236,8 @@ def test_backward_equals_the_per_case_reference_exactly(rate, dim):
         batch.insert(int(rng.integers(len(batch) + 1)), (ModelInput((), (), (0, 2)), uniform))
         ref_rng, rng_ = np.random.default_rng(trial), np.random.default_rng(trial)
         expected, expected_loss = reference_backward(p, batch, rate, ref_rng)
-        mask = make_dropout_plan(sum(x.n_rows for x, _ in batch), dim, rate, rng_) if rate > 0 else None
+        n_rows = sum(x.n_rows for x, _ in batch)
+        mask = make_dropout_plan(n_rows, dim, rate, rng_, p.projection.dtype) if rate > 0 else None
         grads, loss = backward(p, *batch_arrays(batch), mask, rate)
         assert loss == expected_loss
         assert grads.keys() == expected.keys()
@@ -262,41 +264,51 @@ def scatter_problems(draw):
     return ids, offsets, per_case, n, mask
 
 
-@given(scatter_problems())
+@given(scatter_problems(), st.sampled_from([np.float64, np.float32]))
 @settings(max_examples=80, deadline=None)
-def test_scatter_rows_equals_the_item_order_reference_bytewise(problem):
+def test_scatter_rows_equals_the_item_order_reference_bytewise(problem, dtype):
     ids, offsets, per_case, n, mask = problem
+    per_case = per_case.astype(dtype)
     values = per_case[np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))]
     if mask is not None:
         values = values * mask
-    expected = reference_row_sums(ids, values, n).tobytes()
-    assert train_module._scatter_rows(ids, offsets, per_case, n, mask).tobytes() == expected
-    for bound in (0, 2**40):  # every batch scattered position-major, then every one by bincount
+    # Position-major adds in the values' dtype; bincount adds in float64 and
+    # rounds each sum once, which is the same thing in float64.
+    position_major = reference_row_sums(ids, values, n)
+    bincount = reference_row_sums(ids, values.astype(np.float64), n).astype(dtype)
+    got = train_module._scatter_rows(ids, offsets, per_case, n, mask)
+    assert got.dtype == dtype and got.tobytes() in (position_major.tobytes(), bincount.tobytes())
+    for bound, expected in ((0, position_major), (2**40, bincount)):  # every batch by one branch
         with mock.patch.object(train_module, "BINCOUNT_CASE_SIZE", bound):
-            assert train_module._scatter_rows(ids, offsets, per_case, n, mask).tobytes() == expected, bound
+            got = train_module._scatter_rows(ids, offsets, per_case, n, mask)
+            assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes()), bound
 
 
-@given(st.lists(st.integers(0, 9), max_size=12), st.sampled_from([1, 2, 257, 1024]), st.integers(0, 2**32 - 1))
+@given(
+    st.lists(st.integers(0, 9), max_size=12),
+    st.sampled_from([1, 2, 257, 1024]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([np.float64, np.float32]),
+)
 @settings(max_examples=60, deadline=None)
-def test_position_major_sums_equal_the_item_order_reference_bytewise(counts, width, seed):
+def test_position_major_sums_equal_the_item_order_reference_bytewise(counts, width, seed, dtype):
     # Groups own contiguous runs of items, laid out in a shuffled order.
     rng = np.random.default_rng(seed)
     counts = np.array(counts, dtype=np.intp)
     layout = rng.permutation(len(counts))
     starts = np.zeros(len(counts), dtype=np.intp)
     starts[layout] = np.cumsum(counts[layout]) - counts[layout]
-    values = rng.normal(size=(int(counts.sum()), width))
+    values = rng.normal(size=(int(counts.sum()), width)).astype(dtype)
     values[rng.random(values.shape) < 0.3] = -0.0
     items = [starts[g] + j for g in range(len(counts)) for j in range(counts[g])]
     expected = reference_row_sums(np.repeat(np.arange(len(counts)), counts), values[items], len(counts))
-    got = position_major_sums(counts, starts, values.__getitem__, width)
-    assert got.tobytes() == expected.tobytes()
+    got = position_major_sums(counts, starts, values.__getitem__, width, values.dtype)
+    assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())
 
 
 def scalar_problem():
     vocab = Vocabulary(findings=("f0",), diseases=("d0", "d1"), demographic_ids=frozenset())
-    p = init_parameters(vocab, dim=1, seed=0)
-    return p
+    return float64_parameters(vocab, dim=1, seed=0)
 
 
 def allocating_adam_step(p, g, s, cfg):
@@ -480,6 +492,37 @@ def test_train_does_not_mutate_initial_parameters():
     train(p, toy_cases(vocab, 8, seed=4), TrainConfig(epochs=1, batch_size=4, dropout_rate=0.0, seed=0))
     for name, arr in p.blocks().items():
         assert np.array_equal(arr, before[name])
+
+
+@pytest.mark.parametrize("dim", [16, 1024])  # 1024: the finding rows take the position-major scatter
+def test_training_init_parameters_stays_in_float32(dim):
+    # One float64 promotion in a step would quietly undo the float32 speed-up.
+    vocab, _ = toy_setup(n_findings=12, n_diseases=5)
+    p0 = init_parameters(vocab, dim=dim, seed=3)
+    rng = np.random.default_rng(dim)
+    clin = [f for f in vocab.findings if f not in vocab.demographic_ids]
+    cases = [
+        ClinicalCase(
+            id=f"c{i}",
+            pos=frozenset(rng.permutation(clin)[:6].tolist()) | {"g0"},
+            neg=frozenset(),
+            ddx=normalize_ddx([(vocab.diseases[i % vocab.n_diseases], 1.0)]),
+        )
+        for i in range(20)
+    ]
+    cfg = TrainConfig(learning_rate=0.01, batch_size=8, epochs=2, dropout_rate=0.5, seed=1)
+    with (
+        mock.patch.object(train_module, "adam_step", wraps=adam_step) as steps,
+        mock.patch.object(train_module, "make_dropout_plan", wraps=make_dropout_plan) as draws,
+    ):
+        trained, _ = train(p0, CaseSet(cases=tuple(cases), provenance=("random",)), cfg)
+    assert steps.call_count == draws.call_count == 6
+    assert {call.args[4] for call in draws.call_args_list} == {np.dtype(np.float32)}
+    state = steps.call_args.args[2]
+    arrays = [*trained.blocks().values(), *state.m.values(), *state.v.values()]
+    arrays += [a for pair in state.scratch.values() for a in pair]
+    arrays += [g for call in steps.call_args_list for g in call.args[1].values()]
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
 def test_loss_is_non_increasing_on_separable_toy_data():
