@@ -14,6 +14,8 @@ except their `metrics` block, which a rerun reproduces byte for byte:
 (`simulate.label_metrics`), and `train` the mean training loss of each epoch
 (`epoch_loss`). The `train` manifest also has a `timing` block, kept apart
 from `metrics`: each epoch's wall-clock seconds and samples per second.
+`train` writes no file but its checkpoint and manifest; each epoch's loss
+line goes to stdout.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from . import __version__
 from .data import CaseSet, build_vocabulary, merge, read_cases_file, write_cases_file
 from .evaluate import evaluate, expert_predictor, format_table, model_predictor, rank_case_set
 from .expert import DEFAULT_DDX_TOP_K, CaseError
-from .kb import MIN_CLINICAL_FINDINGS, ConfigError, KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
+from .kb import ConfigError, KBError, KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
 from .model import check_dim, init_parameters, load_checkpoint, save_checkpoint
 from .simulate import SimConfig, label_metrics, simulate_dataset
 from .train import DivergedError, TrainConfig, train
@@ -54,33 +56,14 @@ def _parse_topk(text: str) -> list[int]:
     return ks
 
 
-def _parse_kb(flag: str, path: str, text: str) -> KnowledgeBase:
-    """The KB document read from `path`; a parse error names the flag and the path."""
+def _read_kb(path: str, flag: str) -> KnowledgeBase:
+    """The KB document at `path`; an unreadable or invalid one names `flag` and the path."""
     try:
-        return parse_knowledge_base(text)
-    except ValueError as e:
+        return parse_knowledge_base(read_utf8(path))
+    except KBError as e:
         raise ValueError(f"{flag} {path}: {e}") from None
-
-
-def _read_flag_file(flag: str, path: str) -> str:
-    """The text of the file `flag` names; bytes that are not UTF-8 name the flag and the path."""
-    try:
-        return read_utf8(path)
-    except ValueError as e:
+    except ValueError as e:  # not UTF-8: the message begins with the path
         raise ValueError(f"{flag} {e}") from None
-
-
-def _read_kb(path: str) -> KnowledgeBase:
-    return _parse_kb("--kb", path, _read_flag_file("--kb", path))
-
-
-def _read_restrict_findings(path: str) -> frozenset[str]:
-    """A KB document (its finding ids are taken) or one finding id per line."""
-    text = _read_flag_file("--restrict-findings", path)
-    if text.lstrip().startswith("{"):
-        kb = _parse_kb("--restrict-findings", path, text)
-        return frozenset(f.id for f in kb.findings)
-    return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
 def _check_out_path(out: str | None) -> None:
@@ -119,7 +102,7 @@ def _naming_the_case(case_sets: list[CaseSet], run):
 
 def cmd_kb_validate(args) -> tuple[int, dict]:
     text = read_utf8(args.kb_path)
-    report = validate_kb_document(text, min_clinical_findings=args.min_findings)
+    report = validate_kb_document(text)
     lines = report.lines()
     body = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
@@ -132,7 +115,7 @@ def cmd_simulate(args) -> tuple[int, dict]:
     cfg = SimConfig(
         cases_total=args.cases, seed=args.seed, min_cases_per_disease=args.min_per_disease, ddx_top_k=args.ddx_top_k
     )
-    kb = _read_kb(args.kb)
+    kb = _read_kb(args.kb, "--kb")
     cases = simulate_dataset(kb, cfg)
     write_cases_file(cases, args.out)
     print(f"wrote {len(cases)} cases to {args.out}")
@@ -145,8 +128,10 @@ def cmd_train(args) -> tuple[int, dict]:
     )
     check_dim(args.dim)
     _, cases = _some_cases(args.cases)
-    kb = _read_kb(args.kb) if args.kb else None
-    restrict = _read_restrict_findings(args.restrict_findings) if args.restrict_findings else None
+    kb = _read_kb(args.kb, "--kb") if args.kb else None
+    restrict = None
+    if args.restrict_findings:
+        restrict = frozenset(f.id for f in _read_kb(args.restrict_findings, "--restrict-findings").findings)
     vocab = build_vocabulary([cases], kb=kb, restrict_to=restrict)
     if restrict is not None and vocab.n_findings == vocab.n_demographics:
         raise ValueError(
@@ -159,8 +144,6 @@ def cmd_train(args) -> tuple[int, dict]:
     except DivergedError as e:
         raise ValueError(f"--lr {args.lr}: training diverged at epoch {e.epoch}: mean loss {e.loss}") from None
     save_checkpoint(trained, args.out)
-    log_path = Path(f"{args.out}.log")
-    log_path.write_text("".join(r.format_line() + "\n" for r in history), encoding="utf-8")
     for record in history:
         print(record.format_line())
     print(f"wrote checkpoint to {args.out}")
@@ -170,7 +153,7 @@ def cmd_train(args) -> tuple[int, dict]:
         "epoch_seconds": [r.seconds for r in history],
         "epoch_samples_per_s": [len(cases) / r.seconds for r in history],
     }
-    return 0, {"inputs": inputs, "outputs": [args.out, str(log_path)], "metrics": metrics, "timing": timing}
+    return 0, {"inputs": inputs, "outputs": [args.out], "metrics": metrics, "timing": timing}
 
 
 def _ranking_depth(k: int) -> int | None:
@@ -186,11 +169,15 @@ def _make_predictor(args):
     if args.engine == "model":
         if not args.model:
             raise ValueError("--engine model requires a checkpoint path argument")
+        if args.kb:
+            raise ValueError(f"--kb {args.kb}: --engine model reads no KB")
         params = load_checkpoint(args.model)
         return model_predictor(params), frozenset(params.vocab.diseases), [args.model]
     if not args.kb:
         raise ValueError("--engine expert requires --kb")
-    kb = _read_kb(args.kb)
+    if args.model:
+        raise ValueError(f"{args.model}: --engine expert reads no checkpoint")
+    kb = _read_kb(args.kb, "--kb")
     return expert_predictor(kb, top_k=depth), frozenset(d.id for d in kb.diseases), [args.kb]
 
 
@@ -252,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = kb_sub.add_parser("validate", help="validate a KB document")
     p_val.add_argument("kb_path", help="knowledge base JSON document")
     p_val.add_argument("--out", default=None, help="write the report to this file")
-    p_val.add_argument(
-        "--min-findings", type=int, default=MIN_CLINICAL_FINDINGS, help="warn threshold for nonzero clinical findings"
-    )
     p_val.set_defaults(func=cmd_kb_validate)
 
     p_sim = sub.add_parser("simulate", help="generate labeled cases from a KB")
@@ -274,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--cases", nargs="+", action="extend", required=True, help="case files (repeatable)")
     p_train.add_argument("--kb", default=None, help="KB for vocabulary widening and demographic masks")
     p_train.add_argument(
-        "--restrict-findings", default=None, help="KB document or finding-id list; limits the finding vocabulary"
+        "--restrict-findings", default=None, help="KB document whose findings limit the finding vocabulary"
     )
     p_train.add_argument("--dim", type=int, default=1024, help="embedding dimension")
     p_train.add_argument("--dropout", type=float, default=TrainConfig.dropout_rate)

@@ -152,6 +152,7 @@ def expert_inference(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     tables = scoring_tables(kb)
+    k = min(k, len(tables.disease_ids))  # a k past L keeps every disease; numpy takes no k past int64
     if len(cases) < ARRAY_PASS_CASES:
         return [_row_differential(tables, _row_scores(tables, pos, neg, i), k, i) for i, (pos, neg) in enumerate(cases)]
     out: list[DifferentialDiagnosis] = []

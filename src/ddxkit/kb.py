@@ -299,18 +299,18 @@ def _read_document(text: str) -> tuple[KnowledgeBase | None, tuple[str, ...]]:
     return KnowledgeBase(diseases=diseases, findings=findings, frequencies=freqs), ()
 
 
-def validate_kb_document(text: str, min_clinical_findings: int = MIN_CLINICAL_FINDINGS) -> ValidationReport:
+def validate_kb_document(text: str) -> ValidationReport:
     """Validate a raw KB document. With no error, a disease with fewer than
-    `min_clinical_findings` nonzero clinical findings draws a warning."""
+    MIN_CLINICAL_FINDINGS nonzero clinical findings draws a warning."""
     kb, errors = _read_document(text)
     if kb is None:
         return ValidationReport(errors=errors)
     n_clinical = Counter(did for did, fid in kb.frequencies if kb.finding(fid).kind == CLINICAL)
     warnings = tuple(
         f"diseases[{i}]: disease {d.id!r}: insufficient findings for simulation "
-        f"({n_clinical[d.id]} nonzero clinical findings, want >= {min_clinical_findings})"
+        f"({n_clinical[d.id]} nonzero clinical findings, want >= {MIN_CLINICAL_FINDINGS})"
         for i, d in enumerate(kb.diseases)
-        if n_clinical[d.id] < min_clinical_findings
+        if n_clinical[d.id] < MIN_CLINICAL_FINDINGS
     )
     return ValidationReport(warnings=warnings)
 

@@ -72,7 +72,7 @@ def trained_base(experiment):
 def variant_models(experiment):
     kb, _, sim_train, _ = experiment
     novel = CaseSet(
-        cases=tuple(make_novel_disease_cases(kb, n_cases=20, borrow_per_case=4, seed=NOVEL_SEED)),
+        cases=tuple(make_novel_disease_cases(kb, n_cases=20, seed=NOVEL_SEED)),
         provenance=("novel",),
     )
     novel_train, novel_test = split_train_test(novel, 0.7, seed=SPLIT_SEED)

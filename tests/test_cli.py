@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ddxkit import __version__
 from ddxkit.cli import CONFIG_FLAGS, build_parser, main
 from ddxkit.data import read_cases_file
-from ddxkit.kb import MIN_CLINICAL_FINDINGS, serialize_knowledge_base
+from ddxkit.kb import KnowledgeBase, serialize_knowledge_base
 from ddxkit.simulate import SimConfig, label_metrics
 from ddxkit.synthetic import make_separable_kb
 from ddxkit.train import TrainConfig
@@ -33,6 +33,12 @@ def ddx(*args, cwd):
         capture_output=True,
         text=True,
     )
+
+
+def kb_of_findings(keep) -> str:
+    """The document of the 4-disease workspace KB cut down to the findings `keep` accepts."""
+    kb = make_separable_kb(n_diseases=4)
+    return serialize_knowledge_base(KnowledgeBase(kb.diseases, [f for f in kb.findings if keep(f)], {}))
 
 
 @pytest.fixture
@@ -154,6 +160,42 @@ def test_negative_ddx_top_k_is_rejected(workspace):
     assert every.stdout == ddx("predict", *expert, "--ddx-top-k", "5", cwd=workspace).stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--kb", "kb.json", "--cases", "60", "--min-per-disease", "10", "--seed", "7"],
+        ["eval", "--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl"],
+        ["predict", "--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl"],
+    ],
+    ids=["simulate", "eval", "predict"],
+)
+def test_a_ddx_top_k_past_int64_keeps_every_disease(workspace, argv):
+    # 60 cases take the expert's array pass; the KB has 4 diseases.
+    assert simulate(workspace).returncode == 0
+    outputs = []
+    for k in (str(2**63), "4"):
+        code, _, err = run_in(workspace, [*argv, "--ddx-top-k", k, "--out", f"out-{k}"])
+        assert (code, err) == (0, "")
+        outputs.append((workspace / f"out-{k}").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize(
+    "engine, message",
+    [
+        (("nosuch.ckpt", "--engine", "expert", "--kb", "kb.json"), "nosuch.ckpt: --engine expert reads no checkpoint"),
+        (("m.ckpt", "--kb", "nosuch.json"), "--kb nosuch.json: --engine model reads no KB"),
+    ],
+    ids=["checkpoint-for-expert", "kb-for-model"],
+)
+def test_an_input_the_engine_does_not_read_is_rejected(workspace, command, engine, message):
+    assert simulate(workspace).returncode == 0
+    before = sorted(p.name for p in workspace.iterdir())
+    assert run_in(workspace, [command, *engine, "--cases", "cases.jsonl", "--out", "r.out"]) == (1, "", f"error: {message}\n")
+    assert sorted(p.name for p in workspace.iterdir()) == before
+
+
 def test_model_eval_ignores_ddx_top_k(workspace):
     # --ddx-top-k sizes only the expert's retained list; the model ranks every disease.
     assert simulate(workspace).returncode == 0
@@ -225,9 +267,9 @@ def test_train_eval_predict_pipeline(workspace):
 
     result = train(workspace)
     assert result.returncode == 0, result.stderr
-    log_lines = (workspace / "m.ckpt.log").read_text().splitlines()
-    assert len(log_lines) == 3
-    assert all(line.startswith("epoch ") for line in log_lines)
+    lines = result.stdout.splitlines()
+    assert len(lines) == 4
+    assert all(line.startswith("epoch ") for line in lines[:3])
 
     result = train(workspace, out="m2.ckpt")
     assert (workspace / "m.ckpt").read_bytes() == (workspace / "m2.ckpt").read_bytes()
@@ -336,15 +378,17 @@ def test_simulate_manifest_records_label_metrics(workspace):
 
 def test_train_manifest_records_epoch_losses(workspace):
     assert simulate(workspace).returncode == 0
-    metrics, timings = [], []
+    metrics, timings, epoch_lines = [], [], []
     for out in ("a.ckpt", "b.ckpt"):
         result = train(workspace, out)
         assert result.returncode == 0, result.stderr
         manifest = json.loads((workspace / f"{out}.manifest.json").read_text())
+        assert manifest["outputs"] == [out]
         metrics.append(manifest["metrics"])
         timings.append(manifest["timing"])
+        epoch_lines.append(result.stdout.splitlines()[:-1])
     assert json.dumps(metrics[0]) == json.dumps(metrics[1])
-    assert (workspace / "a.ckpt.log").read_bytes() == (workspace / "b.ckpt.log").read_bytes()
+    assert epoch_lines[0] == epoch_lines[1]
     for timing in timings:
         assert set(timing) == {"epoch_seconds", "epoch_samples_per_s"}
         assert len(timing["epoch_seconds"]) == len(timing["epoch_samples_per_s"]) == 3
@@ -352,43 +396,48 @@ def test_train_manifest_records_epoch_losses(workspace):
     losses = metrics[0]["epoch_loss"]
     assert set(metrics[0]) == {"epoch_loss"}
     assert len(losses) == 3 and all(type(x) is float and x > 0 for x in losses)
-    log = (workspace / "a.ckpt.log").read_text().splitlines()
-    assert log == [f"epoch {i} loss {x:.6f}" for i, x in enumerate(losses, start=1)]
+    assert epoch_lines[0] == [f"epoch {i} loss {x:.6f}" for i, x in enumerate(losses, start=1)]
 
 
 def test_a_diverging_training_run_names_its_epoch_and_lr(workspace):
     assert simulate(workspace).returncode == 0
+    before = sorted(p.name for p in workspace.iterdir())
     result = train(workspace, extra=("--dim", "4", "--lr", "1e308"))
     assert result.returncode == 1
     assert "error: --lr 1e+308: training diverged at epoch " in result.stderr
     assert "mean loss nan" in result.stderr or "mean loss inf" in result.stderr
-    assert not (workspace / "m.ckpt").exists()
-    assert not (workspace / "m.ckpt.log").exists()
+    assert sorted(p.name for p in workspace.iterdir()) == before
 
 
-def test_restrict_findings_accepts_kb_document_and_id_list(workspace):
+def test_restrict_findings_takes_a_kb_document_and_rejects_an_id_list(workspace):
     assert simulate(workspace).returncode == 0
     result = train(workspace, out="r1.ckpt", extra=("--restrict-findings", "kb.json"))
     assert result.returncode == 0, result.stderr
 
     ids = [f.id for f in make_separable_kb(n_diseases=4).findings][:8]
-    (workspace / "keep.txt").write_text("\n".join(ids) + "\n")
-    result = train(workspace, out="r2.ckpt", extra=("--restrict-findings", "keep.txt"))
+    (workspace / "keep.json").write_text(kb_of_findings(lambda f: f.id in ids), encoding="utf-8")
+    result = train(workspace, out="r2.ckpt", extra=("--restrict-findings", "keep.json"))
     assert result.returncode == 0, result.stderr
     ckpt = json.loads((workspace / "r2.ckpt").read_text())
     assert set(ckpt["vocab"]["findings"]) <= set(ids)
+
+    (workspace / "keep.txt").write_text("\n".join(ids) + "\n", encoding="utf-8")
+    result = train(workspace, out="r3.ckpt", extra=("--restrict-findings", "keep.txt"))
+    assert result.returncode == 1
+    assert result.stderr == "error: --restrict-findings keep.txt: syntax error at line 1 column 1: Expecting value\n"
+    assert not (workspace / "r3.ckpt").exists()
 
 
 def test_the_skipped_findings_warning_reaches_the_stderr_of_its_own_run(workspace):
     # In a child process: pytest's handlers on the root logger would catch the warning here.
     ids = [f.id for f in make_separable_kb(n_diseases=4).findings][:8]
-    (workspace / "keep.txt").write_text("\n".join(ids) + "\n")
+    (workspace / "keep.json").write_text(kb_of_findings(lambda f: f.id in ids), encoding="utf-8")
     script = """
 import contextlib, io, json
 from ddxkit.cli import main
 runs = (
     ["simulate", "--kb", "kb.json", "--cases", "60", "--min-per-disease", "10", "--seed", "7", "--out", "cases.jsonl"],
-    ["train", "--cases", "cases.jsonl", "--dim", "4", "--epochs", "1", "--restrict-findings", "keep.txt", "--out", "m.ckpt"],
+    ["train", "--cases", "cases.jsonl", "--dim", "4", "--epochs", "1", "--restrict-findings", "keep.json", "--out", "m.ckpt"],
 )
 errs = []
 for argv in runs:
@@ -410,11 +459,14 @@ print(json.dumps(errs))
 @pytest.mark.parametrize("with_kb", [False, True])
 def test_restrict_findings_that_keep_no_finding_are_rejected(workspace, with_kb):
     assert simulate(workspace).returncode == 0
-    (workspace / "only.txt").write_text("no-such-finding\n")
+    # Only --kb tells the training run which findings are demographic: without
+    # it, a KB of no finding is the one that keeps none.
+    keep = (lambda f: f.kind == "demographic") if with_kb else (lambda f: False)
+    (workspace / "only.json").write_text(kb_of_findings(keep), encoding="utf-8")
     kb = ("--kb", "kb.json") if with_kb else ()
-    result = ddx("train", "--cases", "cases.jsonl", *kb, "--restrict-findings", "only.txt", "--out", "m.ckpt", cwd=workspace)
+    result = ddx("train", "--cases", "cases.jsonl", *kb, "--restrict-findings", "only.json", "--out", "m.ckpt", cwd=workspace)
     assert result.returncode == 1
-    assert "error: --restrict-findings only.txt: keeps no clinical finding of the cases" in result.stderr
+    assert "error: --restrict-findings only.json: keeps no clinical finding of the cases" in result.stderr
     assert result.stdout == ""
     assert not (workspace / "m.ckpt").exists()
 
@@ -643,9 +695,9 @@ def _commands(parser, path=()):
 
 
 COMMANDS = list(_commands(build_parser()))
-# Free-form values: the fixture's files, a missing one, a directory, an id
-# list, depth lists and disease ids, valid and not.
-WORDS = ("kb.json", "cases.jsonl", "m.ckpt", "ids.txt", "bad.bin", "missing", "sub", "1,3", "0", "x", "d00", "nope")
+# Free-form values: the fixture's files, a missing one, a directory, depth
+# lists and disease ids, valid and not.
+WORDS = ("kb.json", "cases.jsonl", "m.ckpt", "bad.bin", "missing", "sub", "1,3", "0", "x", "d00", "nope")
 # A value that works for the option, drawn about half the time so that runs
 # get past their first input.
 FITTING = {
@@ -653,7 +705,7 @@ FITTING = {
     "kb_path": "kb.json",
     "cases": "cases.jsonl",
     "model": "m.ckpt",
-    "restrict_findings": "ids.txt",
+    "restrict_findings": "kb.json",
     "topk": "1,3",
     "target_disease": "d00",
     "out": "out.txt",
@@ -696,12 +748,10 @@ def argvs(draw):
 
 @pytest.fixture(scope="module")
 def fixture_files(tmp_path_factory):
-    """Name -> bytes of a small workspace: a KB, cases, a checkpoint, an id list."""
+    """Name -> bytes of a small workspace: a KB, cases, a checkpoint, a file that is not UTF-8."""
     root = tmp_path_factory.mktemp("fuzz")
     kb_text = serialize_knowledge_base(make_separable_kb(n_diseases=4))
     (root / "kb.json").write_text(kb_text, encoding="utf-8")
-    ids = [f.id for f in make_separable_kb(n_diseases=4).findings][:6]
-    (root / "ids.txt").write_text("\n".join(ids) + "\n", encoding="utf-8")
     (root / "bad.bin").write_bytes(NOT_UTF8)
     setup = (
         ["simulate", "--kb", "kb.json", "--cases", "20", "--min-per-disease", "2", "--out", "cases.jsonl"],
@@ -709,7 +759,7 @@ def fixture_files(tmp_path_factory):
     )
     for argv in setup:
         assert run_in(root, argv)[0] == 0
-    return {name: (root / name).read_bytes() for name in ("kb.json", "ids.txt", "bad.bin", "cases.jsonl", "m.ckpt")}
+    return {name: (root / name).read_bytes() for name in ("kb.json", "bad.bin", "cases.jsonl", "m.ckpt")}
 
 
 def run_in(directory, argv):
@@ -761,8 +811,9 @@ def test_train_prints_each_epoch_line_once_on_stdout(workspace):
     assert simulate(workspace).returncode == 0
     result = train(workspace)
     assert result.returncode == 0, result.stderr
+    losses = json.loads((workspace / "m.ckpt.manifest.json").read_text())["metrics"]["epoch_loss"]
     assert [line for line in result.stdout.splitlines() if line.startswith("epoch ")] == (
-        (workspace / "m.ckpt.log").read_text().splitlines()
+        [f"epoch {i} loss {x:.6f}" for i, x in enumerate(losses, start=1)]
     )
     assert not [line for line in result.stderr.splitlines() if line.startswith("epoch ")]
 
@@ -818,8 +869,10 @@ def test_an_out_of_range_setting_writes_nothing_and_names_its_flag(fixture_files
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(fixture_files)
 
 
-def test_kb_validate_warns_at_the_library_threshold_by_default():
-    assert build_parser().parse_args(["kb", "validate", "kb.json"]).min_findings == MIN_CLINICAL_FINDINGS
+def test_min_findings_flag_is_gone(tmp_path):
+    code, _, err = run_in(tmp_path, ["kb", "validate", "kb.json", "--min-findings", "1"])
+    assert code == 2
+    assert "unrecognized arguments: --min-findings 1" in err
 
 
 # --- manifests ---------------------------------------------------------------
@@ -835,7 +888,7 @@ MANIFEST_KEYS = [
         (["kb", "validate", "kb.json"], 0, "kb-validate.manifest.json", ["kb.json"], []),
         (["kb", "validate", "bad.json", "--out", "r.txt"], 1, "r.txt.manifest.json", ["bad.json"], ["r.txt"]),
         (VALID_RUN["simulate"], 0, "x.jsonl.manifest.json", ["kb.json"], ["x.jsonl"]),
-        (VALID_RUN["train"], 0, "x.ckpt.manifest.json", ["cases.jsonl", "kb.json"], ["x.ckpt", "x.ckpt.log"]),
+        (VALID_RUN["train"], 0, "x.ckpt.manifest.json", ["cases.jsonl", "kb.json"], ["x.ckpt"]),
         (["eval", "m.ckpt", "--cases", "cases.jsonl"], 0, "eval.manifest.json", ["m.ckpt", "cases.jsonl"], []),
         (
             ["eval", "--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl", "--out", "r.json"],

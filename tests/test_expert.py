@@ -353,6 +353,16 @@ def test_set_inference_equals_the_reference_bytes_on_simulated_cases(k):
     assert [repr(ddx.entries) for ddx in got] == [repr(reference_entries(kb, c.pos, c.neg, k)) for c in cases]
 
 
+@pytest.mark.parametrize("n", [1, expert_module.ARRAY_PASS_CASES])
+def test_a_k_past_int64_keeps_every_disease(n):
+    # n = 1 labels case by case; ARRAY_PASS_CASES cases take the array pass.
+    kb = make_separable_kb(20)
+    cases = [(c.pos, c.neg) for c in simulate_dataset(kb, SimConfig(cases_total=n, seed=3, min_cases_per_disease=0))]
+    expected = [repr(ddx.entries) for ddx in expert_inference(kb, cases, 20)]
+    for k in (2**63, 2**70):
+        assert [repr(ddx.entries) for ddx in expert_inference(kb, cases, k)] == expected
+
+
 def test_set_inference_ranks_a_tie_across_the_top_k_cut_by_id():
     # 50 diseases over 4 findings of three frequencies: most scores tie, and
     # a partition picks among the diseases tied with the k-th arbitrarily.

@@ -185,8 +185,10 @@ def test_validate_warns_on_sparse_disease():
     kb = make_kb(["d"], ["a", "b"], {("d", "a"): 0.5})
     report = validate_kb_document(serialize_knowledge_base(kb))
     assert report.ok
-    assert any("insufficient findings" in w for w in report.warnings)
-    assert not validate_kb_document(serialize_knowledge_base(kb), min_clinical_findings=1).warnings
+    assert report.warnings == (
+        "diseases[0]: disease 'd': insufficient findings for simulation "
+        f"(1 nonzero clinical findings, want >= {MIN_CLINICAL_FINDINGS})",
+    )
 
 
 def test_validate_reports_duplicate_ids_without_raising():
@@ -205,7 +207,7 @@ def test_validate_document_collects_errors():
     assert not report.ok
     report = validate_kb_document("{bad json")
     assert any("syntax error" in e for e in report.errors)
-    assert validate_kb_document(MINIMAL, min_clinical_findings=1).ok
+    assert validate_kb_document(MINIMAL).ok  # a sparse disease draws a warning, not an error
 
 
 def test_zero_frequency_entry_is_equivalent_to_absent():
