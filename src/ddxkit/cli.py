@@ -29,7 +29,7 @@ from . import __version__
 from .data import CaseSet, build_vocabulary, merge, read_cases_file, write_cases_file
 from .evaluate import evaluate, expert_predictor, format_table, model_predictor, rank_case_set
 from .expert import DEFAULT_DDX_TOP_K, CaseError
-from .kb import ConfigError, KBError, KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
+from .kb import CLINICAL, ConfigError, KBError, KnowledgeBase, parse_knowledge_base, read_utf8, validate_kb_document
 from .model import check_dim, init_parameters, load_checkpoint, save_checkpoint
 from .simulate import SimConfig, label_metrics, simulate_dataset
 from .train import DivergedError, TrainConfig, train
@@ -38,9 +38,8 @@ from .train import DivergedError, TrainConfig, train
 # The flag behind each field a ConfigError can name; the flag's argparse dest
 # is the flag with its dashes turned into underscores.
 CONFIG_FLAGS = {
-    "cases_total": "--cases", "min_cases_per_disease": "--min-per-disease", "ddx_top_k": "--ddx-top-k",
-    "learning_rate": "--lr", "batch_size": "--batch", "dropout_rate": "--dropout", "epochs": "--epochs",
-    "seed": "--seed", "dim": "--dim",
+    "cases_total": "--cases", "min_cases_per_disease": "--min-per-disease", "learning_rate": "--lr",
+    "batch_size": "--batch", "dropout_rate": "--dropout", "epochs": "--epochs", "seed": "--seed", "dim": "--dim",
 }  # fmt: skip
 
 
@@ -112,9 +111,7 @@ def cmd_kb_validate(args) -> tuple[int, dict]:
 
 
 def cmd_simulate(args) -> tuple[int, dict]:
-    cfg = SimConfig(
-        cases_total=args.cases, seed=args.seed, min_cases_per_disease=args.min_per_disease, ddx_top_k=args.ddx_top_k
-    )
+    cfg = SimConfig(cases_total=args.cases, seed=args.seed, min_cases_per_disease=args.min_per_disease)
     kb = _read_kb(args.kb, "--kb")
     cases = simulate_dataset(kb, cfg)
     write_cases_file(cases, args.out)
@@ -129,11 +126,13 @@ def cmd_train(args) -> tuple[int, dict]:
     check_dim(args.dim)
     _, cases = _some_cases(args.cases)
     kb = _read_kb(args.kb, "--kb") if args.kb else None
-    restrict = None
+    restrict, demographic = None, set()
     if args.restrict_findings:
-        restrict = frozenset(f.id for f in _read_kb(args.restrict_findings, "--restrict-findings").findings)
+        findings = _read_kb(args.restrict_findings, "--restrict-findings").findings
+        restrict, demographic = frozenset(f.id for f in findings), {f.id for f in findings if f.kind != CLINICAL}
     vocab = build_vocabulary([cases], kb=kb, restrict_to=restrict)
-    if restrict is not None and vocab.n_findings == vocab.n_demographics:
+    # A finding is demographic when --kb or the restricting KB's own kind says so.
+    if restrict is not None and set(vocab.findings) <= vocab.demographic_ids | demographic:
         raise ValueError(
             f"--restrict-findings {args.restrict_findings}: keeps no clinical finding of the cases"
             + (" or the KB" if kb else "")
@@ -241,14 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--out", default=None, help="write the report to this file")
     p_val.set_defaults(func=cmd_kb_validate)
 
-    p_sim = sub.add_parser("simulate", help="generate labeled cases from a KB")
+    p_sim = sub.add_parser("simulate", help=f"generate cases labeled by the expert's top-{DEFAULT_DDX_TOP_K} diseases")
     p_sim.add_argument("--kb", required=True, help="knowledge base JSON document")
     p_sim.add_argument("--cases", type=int, required=True, help="total number of cases")
     p_sim.add_argument(
         "--min-per-disease", type=int, default=SimConfig.min_cases_per_disease, help="per-disease case floor"
-    )
-    p_sim.add_argument(
-        "--ddx-top-k", type=int, default=SimConfig.ddx_top_k, help="differential size kept by the expert engine"
     )
     p_sim.add_argument("--seed", type=int, default=SimConfig.seed)
     p_sim.add_argument("--out", required=True, help="output case file (jsonl)")
@@ -274,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
             "eval",
             cmd_eval,
             "evaluate a diagnoser on labeled cases",
-            "size of the expert's retained list; 0 keeps every disease (the model always ranks every disease)",
+            "ranking depth: the size of the expert's retained list; 0 keeps every disease (the model ranks them all)",
         ),
-        ("predict", cmd_predict, "rank diseases for each case", "ranking depth; 0 ranks every disease"),
+        ("predict", cmd_predict, "rank diseases for each case", "ranking depth per case; 0 prints every disease"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", nargs="?", default=None, help="model checkpoint (for --engine model)")

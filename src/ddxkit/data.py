@@ -344,10 +344,7 @@ def build_vocabulary(
     if not diseases:
         raise ValueError("no diseases observed; vocabulary would be empty")
 
-    demographic: set[str] = set()
-    for fid in findings:
-        if kb is not None and kb.has_finding(fid) and kb.finding(fid).kind != CLINICAL:
-            demographic.add(fid)
+    demographic = set() if kb is None else {f.id for f in kb.findings if f.kind != CLINICAL} & findings
     return Vocabulary(
         findings=tuple(sorted(findings)),
         diseases=tuple(sorted(diseases)),

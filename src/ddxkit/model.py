@@ -85,10 +85,6 @@ class ModelInput(NamedTuple):
     neg_clinical: tuple[int, ...]
     demo: tuple[int, ...]
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.pos_clinical) + len(self.neg_clinical)
-
 
 def _block_shapes(K: int, L: int, D: int, M: int) -> dict[str, tuple[int, ...]]:
     """Parameter block shapes, keyed like ModelParameters.blocks()."""

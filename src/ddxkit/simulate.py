@@ -7,8 +7,9 @@ capped at MAX_FINDINGS_CAP, and the disease's clinical findings are walked
 once in descending-frequency order: common findings (FREQ >= POS_THRESHOLD)
 enter the positives with probability FREQ(y, f), rare ones enter the
 explicit negatives when a uniform draw exceeds NEG_GATE. The resulting
-finding sets are labeled with the expert engine's differential diagnosis,
-so the label is a distribution over diseases rather than the seed alone.
+finding sets are labeled with the expert engine's differential diagnosis at
+its default size (`DEFAULT_DDX_TOP_K`), so the label is a distribution over
+diseases rather than the seed alone.
 
 Both walks are compiled with the KB (`ScoringTables.walks`). A positive
 takes its finding's mutex group; a later finding in a taken group is
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expert import DEFAULT_DDX_TOP_K, DifferentialDiagnosis, expert_inference
+from .expert import DifferentialDiagnosis, expert_inference
 from .kb import ConfigError, KnowledgeBase, scoring_tables
 
 CASE_SOURCES = ("expert_sim", "assessment", "vignette")
@@ -51,7 +52,6 @@ class SimConfig:
     cases_total: int
     seed: int = 0
     min_cases_per_disease: int = 50
-    ddx_top_k: int = DEFAULT_DDX_TOP_K
 
     def __post_init__(self):
         if self.cases_total < 1:
@@ -64,8 +64,6 @@ class SimConfig:
             raise ConfigError("min_cases_per_disease", "must be >= 0")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed", "must be a 64-bit unsigned integer")
-        if self.ddx_top_k < 1:
-            raise ConfigError("ddx_top_k", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -136,14 +134,9 @@ def _draw_findings(walk: tuple[tuple, tuple, dict], rng: np.random.Generator) ->
     return pos, neg
 
 
-def simulate_case(
-    kb: KnowledgeBase,
-    disease_id: str,
-    rng: np.random.Generator,
-    cfg: SimConfig,
-    case_id: str = "sim-0",
-) -> ClinicalCase:
-    """Generate one labeled case seeded on `disease_id`.
+def simulate_case(kb: KnowledgeBase, disease_id: str, rng: np.random.Generator, case_id: str = "sim-0") -> ClinicalCase:
+    """Generate one case seeded on `disease_id`, labeled with the expert's
+    differential at its default size.
 
     `rng` is consumed past the walk: the clinical walk draws one uniform per
     clinical finding of the disease, whether or not it reaches them all.
@@ -154,7 +147,7 @@ def simulate_case(
     if not walk[1]:
         raise ValueError(f"disease {disease_id!r} has no nonzero clinical findings; cannot simulate")
     pos, neg = _draw_findings(walk, rng)
-    return _labelled(case_id, disease_id, pos, neg, expert_inference(kb, [(pos, neg)], cfg.ddx_top_k)[0])
+    return _labelled(case_id, disease_id, pos, neg, expert_inference(kb, [(pos, neg)])[0])
 
 
 def _labelled(case_id: str, disease_id: str, pos: set[str], neg: set[str], ddx: DifferentialDiagnosis) -> ClinicalCase:
@@ -198,7 +191,7 @@ def simulate_dataset(kb: KnowledgeBase, cfg: SimConfig) -> list[ClinicalCase]:
         bit_generator.state = seeded
         bit_generator.advance(i << 64)
         drawn.append(_draw_findings(walks[label], rng))
-    ddxs = expert_inference(kb, drawn, cfg.ddx_top_k)
+    ddxs = expert_inference(kb, drawn)
     return [
         _labelled(f"sim-{i}", label, pos, neg, ddx)
         for i, (label, (pos, neg), ddx) in enumerate(zip(labels, drawn, ddxs))

@@ -163,11 +163,10 @@ def test_negative_ddx_top_k_is_rejected(workspace):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "--kb", "kb.json", "--cases", "60", "--min-per-disease", "10", "--seed", "7"],
         ["eval", "--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl"],
         ["predict", "--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl"],
     ],
-    ids=["simulate", "eval", "predict"],
+    ids=["eval", "predict"],
 )
 def test_a_ddx_top_k_past_int64_keeps_every_disease(workspace, argv):
     # 60 cases take the expert's array pass; the KB has 4 diseases.
@@ -456,13 +455,14 @@ print(json.dumps(errs))
     assert result.stderr == ""
 
 
-@pytest.mark.parametrize("with_kb", [False, True])
-def test_restrict_findings_that_keep_no_finding_are_rejected(workspace, with_kb):
+@pytest.mark.parametrize(
+    "with_kb, kind", [(False, None), (True, "demographic"), (False, "demographic")], ids=["False", "True", "kinds"]
+)
+def test_restrict_findings_that_keep_no_finding_are_rejected(workspace, with_kb, kind):
     assert simulate(workspace).returncode == 0
-    # Only --kb tells the training run which findings are demographic: without
-    # it, a KB of no finding is the one that keeps none.
-    keep = (lambda f: f.kind == "demographic") if with_kb else (lambda f: False)
-    (workspace / "only.json").write_text(kb_of_findings(keep), encoding="utf-8")
+    # A KB of no finding, or of only demographic ones: --kb or, without it,
+    # the restricting KB's own kinds say which findings are demographic.
+    (workspace / "only.json").write_text(kb_of_findings(lambda f: f.kind == kind), encoding="utf-8")
     kb = ("--kb", "kb.json") if with_kb else ()
     result = ddx("train", "--cases", "cases.jsonl", *kb, "--restrict-findings", "only.json", "--out", "m.ckpt", cwd=workspace)
     assert result.returncode == 1
@@ -611,7 +611,6 @@ def test_out_naming_a_directory_is_rejected(workspace):
         (("simulate", "--cases", "0"), "--cases 0: cases_total must be >= 1"),
         (("simulate", "--cases", "4294967297"), "--cases 4294967297: cases_total must be <= 2**32"),
         (("simulate", "--cases", "5", "--min-per-disease", "-1"), "--min-per-disease -1: min_cases_per_disease must be >= 0"),
-        (("simulate", "--cases", "5", "--ddx-top-k", "0"), "--ddx-top-k 0: ddx_top_k must be >= 1"),
         (("simulate", "--cases", "5", "--seed", "-1"), "--seed -1: seed must be a 64-bit unsigned integer"),
     ],
 )
@@ -825,7 +824,6 @@ OUT_OF_RANGE = {
     ("simulate", "cases_total"): "0",
     ("simulate", "seed"): "-1",
     ("simulate", "min_cases_per_disease"): "-1",
-    ("simulate", "ddx_top_k"): "0",
     ("train", "learning_rate"): "0.0",
     ("train", "batch_size"): "0",
     ("train", "epochs"): "0",
@@ -873,6 +871,16 @@ def test_min_findings_flag_is_gone(tmp_path):
     code, _, err = run_in(tmp_path, ["kb", "validate", "kb.json", "--min-findings", "1"])
     assert code == 2
     assert "unrecognized arguments: --min-findings 1" in err
+
+
+def test_simulate_ddx_top_k_flag_is_gone(workspace):
+    # Simulated cases are labelled at the expert's default differential size.
+    code, _, err = run_in(workspace, [*VALID_RUN["simulate"], "--ddx-top-k", "3"])
+    assert code == 2
+    assert "unrecognized arguments: --ddx-top-k 3" in err
+    assert sorted(p.name for p in workspace.iterdir()) == ["kb.json"]
+    assert run_in(workspace, VALID_RUN["simulate"])[0] == 0
+    assert "ddx_top_k" not in json.loads((workspace / "x.jsonl.manifest.json").read_text())["config"]
 
 
 # --- manifests ---------------------------------------------------------------

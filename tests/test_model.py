@@ -171,8 +171,9 @@ def test_dropout_rate_zero_is_exactly_inference():
     vocab = small_vocab()
     p = init_parameters(vocab, dim=8, seed=2)
     x = ModelInput((0, 2), (1,), (1,))
-    mask = make_dropout_plan(x.n_rows, 8, 0.0, np.random.default_rng(0))
-    assert np.array_equal(disease_log_probs(p, bag([x]), pooled_embedding(p, bag([x]), mask, 0.0))[0], reference_log_probs(p, x))
+    bags = bag([x])
+    mask = make_dropout_plan(len(bags.rows), 8, 0.0, np.random.default_rng(0))
+    assert np.array_equal(disease_log_probs(p, bags, pooled_embedding(p, bags, mask, 0.0))[0], reference_log_probs(p, x))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 64, 256, 257])
@@ -186,7 +187,7 @@ def test_pooled_embedding_equals_per_slice_means_bytewise(dim, rate, n_cases):
     xs = [random_input(vocab, rng) for _ in range(12)] + [ModelInput((), (), ()), ModelInput((), (), (0, 1))]
     xs = [xs[i] for i in rng.permutation(len(xs))]
     if n_cases == 1:
-        xs = [max(xs, key=lambda x: x.n_rows)]
+        xs = [max(xs, key=lambda x: len(bag([x]).rows))]
     if n_cases == 40:  # many cases of at most 6 rows, which narrow rows sum position-major
         xs += [random_input(vocab, rng) for _ in range(26)]
         xs = [ModelInput(x.pos_clinical[:3], x.neg_clinical[:3], x.demo) for x in xs]
@@ -224,9 +225,10 @@ def test_dropout_scaling_is_unbiased():
     p = init_parameters(vocab, dim=8, seed=2)
     p.finding_embeddings = rng.uniform(0.5, 1.5, size=p.finding_embeddings.shape)
     x = ModelInput((0, 1, 2, 3), (), ())
-    h = pooled_embedding(p, bag([x]))[0]
+    bags = bag([x])
+    h = pooled_embedding(p, bags)[0]
     draws = np.stack(
-        [pooled_embedding(p, bag([x]), make_dropout_plan(x.n_rows, 8, 0.7, rng), 0.7)[0] for _ in range(10_000)]
+        [pooled_embedding(p, bags, make_dropout_plan(len(bags.rows), 8, 0.7, rng), 0.7)[0] for _ in range(10_000)]
     )
     assert np.allclose(draws.mean(axis=0), h, atol=0.02 * max(1.0, np.abs(h).max()))
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddxkit.data import write_cases
-from ddxkit.expert import expert_inference
+from ddxkit.expert import DEFAULT_DDX_TOP_K, expert_inference
 from ddxkit.kb import CLINICAL, DEMOGRAPHIC, ConfigError, frequency
 from ddxkit.simulate import (
     MAX_FINDINGS_CAP,
@@ -44,7 +44,7 @@ def mutex_kb():
     return build_mutex_kb()
 
 
-def reference_simulate_case(kb, disease_id, rng, cfg, case_id):
+def reference_simulate_case(kb, disease_id, rng, case_id):
     """The simulator as a pool walk read straight from the KB.
 
     Mutex groups are enforced by rebuilding the candidate pool after every
@@ -85,7 +85,7 @@ def reference_simulate_case(kb, disease_id, rng, cfg, case_id):
             if rng.random() > NEG_GATE:
                 neg.add(fid)
 
-    ddx = expert_inference(kb, [(pos, neg)], cfg.ddx_top_k)[0]
+    ddx = expert_inference(kb, [(pos, neg)], DEFAULT_DDX_TOP_K)[0]
     return ClinicalCase(id=case_id, pos=frozenset(pos), neg=frozenset(neg), ddx=ddx, seed_disease=disease_id)
 
 
@@ -173,19 +173,18 @@ def shared_group_kb():
 )
 def test_simulate_case_equals_the_reference_walk(build):
     kb = build()
-    cfg = SimConfig(cases_total=1, ddx_top_k=3)
     dstar = simulable_diseases(kb)
     for seed in range(40):
         labels = [dstar[(seed + i) % len(dstar)] for i in range(6)]
-        new = [simulate_case(kb, d, case_rng(seed, i), cfg, f"c{i}") for i, d in enumerate(labels)]
-        ref = [reference_simulate_case(kb, d, case_rng(seed, i), cfg, f"c{i}") for i, d in enumerate(labels)]
+        new = [simulate_case(kb, d, case_rng(seed, i), f"c{i}") for i, d in enumerate(labels)]
+        ref = [reference_simulate_case(kb, d, case_rng(seed, i), f"c{i}") for i, d in enumerate(labels)]
         assert write_cases(new) == write_cases(ref)
 
 
 def test_dataset_equals_the_reference_walk_at_a_two_word_seed(mutex_kb):
     seed = 2**40 + 12345
-    cfg = SimConfig(cases_total=60, min_cases_per_disease=0, seed=seed, ddx_top_k=3)
-    ref = [reference_simulate_case(mutex_kb, "d", case_rng(seed, i), cfg, f"sim-{i}") for i in range(60)]
+    cfg = SimConfig(cases_total=60, min_cases_per_disease=0, seed=seed)
+    ref = [reference_simulate_case(mutex_kb, "d", case_rng(seed, i), f"sim-{i}") for i in range(60)]
     assert write_cases(simulate_dataset(mutex_kb, cfg)) == write_cases(ref)
 
 
@@ -193,31 +192,28 @@ def test_dataset_equals_the_reference_walk_at_a_two_word_seed(mutex_kb):
 def test_dataset_past_the_floor_equals_the_reference_walk(seed):
     # Five diseases, so the seed diseases drawn past the floor are not all one.
     kb = make_separable_kb(n_diseases=5)
-    cfg = SimConfig(cases_total=70, min_cases_per_disease=4, seed=seed, ddx_top_k=3)
+    cfg = SimConfig(cases_total=70, min_cases_per_disease=4, seed=seed)
     dstar = simulable_diseases(kb)
     labels = [d for d in dstar for _ in range(cfg.min_cases_per_disease)]
     chooser = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     labels += [dstar[int(chooser.integers(len(dstar)))] for _ in range(cfg.cases_total - len(labels))]
     assert len(set(labels[len(dstar) * cfg.min_cases_per_disease :])) > 1
-    ref = [reference_simulate_case(kb, d, case_rng(seed, i), cfg, f"sim-{i}") for i, d in enumerate(labels)]
+    ref = [reference_simulate_case(kb, d, case_rng(seed, i), f"sim-{i}") for i, d in enumerate(labels)]
     assert write_cases(simulate_dataset(kb, cfg)) == write_cases(ref)
 
 
 def test_a_tiny_dataset_has_its_stream_text():
     # Pins both streams, case_rng's and the [seed, 0] label chooser's: every
-    # other test draws through case_rng itself. ddx_top_k=1 keeps the expert's
-    # probabilities, which are not the streams', out of the text.
-    cfg = SimConfig(cases_total=4, min_cases_per_disease=0, seed=2**40 + 7, ddx_top_k=1)
-    assert write_cases(simulate_dataset(make_separable_kb(3), cfg)) == (
-        '{"id":"sim-0","pos":["age_mid","bg1","d00_f0","d00_f1","d00_f2","male"],"neg":[],'
-        '"ddx":[{"disease":"d00","p":1.0}],"source":"expert_sim","seed_disease":"d00"}\n'
-        '{"id":"sim-1","pos":["age_child","bg0","d02_f0","d02_f1","d02_f2","female"],"neg":["bg3","bg5"],'
-        '"ddx":[{"disease":"d02","p":1.0}],"source":"expert_sim","seed_disease":"d02"}\n'
-        '{"id":"sim-2","pos":["age_child","d01_f0","d01_f1","d01_f2","male"],"neg":["bg3","bg4"],'
-        '"ddx":[{"disease":"d01","p":1.0}],"source":"expert_sim","seed_disease":"d01"}\n'
-        '{"id":"sim-3","pos":["age_child","bg0","bg1","bg2","d00_f0","d00_f1","d00_f2"],"neg":["bg3"],'
-        '"ddx":[{"disease":"d00","p":1.0}],"source":"expert_sim","seed_disease":"d00"}\n'
-    )
+    # other test draws through case_rng itself. The expert's probabilities,
+    # which are not the streams', stay out of the pin.
+    cfg = SimConfig(cases_total=4, min_cases_per_disease=0, seed=2**40 + 7)
+    drawn = [(c.id, sorted(c.pos), sorted(c.neg), c.seed_disease) for c in simulate_dataset(make_separable_kb(3), cfg)]
+    assert drawn == [
+        ("sim-0", ["age_mid", "bg1", "d00_f0", "d00_f1", "d00_f2", "male"], [], "d00"),
+        ("sim-1", ["age_child", "bg0", "d02_f0", "d02_f1", "d02_f2", "female"], ["bg3", "bg5"], "d02"),
+        ("sim-2", ["age_child", "d01_f0", "d01_f1", "d01_f2", "male"], ["bg3", "bg4"], "d01"),
+        ("sim-3", ["age_child", "bg0", "bg1", "bg2", "d00_f0", "d00_f1", "d00_f2"], ["bg3"], "d00"),
+    ]
 
 
 @pytest.mark.parametrize("floor", [0, 4])
@@ -225,7 +221,7 @@ def test_a_tiny_dataset_has_its_stream_text():
 def test_a_dataset_is_a_prefix_of_a_larger_one(floor, seed):
     kb = make_separable_kb(n_diseases=5)
     small, large = (
-        simulate_dataset(kb, SimConfig(cases_total=n, min_cases_per_disease=floor, seed=seed, ddx_top_k=3))
+        simulate_dataset(kb, SimConfig(cases_total=n, min_cases_per_disease=floor, seed=seed))
         for n in (30, 47)
     )
     assert write_cases(small) == write_cases(large[:30])
@@ -234,7 +230,7 @@ def test_a_dataset_is_a_prefix_of_a_larger_one(floor, seed):
 def test_certain_findings_are_always_elicited():
     kb = make_kb(["d"], ["f0", "f1", "f2", "f3", "f4"], {("d", f"f{i}"): 1.0 for i in range(5)})
     for seed in range(10):
-        case = simulate_case(kb, "d", case_rng(seed, 0), SimConfig(cases_total=1))
+        case = simulate_case(kb, "d", case_rng(seed, 0))
         assert case.pos == frozenset({"f0", "f1", "f2", "f3", "f4"})
         assert case.neg == frozenset()
         assert case.seed_disease == "d"
@@ -243,19 +239,19 @@ def test_certain_findings_are_always_elicited():
 def test_unsimulable_disease_raises():
     kb = make_kb(["d"], [("male", DEMOGRAPHIC, "sex")], {("d", "male"): 1.0})
     with pytest.raises(ValueError, match="no nonzero clinical findings"):
-        simulate_case(kb, "d", case_rng(0, 0), SimConfig(cases_total=1))
+        simulate_case(kb, "d", case_rng(0, 0))
     assert simulable_diseases(kb) == []
 
 
 def test_unknown_disease_is_named():
     with pytest.raises(KeyError) as raised:
-        simulate_case(build_mutex_kb(), "nope", case_rng(0, 0), SimConfig(cases_total=1))
+        simulate_case(build_mutex_kb(), "nope", case_rng(0, 0))
     assert raised.value.args == ("unknown disease id: 'nope'",)
 
 
 def test_mutex_demographics_yield_exactly_one(mutex_kb):
     for seed in range(1000):
-        case = simulate_case(mutex_kb, "d", case_rng(seed, 0), SimConfig(cases_total=1))
+        case = simulate_case(mutex_kb, "d", case_rng(seed, 0))
         assert len(case.pos & {"age_adult", "age_child"}) == 1
 
 
@@ -273,7 +269,7 @@ def test_case_invariants_hold_across_a_dataset():
 def test_at_least_five_findings_when_available():
     kb = make_kb(["d"], [f"f{i}" for i in range(8)], {("d", f"f{i}"): 1.0 for i in range(8)})
     for seed in range(50):
-        case = simulate_case(kb, "d", case_rng(seed, 0), SimConfig(cases_total=1))
+        case = simulate_case(kb, "d", case_rng(seed, 0))
         assert len(case.pos | case.neg) >= 5
 
 
@@ -358,3 +354,10 @@ def test_sim_config_validation():
     assert SimConfig(cases_total=2**32).cases_total == 2**32
     with pytest.raises(ValueError):
         SimConfig(cases_total=1, seed=-1)
+
+
+def test_cases_are_labelled_at_the_experts_default_differential_size():
+    with pytest.raises(TypeError):
+        SimConfig(cases_total=1, ddx_top_k=3)
+    cases = simulate_dataset(make_separable_kb(20), SimConfig(cases_total=40, min_cases_per_disease=0, seed=3))
+    assert max(len(c.ddx.entries) for c in cases) == DEFAULT_DDX_TOP_K

@@ -236,7 +236,7 @@ def test_backward_equals_the_per_case_reference_exactly(rate, dim):
         batch.insert(int(rng.integers(len(batch) + 1)), (ModelInput((), (), (0, 2)), uniform))
         ref_rng, rng_ = np.random.default_rng(trial), np.random.default_rng(trial)
         expected, expected_loss = reference_backward(p, batch, rate, ref_rng)
-        n_rows = sum(x.n_rows for x, _ in batch)
+        n_rows = len(bag([x for x, _ in batch]).rows)
         mask = make_dropout_plan(n_rows, dim, rate, rng_, p.projection.dtype) if rate > 0 else None
         grads, loss = backward(p, *batch_arrays(batch), mask, rate)
         assert loss == expected_loss
