@@ -257,7 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--restrict-findings", default=None, help="KB document whose findings limit the finding vocabulary"
     )
     p_train.add_argument("--dim", type=int, default=1024, help="embedding dimension")
-    p_train.add_argument("--dropout", type=float, default=TrainConfig.dropout_rate)
+    p_train.add_argument(
+        "--dropout",
+        type=float,
+        default=TrainConfig.dropout_rate,
+        help="dropout rate in [0, 1), applied as round(rate * 65536) / 65536 (within 2^-17 of it)",
+    )
     p_train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_train.add_argument("--batch", type=int, default=TrainConfig.batch_size)

@@ -32,7 +32,11 @@ has the same bytes alone or in any set.
 
 The model's parameters are float32 (DTYPE), and every function here runs
 in the dtype of the parameters it is given, so float64 parameters give
-float64 sums, products and dropout draws. One rule holds in either dtype:
+float64 sums and products. The dropout mask is drawn apart from any dtype:
+`make_dropout_plan` compares 16-bit slices of raw PCG64 words with
+round(rate * 2**16), so it drops a share round(rate * 2**16) / 2**16 of
+the entries, within 2**-17 of the rate; a rate below 2**-17 drops none,
+and one of at least 1 - 2**-17 drops all. One rule holds in either dtype:
 the log-softmax normalises in float64, over the upcast (B, L) logit sum, so
 every ranking sums to 1 within float64 rounding.
 
@@ -204,12 +208,21 @@ def _take(flat: np.ndarray, offsets: np.ndarray, idx: np.ndarray) -> tuple[np.nd
     return flat[index], taken
 
 
-def make_dropout_plan(n_rows: int, dim: int, rate: float, rng: np.random.Generator, dtype=DTYPE) -> np.ndarray:
-    """Boolean keep-mask for a batch's `n_rows` gathered rows, one rng draw
-    of uniforms in `dtype`, the parameters' (float32 or float64)."""
+def make_dropout_plan(n_rows: int, dim: int, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Boolean keep-mask, (n_rows, dim), for a batch's gathered rows.
+
+    The N = n_rows * dim entries take the first N 16-bit values of
+    ceil(N / 4) raw 64-bit words of `rng`'s bit generator, each word read as
+    four little-endian uint16 (so the mask does not depend on the machine's
+    byte order). An entry is kept when its value is at least
+    t = round(rate * 2**16), so the drop share is the quantised rate
+    t / 2**16, within 2**-17 of `rate`. A rate below 2**-17 keeps every
+    entry, and one of at least 1 - 2**-17 drops every entry."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    return rng.random(size=(n_rows, dim), dtype=dtype) >= rate
+    n = n_rows * dim
+    words = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False)
+    return words.view("<u2")[:n].reshape(n_rows, dim) >= round(rate * 65536)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -247,7 +260,9 @@ def pooled_embedding(
 ) -> np.ndarray:
     """Per-case mean of the gathered finding rows, (B, D); zero for a case
     with none. `mask` is a make_dropout_plan draw for `rate`: dropped
-    entries are zeroed and kept ones scaled by 1/(1 - rate)."""
+    entries are zeroed and kept ones scaled by 1/(1 - rate). The mask drops
+    the quantised rate, so the expected pooled row is within a relative
+    2**-17 / (1 - rate) of the row without dropout."""
     gathered = p.finding_embeddings[bags.rows]
     if mask is not None:
         gathered *= mask

@@ -18,10 +18,12 @@ table row (`sums.position_major_sums`). Either way each row adds its terms
 in item order from 0.0, and a row a case gathers twice gets both terms.
 Sums, products, gradients and Adam moments follow the parameters' dtype,
 except that the bincount branch adds in float64 and rounds each row's sum
-once to that dtype. The loss and softmax(c) - p are float64, as the model's
-log-softmax is; the difference is cast to the parameters' dtype before the
-backward products. Gradients and Adam moments are dicts keyed like
-`ModelParameters.blocks()`.
+once to that dtype. The dropout mask does not: `make_dropout_plan` draws
+it from raw 16-bit slices of the stream that shuffles the epochs, so one
+seed gives one mask sequence in either dtype. The loss and softmax(c) - p
+are float64, as the model's log-softmax is; the difference is cast to the
+parameters' dtype before the backward products. Gradients and Adam moments
+are dicts keyed like `ModelParameters.blocks()`.
 """
 from __future__ import annotations
 
@@ -271,7 +273,7 @@ def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[Mo
         for start in range(0, n, cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
             batch = bags.take(chunk)
-            mask = make_dropout_plan(len(batch.rows), D, rate, rng, p.projection.dtype) if rate > 0.0 else None
+            mask = make_dropout_plan(len(batch.rows), D, rate, rng) if rate > 0.0 else None
             grads, loss = backward(p, batch, targets[chunk], mask, rate)
             adam_step(p, grads, state, cfg)
             total += loss * len(chunk)

@@ -233,12 +233,49 @@ def test_dropout_scaling_is_unbiased():
     assert np.allclose(draws.mean(axis=0), h, atol=0.02 * max(1.0, np.abs(h).max()))
 
 
-def test_a_float32_dropout_mask_keeps_one_minus_rate_of_its_entries():
-    rate, shape = 0.7, (4096, 256)
-    mask = make_dropout_plan(*shape, rate, np.random.default_rng(17), np.float32)
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.7])
+def test_a_dropout_mask_keeps_one_minus_rate_of_its_entries(rate):
+    # The drop share is the quantised rate t / 2**16, t = round(rate * 2**16).
+    share, shape = round(rate * 65536) / 65536, (4096, 256)
+    assert abs(share - rate) <= 2**-17
+    mask = make_dropout_plan(*shape, rate, np.random.default_rng(17))
     n = mask.size
     assert mask.shape == shape and mask.dtype == bool
-    assert abs(int(mask.sum()) - n * (1.0 - rate)) <= 5.0 * math.sqrt(n * rate * (1.0 - rate))
+    assert abs(int(mask.sum()) - n * (1.0 - share)) <= 5.0 * math.sqrt(n * share * (1.0 - share))
+
+
+def sixteen_bit_values(words):
+    """Each raw 64-bit word's four 16-bit slices, low slice first, as Python ints."""
+    return [(int(w) >> shift) & 0xFFFF for w in words for shift in (0, 16, 32, 48)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 3), (5, 257), (2, 2), (0, 6)])
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.7, 2**-17 + 2**-30, 1 - 2**-17 - 2**-30])
+def test_a_dropout_mask_keeps_the_16_bit_values_at_or_above_the_rate_threshold(shape, rate):
+    n = shape[0] * shape[1]
+    mask = make_dropout_plan(*shape, rate, np.random.default_rng(23))
+    words = np.random.default_rng(23).bit_generator.random_raw((n + 3) // 4)
+    threshold = round(rate * 65536)
+    expected = np.array([v >= threshold for v in sixteen_bit_values(words)[:n]], dtype=bool).reshape(shape)
+    assert mask.shape == shape and mask.dtype == bool
+    assert mask.tobytes() == expected.tobytes()
+
+
+def test_each_dropout_mask_advances_the_generator_by_ceil_n_over_4_raw_words():
+    # With the test above, consecutive masks read disjoint words of one stream.
+    rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+    for rows, dim, words in [(3, 5, 4), (7, 3, 6), (0, 4, 0), (5, 257, 322), (1, 1, 1)]:
+        make_dropout_plan(rows, dim, 0.5, rng)
+        ref.bit_generator.advance(words)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "rate, kept", [(0.0, True), (2**-18, True), (2**-17, True), (1 - 2**-17, False), (np.nextafter(1.0, 0.0), False)]
+)
+def test_a_rate_within_2_to_the_minus_17_of_0_or_1_keeps_or_drops_every_entry(rate, kept):
+    mask = make_dropout_plan(512, 256, rate, np.random.default_rng(37))
+    assert mask.all() if kept else not mask.any()
 
 
 def test_encode_case_is_invariant_to_insertion_order():

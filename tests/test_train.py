@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddxkit import train as train_module
-from ddxkit.data import CaseSet, Vocabulary, normalize_ddx
+from ddxkit.data import CaseSet, Vocabulary, build_vocabulary, normalize_ddx
 from ddxkit.model import (
     Bags,
     ModelInput,
@@ -20,8 +21,9 @@ from ddxkit.model import (
     make_dropout_plan,
     pooled_embedding,
 )
-from ddxkit.simulate import ClinicalCase
+from ddxkit.simulate import ClinicalCase, SimConfig, simulate_dataset
 from ddxkit.sums import position_major_sums
+from ddxkit.synthetic import make_separable_kb
 from ddxkit.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -186,7 +188,7 @@ def test_backward_mean_semantics():
 
 def reference_backward(p, batch, rate, rng):
     """The per-case pooling and backward loops that the flat-batch path
-    replaced, drawing one dropout mask per case; an exact oracle."""
+    replaced, slicing the batch's one dropout mask per case; an exact oracle."""
 
     def log_softmax_rows(z):
         m = z.max(axis=1, keepdims=True)
@@ -194,7 +196,11 @@ def reference_backward(p, batch, rate, rng):
 
     (D, L), B = p.projection.shape, len(batch)
     rows = [[2 * i for i in x.pos_clinical] + [2 * i + 1 for i in x.neg_clinical] for x, _ in batch]
-    masks = [(rng.random(size=(len(r), D)) >= rate).astype(float) if rate > 0 else None for r in rows]
+    # One mask for the batch: its i-th entry is the i-th 16-bit slice, low slice first, of raw 64-bit words.
+    sizes = [len(r) * D for r in rows]
+    words = rng.bit_generator.random_raw(-(-sum(sizes) // 4) if rate > 0 else 0)
+    keep = ((words[:, None] >> np.uint64([0, 16, 32, 48])) & np.uint64(0xFFFF)).ravel() >= round(rate * 65536)
+    masks = [k.reshape(-1, D).astype(float) if rate > 0 else None for k in np.split(keep, np.cumsum(sizes))[:-1]]
     H, U, P = np.zeros((B, D)), np.zeros((B, L)), np.array([t for _, t in batch])
     for i, (x, _) in enumerate(batch):
         if rows[i]:
@@ -237,7 +243,7 @@ def test_backward_equals_the_per_case_reference_exactly(rate, dim):
         ref_rng, rng_ = np.random.default_rng(trial), np.random.default_rng(trial)
         expected, expected_loss = reference_backward(p, batch, rate, ref_rng)
         n_rows = len(bag([x for x, _ in batch]).rows)
-        mask = make_dropout_plan(n_rows, dim, rate, rng_, p.projection.dtype) if rate > 0 else None
+        mask = make_dropout_plan(n_rows, dim, rate, rng_) if rate > 0 else None
         grads, loss = backward(p, *batch_arrays(batch), mask, rate)
         assert loss == expected_loss
         assert grads.keys() == expected.keys()
@@ -514,15 +520,40 @@ def test_training_init_parameters_stays_in_float32(dim):
     with (
         mock.patch.object(train_module, "adam_step", wraps=adam_step) as steps,
         mock.patch.object(train_module, "make_dropout_plan", wraps=make_dropout_plan) as draws,
+        mock.patch.object(train_module, "backward", wraps=backward) as passes,
     ):
         trained, _ = train(p0, CaseSet(cases=tuple(cases), provenance=("random",)), cfg)
-    assert steps.call_count == draws.call_count == 6
-    assert {call.args[4] for call in draws.call_args_list} == {np.dtype(np.float32)}
+    assert steps.call_count == draws.call_count == passes.call_count == 6
+    for call in passes.call_args_list:
+        batch, mask = call.args[1], call.args[3]
+        assert mask.dtype == bool and mask.shape == (len(batch.rows), dim)
     state = steps.call_args.args[2]
     arrays = [*trained.blocks().values(), *state.m.values(), *state.v.values()]
     arrays += [a for pair in state.scratch.values() for a in pair]
     arrays += [g for call in steps.call_args_list for g in call.args[1].values()]
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+
+# Only the dropout mask draws through make_dropout_plan, so checkpoints that
+# draw none keep their bytes when its rule changes. Each digest is the SHA-256
+# of the checkpoint's text: untrained, or after two epochs without dropout.
+@pytest.mark.parametrize(
+    "n_diseases, dim, seed, trained, digest",
+    [
+        (4, 16, 3, False, "223c8fbd080668abea3269ea352eb3cf73d391a51c01b25b167b4cd27db92196"),
+        (4, 16, 3, True, "680c0f5d46a447ee7a9ade40bd0d956bac642b1f54742f93460041513e5c47b5"),
+        (20, 64, 5, False, "f5c11b3b4f93dd7892b5303bd7bae6d2825fd351d22ec26734bd0528298e7012"),
+        (20, 64, 5, True, "afa029f51f23243a4941f54100f9bf2d9f3cb55b116e916ef85707de13116ada"),
+    ],
+)
+def test_checkpoint_bytes_without_dropout_are_pinned(n_diseases, dim, seed, trained, digest):
+    kb = make_separable_kb(n_diseases, seed=0)
+    cases = simulate_dataset(kb, SimConfig(cases_total=40, seed=seed, min_cases_per_disease=0))
+    cases = CaseSet(cases=tuple(cases), provenance=("simulated",))
+    p = init_parameters(build_vocabulary([cases], kb=kb), dim=dim, seed=seed, kb=kb)
+    if trained:
+        p, _ = train(p, cases, TrainConfig(batch_size=8, epochs=2, dropout_rate=0.0, seed=seed))
+    assert hashlib.sha256(checkpoint_to_json(p).encode("utf-8")).hexdigest() == digest
 
 
 def test_loss_is_non_increasing_on_separable_toy_data():
