@@ -12,10 +12,11 @@ target-accuracy tables are the means of those hits.
 Each engine ranks in one place, a set-level `batch`: a callable that takes
 an iterable of (pos, neg) pairs and yields, in order, each case's (ranking,
 skipped) pair. The model's ranks with `model.rank_cases`, the expert's
-labels the set with one `expert_inference` call. Its predictor is `batch`
-run on one case, with `batch` attached; `rank_case_set` ranks a case set
-through that attribute, and calls a predictor without one case by case, so
-`evaluate` and `ddx predict` rank a case set the same way.
+with one `expert.expert_rankings` call, which builds no `DifferentialDiagnosis`
+label. Its predictor is `batch` run on one case, with `batch` attached;
+`rank_case_set` ranks a case set through that attribute, and calls a
+predictor without one case by case, so `evaluate` and `ddx predict` rank a
+case set the same way.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .data import CaseSet
-from .expert import CaseError, expert_inference
-from .kb import KnowledgeBase
+from .expert import CaseError, expert_rankings
+from .kb import KnowledgeBase, scoring_tables
 from .model import ModelParameters, encode_case, rank_cases
 from .simulate import ClinicalCase
 
@@ -116,23 +117,21 @@ def rank_case_set(predictor: Predictor, cases: CaseSet) -> Iterator[tuple[list[t
 
 def expert_predictor(kb: KnowledgeBase, top_k: int | None = None) -> Predictor:
     """Rank diseases with the expert engine, a case set in one
-    expert_inference call.
+    expert_rankings call; no ranking is built as a DifferentialDiagnosis.
 
-    top_k=None ranks every non-excluded disease; a finite top_k mirrors the
-    engine's short retained list, leaving deeper ranks unscored. Findings
-    the KB does not know are skipped.
+    top_k=None ranks every non-excluded disease; a finite top_k, at least 1,
+    mirrors the engine's short retained list, leaving deeper ranks unscored.
+    Findings the KB does not know are skipped.
     """
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be >= 1 or None, got {top_k}")
     k = top_k if top_k is not None else len(kb.diseases)
-
-    def known(pos: frozenset, neg: frozenset) -> tuple[set, set, int]:
-        known_pos = {f for f in pos if kb.has_finding(f)}
-        known_neg = {f for f in neg if kb.has_finding(f)}
-        return known_pos, known_neg, len(pos) + len(neg) - len(known_pos) - len(known_neg)
+    known_ids = scoring_tables(kb).finding_row.keys()
 
     def batch(cases: Iterable[tuple[frozenset, frozenset]]) -> Iterator[tuple[list[tuple[str, float]], int]]:
-        found = [known(pos, neg) for pos, neg in cases]
-        ddxs = expert_inference(kb, [(known_pos, known_neg) for known_pos, known_neg, _ in found], k)
-        return ((list(ddx.entries), skipped) for ddx, (_, _, skipped) in zip(ddxs, found))
+        found = [(pos & known_ids, neg & known_ids, len(pos) + len(neg)) for pos, neg in cases]
+        rankings = expert_rankings(kb, [(known_pos, known_neg) for known_pos, known_neg, _ in found], k)
+        return zip(rankings, (n - len(known_pos) - len(known_neg) for known_pos, known_neg, n in found))
 
     return _per_case(batch)
 

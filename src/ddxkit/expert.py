@@ -13,17 +13,26 @@ softmax, mirroring how a short retained list is reported as probabilities.
 The ln terms are read from the KB's compiled tables (kb.scoring_tables),
 built once per knowledge base.
 
-`expert_inference` labels a sequence of cases. From ARRAY_PASS_CASES
-cases on it labels them in array passes of LABEL_CHUNK cases: one
-position-major sum of the cases' table rows (`sums.position_major_sums`,
-shared with model pooling and the training scatter), a row-wise top k, and
-the softmax over all retained entries. A shorter call labels its cases one
-at a time, which is cheaper for a few cases. Either way the retained list is
-ranked by (-score, id) and then by (-probability, id), with the IEEE
-operations of a Python softmax over the retained scores (the maximum
-subtracted, `math.exp` per score, one left-to-right sum): a differential has
-the same bytes as one built entry by entry in Python, whatever cases share
-the call.
+Two outputs, one ranking:
+
+- `expert_rankings` ranks a sequence of cases: per case, a list of
+  (disease id, probability) entries. `evaluate.expert_predictor`, behind
+  `ddx eval` and `ddx predict --engine expert`, reads these and passes them
+  on unchecked.
+- `expert_inference` labels a sequence of cases: each ranking checked and
+  stored as a `DifferentialDiagnosis`. `simulate.simulate_dataset` and
+  `simulate.simulate_case` read these as the cases' labels.
+
+From ARRAY_PASS_CASES cases on, `expert_rankings` ranks them in array passes
+of LABEL_CHUNK cases: one position-major sum of the cases' table rows
+(`sums.position_major_sums`, shared with model pooling and the training
+scatter), a row-wise top k, and the softmax over all retained entries. A
+shorter call ranks its cases one at a time, which is cheaper for a few
+cases. Either way the retained list is ranked by (-score, id) and then by
+(-probability, id), with the IEEE operations of a Python softmax over the
+retained scores (the maximum subtracted, `math.exp` per score, one
+left-to-right sum): a ranking has the same bytes as one built entry by entry
+in Python, whatever cases share the call.
 
 This is a simple, monotone, brute-force-verifiable scoring rule, not a
 reconstruction of any production inference engine.
@@ -135,17 +144,17 @@ def _set_scores(tables, cases, start: int) -> np.ndarray:
     )
 
 
-def expert_inference(
+def expert_rankings(
     kb: KnowledgeBase,
     cases: Sequence[tuple[set[str] | frozenset[str], set[str] | frozenset[str]]],
     k: int = DEFAULT_DDX_TOP_K,
-) -> list[DifferentialDiagnosis]:
-    """The differential of each (pos, neg) case: its k best finite diseases,
-    renormalized.
+) -> list[list[tuple[str, float]]]:
+    """The ranked (disease id, probability) entries of each (pos, neg) case:
+    its k best finite diseases, renormalized.
 
     The softmax runs over the retained raw scores only, so the reported
     probabilities are relative weights within the short list. A case that
-    cannot be labelled (a finding the KB does not know, a finding in both pos
+    cannot be ranked (a finding the KB does not know, a finding in both pos
     and neg, every disease excluded) raises CaseError naming its index in
     `cases`.
     """
@@ -154,15 +163,25 @@ def expert_inference(
     tables = scoring_tables(kb)
     k = min(k, len(tables.disease_ids))  # a k past L keeps every disease; numpy takes no k past int64
     if len(cases) < ARRAY_PASS_CASES:
-        return [_row_differential(tables, _row_scores(tables, pos, neg, i), k, i) for i, (pos, neg) in enumerate(cases)]
-    out: list[DifferentialDiagnosis] = []
+        return [_row_ranking(tables, _row_scores(tables, pos, neg, i), k, i) for i, (pos, neg) in enumerate(cases)]
+    out: list[list[tuple[str, float]]] = []
     for start in range(0, len(cases), LABEL_CHUNK):
-        out += _set_differentials(tables, _set_scores(tables, cases[start : start + LABEL_CHUNK], start), k, start)
+        out += _set_rankings(tables, _set_scores(tables, cases[start : start + LABEL_CHUNK], start), k, start)
     return out
 
 
-def _row_differential(tables, scores: np.ndarray, k: int, index: int) -> DifferentialDiagnosis:
-    """The differential of one id-ordered score row."""
+def expert_inference(
+    kb: KnowledgeBase,
+    cases: Sequence[tuple[set[str] | frozenset[str], set[str] | frozenset[str]]],
+    k: int = DEFAULT_DDX_TOP_K,
+) -> list[DifferentialDiagnosis]:
+    """The differential label of each (pos, neg) case: its expert_rankings
+    entries, checked as a DifferentialDiagnosis."""
+    return [DifferentialDiagnosis(entries=tuple(entries)) for entries in expert_rankings(kb, cases, k)]
+
+
+def _row_ranking(tables, scores: np.ndarray, k: int, index: int) -> list[tuple[str, float]]:
+    """The ranked entries of one id-ordered score row."""
     # Columns are in id order, so a stable sort of -score ranks by (-score, id);
     # excluded diseases sort last.
     ranked = np.argsort(-scores, kind="stable")[:k]
@@ -183,14 +202,16 @@ def _row_differential(tables, scores: np.ndarray, k: int, index: int) -> Differe
     if probs[-1] == 0.0:
         n = int(np.count_nonzero(probs))
     ranked, probs = ranked[:n], probs[:n]
-    # Distinct scores can round to one probability: re-rank by (-p, id).
-    order = np.lexsort((ranked, -probs))
-    return DifferentialDiagnosis(entries=tuple(zip(tables.disease_ids[ranked[order]].tolist(), probs[order].tolist())))
+    # Distinct scores can round to one probability: re-rank such a row by (-p, id).
+    if (probs[1:] == probs[:-1]).any():
+        order = np.lexsort((ranked, -probs))
+        ranked, probs = ranked[order], probs[order]
+    return list(zip(tables.disease_ids[ranked].tolist(), probs.tolist()))
 
 
-def _set_differentials(tables, scores: np.ndarray, k: int, start: int) -> list[DifferentialDiagnosis]:
-    """The differential of each row of id-ordered `scores`, whose first row
-    is case `start`, with the bytes of _row_differential."""
+def _set_rankings(tables, scores: np.ndarray, k: int, start: int) -> list[list[tuple[str, float]]]:
+    """The ranked entries of each row of id-ordered `scores`, whose first row
+    is case `start`, with the bytes of _row_ranking."""
     L = scores.shape[1]
     n = np.minimum(np.count_nonzero(scores != -math.inf, axis=1), k)
     empty = np.flatnonzero(n == 0)
@@ -226,4 +247,4 @@ def _set_differentials(tables, scores: np.ndarray, k: int, start: int) -> list[D
     ids = tables.disease_ids[top[keep]].tolist()
     ps = probs[keep].tolist()
     ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
-    return [DifferentialDiagnosis(entries=tuple(zip(ids[a:b], ps[a:b]))) for a, b in zip([0] + ends, ends)]
+    return [list(zip(ids[a:b], ps[a:b])) for a, b in zip([0] + ends, ends)]

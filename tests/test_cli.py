@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -332,6 +333,32 @@ def test_expert_engine_eval_and_predict(workspace):
     result = ddx("eval", "--engine", "model", "--cases", "cases.jsonl", cwd=workspace)
     assert result.returncode == 1
     assert "checkpoint" in result.stderr
+
+
+# Digests of the expert's eval report and predictions on the workspace's 60
+# simulated cases, which take the array pass, and on their first 5, which
+# are ranked case by case; --ddx-top-k 0 ranks every disease.
+@pytest.mark.parametrize(
+    "command,n_cases,top_k,digest",
+    [
+        ("eval", 60, "0", "d0a6b49748fc9cba363f278ef88bf5c850468246ef3d746812baccaea7aebeda"),
+        ("eval", 60, "3", "7fd072481314aea1e475afdeaae4a0b3efc0ac60546f43855c7f639efb5c575b"),
+        ("eval", 5, "0", "d2b92a44ac22c3317503ac5b7c113c0eaa1e263dc1f68dd9a7d4d4f338343656"),
+        ("eval", 5, "3", "7b482c70fc26cea27fbe944571136fbc77a8fc2eaed8731b1e79eb8513547b27"),
+        ("predict", 60, "0", "aedf135ad03a2a39d0f806d82de8eaa1239f2d70b125e20c048cbc6d1a7103d2"),
+        ("predict", 60, "3", "073b4a17536a8190dda25350293d4a9f935916c5ca7091ddfdc8fb8b29401103"),
+        ("predict", 5, "0", "2c29bd9f580394ae768890c71c6b2ca166a411ca3db2c08b9d5fe1b57c679775"),
+        ("predict", 5, "3", "d3de7d0382f07adc123a6f31edb394e0694b4edb8a5ffc6d87efbab8f73993d9"),
+    ],
+)
+def test_expert_report_and_prediction_bytes_are_pinned(workspace, command, n_cases, top_k, digest):
+    argv = ["simulate", "--kb", "kb.json", "--cases", "60", "--min-per-disease", "10", "--seed", "7", "--out", "all.jsonl"]
+    assert run_in(workspace, argv)[0] == 0
+    lines = (workspace / "all.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    (workspace / "cases.jsonl").write_text("".join(lines[:n_cases]), encoding="utf-8")
+    argv = [command, "--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl", "--ddx-top-k", top_k, "--out", "out"]
+    assert run_in(workspace, argv)[0] == 0
+    assert hashlib.sha256((workspace / "out").read_bytes()).hexdigest() == digest
 
 
 def test_expert_engine_names_a_case_it_cannot_label(workspace):

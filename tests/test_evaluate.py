@@ -14,7 +14,7 @@ from ddxkit.evaluate import (
     rank_case_set,
     truth_label,
 )
-from ddxkit.expert import ARRAY_PASS_CASES, CaseError
+from ddxkit.expert import ARRAY_PASS_CASES, CaseError, DifferentialDiagnosis
 from ddxkit.model import RANK_CHUNK, encode_case, init_parameters
 from ddxkit.simulate import ClinicalCase, SimConfig, simulate_dataset
 from ddxkit.synthetic import make_separable_kb
@@ -115,6 +115,34 @@ def test_expert_batch_method_ranks_like_the_per_case_predictor(top_k):
     batched = list(rank_case_set(predictor, cs))
     assert repr(batched) == repr(list(rank_case_set(per_case, cs)))
     assert batched[-1][1] == 1  # the unknown finding is counted as skipped
+
+
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_expert_predictor_rejects_a_top_k_below_one_when_built(top_k):
+    with pytest.raises(ValueError, match=f"^top_k must be >= 1 or None, got {top_k}$"):
+        expert_predictor(make_separable_kb(n_diseases=4), top_k=top_k)
+
+
+def test_only_a_stored_label_is_built_as_a_differential(monkeypatch):
+    built = []
+    check = DifferentialDiagnosis.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(DifferentialDiagnosis, "__post_init__", counting)
+    kb = make_separable_kb(n_diseases=6)
+    sim = simulate_dataset(kb, SimConfig(cases_total=40, min_cases_per_disease=0, seed=31))
+    assert len(built) == len(sim)  # one label per simulated case
+    built.clear()
+    # 5 cases are ranked one at a time, 40 in an array pass.
+    for n in (5, 40):
+        cs = CaseSet(cases=tuple(sim[:n]), provenance=("sim",))
+        for predictor in (expert_predictor(kb), expert_predictor(kb, top_k=3)):
+            assert evaluate(predictor, cs, ks=[1, 5]).n_cases == n
+            assert len(list(rank_case_set(predictor, cs))) == n
+    assert built == []
 
 
 PROPERTY_KB = make_separable_kb(n_diseases=6)

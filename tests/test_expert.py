@@ -11,9 +11,11 @@ from ddxkit.expert import (
     DifferentialDiagnosis,
     SMOOTHING_EPS,
     expert_inference,
+    expert_rankings,
 )
 from ddxkit import expert as expert_module
 from ddxkit import kb as kb_module
+from ddxkit.evaluate import expert_predictor
 from ddxkit.kb import DEMOGRAPHIC, parse_knowledge_base, serialize_knowledge_base
 from ddxkit.simulate import SimConfig, simulate_dataset
 from ddxkit.synthetic import make_separable_kb
@@ -297,6 +299,27 @@ def test_array_ranking_on_crafted_scores(monkeypatch, scores, expected):
     assert_same_bytes(kb, set(), set(), 2)
     n = expert_module.ARRAY_PASS_CASES
     assert [ddx.entries for ddx in expert_inference(kb, [(set(), set())] * n, 2)] == [expected] * n
+    # The rankings behind the labels, and the predictor that passes them on
+    # unchecked: a row path that skipped the tie re-rank would fail here.
+    assert expert_rankings(kb, [(set(), set())], 2) == [list(expected)]
+    assert expert_rankings(kb, [(set(), set())] * n, 2) == [list(expected)] * n
+    predictor = expert_predictor(kb, top_k=2)
+    assert predictor(frozenset(), frozenset()) == (list(expected), 0)
+    assert list(predictor.batch([(frozenset(), frozenset())] * n)) == [(list(expected), 0)] * n
+
+
+def label_entries(kb, cases, k):
+    """expert_inference's labels as lists of entries."""
+    return [list(ddx.entries) for ddx in expert_inference(kb, cases, k)]
+
+
+# Fewer than ARRAY_PASS_CASES cases are ranked one at a time, more in array passes.
+@pytest.mark.parametrize("n", [1, expert_module.ARRAY_PASS_CASES - 1, expert_module.ARRAY_PASS_CASES, 40])
+@pytest.mark.parametrize("k", [1, 5, 200])
+def test_rankings_are_the_labels_entries_on_simulated_cases(n, k):
+    kb = make_separable_kb(200)
+    cases = [(c.pos, c.neg) for c in simulate_dataset(kb, SimConfig(cases_total=n, seed=13, min_cases_per_disease=0))]
+    assert repr(expert_rankings(kb, cases, k)) == repr(label_entries(kb, cases, k))
 
 
 @st.composite
@@ -342,6 +365,23 @@ def test_set_inference_equals_the_reference_bytes_per_case(drawn, data):
     for share in (kept, kept[::-1]):
         got = expert_inference(kb, [case for case, _ in share], k)
         assert [repr(ddx.entries) for ddx in got] == [e for _, e in share]
+
+
+@given(random_kb_and_cases(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rankings_are_the_labels_entries_on_random_kbs(drawn, data):
+    kb, cases = drawn
+    n = data.draw(st.integers(1, 2 * expert_module.ARRAY_PASS_CASES))
+    cases = (cases * n)[:n]
+    k = data.draw(st.sampled_from([1, 5, len(kb.diseases)]))
+    try:
+        expected = label_entries(kb, cases, k)
+    except CaseError as e:
+        with pytest.raises(CaseError) as raised:
+            expert_rankings(kb, cases, k)
+        assert str(raised.value) == str(e)
+    else:
+        assert repr(expert_rankings(kb, cases, k)) == repr(expected)
 
 
 @pytest.mark.parametrize("k", [5, 200])
