@@ -32,4 +32,4 @@ from .model import (  # noqa: F401
     save_checkpoint,
 )
 from .train import AdamState, TrainConfig, adam_step, backward  # noqa: F401
-from .evaluate import EvalReport, truth_label  # noqa: F401
+from .evaluate import EvalReport  # noqa: F401

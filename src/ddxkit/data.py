@@ -336,7 +336,7 @@ def build_vocabulary(
     for cs in sets:
         for case in cs:
             findings |= case.pos | case.neg
-            diseases |= {d for d, _ in case.ddx.entries}
+            diseases.update(case.ddx.diseases)
     if kb is not None:
         findings |= {f.id for f in kb.findings}
     if restrict_to is not None:

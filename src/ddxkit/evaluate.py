@@ -28,7 +28,6 @@ from .data import CaseSet
 from .expert import CaseError, expert_rankings
 from .kb import KnowledgeBase, scoring_tables
 from .model import ModelParameters, encode_case, rank_cases
-from .simulate import ClinicalCase
 
 Predictor = Callable[[frozenset, frozenset], tuple[list[tuple[str, float]], int]]
 
@@ -81,11 +80,6 @@ class EvalReport:
 def _by_k(values: dict | None) -> dict | None:
     """A per-depth mapping as the report stores it: string keys in ascending k."""
     return None if values is None else {str(k): v for k, v in sorted(values.items())}
-
-
-def truth_label(case: ClinicalCase) -> str:
-    """Highest-probability disease in the case's differential label."""
-    return case.ddx.entries[0][0]  # entries are sorted, ties already on id
 
 
 def _per_case(batch: Callable) -> Predictor:
@@ -168,7 +162,7 @@ def evaluate(
                 raise CaseError(i, "no seed_disease, needed by truth=seed-disease")
             truths.append(case.seed_disease)
         else:
-            truths.append(truth_label(case))
+            truths.append(case.ddx.top())
 
     records = []
     skipped_total = 0

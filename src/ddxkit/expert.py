@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kb import SMOOTHING_EPS, KnowledgeBase, scoring_tables  # noqa: F401
+from .kb import KnowledgeBase, scoring_tables
 from .sums import position_major_sums
 
 DEFAULT_DDX_TOP_K = 5
@@ -90,6 +90,7 @@ class DifferentialDiagnosis:
         return tuple(d for d, _ in self.entries)
 
     def top(self) -> str:
+        """The most probable disease; entries are sorted, so ties are already broken by id."""
         return self.entries[0][0]
 
 

@@ -44,7 +44,8 @@ class KBError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A setting out of range; `field` names it, and the message begins with it."""
+    """A setting the run cannot use: out of range, or one a training run
+    diverged at. `field` names it, and the message begins with it."""
 
     def __init__(self, field: str, rule: str):
         super().__init__(f"{field} {rule}")

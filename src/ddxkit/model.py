@@ -52,7 +52,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -90,28 +90,22 @@ class ModelInput(NamedTuple):
     demo: tuple[int, ...]
 
 
-def _block_shapes(K: int, L: int, D: int, M: int) -> dict[str, tuple[int, ...]]:
-    """Parameter block shapes, keyed like ModelParameters.blocks()."""
-    return dict(zip(BLOCK_NAMES, ((2 * K, D), (D, L), (L,), (M, L))))
+def _block_shapes(vocab: Vocabulary, dim: int) -> dict[str, tuple[int, ...]]:
+    """Parameter block shapes for `vocab` at embedding dimension `dim`, keyed
+    like ModelParameters.blocks()."""
+    L = vocab.n_diseases
+    return dict(zip(BLOCK_NAMES, ((2 * vocab.n_findings, dim), (dim, L), (L,), (vocab.n_demographics, L))))
 
 
 @dataclass
 class ModelParameters:
-    finding_embeddings: np.ndarray  # [2K, D]
-    projection: np.ndarray  # [D, L]
-    bias: np.ndarray  # [L]
-    demographic_embeddings: np.ndarray  # [M, L]
-    vocab: Vocabulary
+    """The four parameter blocks, shaped as `_block_shapes(vocab, D)` says."""
 
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        """(K findings, L diseases, D embedding dim, M demographic values)."""
-        return (
-            self.vocab.n_findings,
-            self.vocab.n_diseases,
-            self.finding_embeddings.shape[1],
-            self.vocab.n_demographics,
-        )
+    finding_embeddings: np.ndarray
+    projection: np.ndarray
+    bias: np.ndarray
+    demographic_embeddings: np.ndarray
+    vocab: Vocabulary
 
     def blocks(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in BLOCK_NAMES}
@@ -120,7 +114,7 @@ class ModelParameters:
         return ModelParameters(**{name: a.copy() for name, a in self.blocks().items()}, vocab=self.vocab)
 
     def validate(self) -> None:
-        expected = _block_shapes(*self.dims)
+        expected = _block_shapes(self.vocab, self.finding_embeddings.shape[1])
         for name, arr in self.blocks().items():
             if arr.shape != expected[name]:
                 raise ValueError(f"{name}: shape {arr.shape} != expected {expected[name]}")
@@ -148,13 +142,11 @@ def init_parameters(
     disease.
     """
     check_dim(dim)
-    K, L = vocab.n_findings, vocab.n_diseases
-    M = vocab.n_demographics
+    shapes = _block_shapes(vocab, dim)
     rng = np.random.default_rng(seed)
-    finding_embeddings = rng.uniform(-0.05, 0.05, size=(2 * K, dim)).astype(DTYPE)
-    projection = rng.uniform(-0.05, 0.05, size=(dim, L)).astype(DTYPE)
-    bias = rng.uniform(-0.05, 0.05, size=L).astype(DTYPE)
-    demographic = np.zeros((M, L), dtype=DTYPE)
+    # The three uniform blocks are drawn in BLOCK_NAMES order, which fixes a seed's bytes.
+    blocks = {name: rng.uniform(-0.05, 0.05, size=shapes[name]).astype(DTYPE) for name in BLOCK_NAMES[:3]}
+    demographic = np.zeros(shapes["demographic_embeddings"], dtype=DTYPE)
     if kb is not None:
         known = [(j, did) for j, did in enumerate(vocab.diseases) if kb.has_disease(did)]
         for m, fid in enumerate(vocab.demographic_list):
@@ -162,13 +154,7 @@ def init_parameters(
                 for j, did in known:
                     if kb.frequencies.get((did, fid), 0.0) == 0.0:
                         demographic[m, j] = DEMOGRAPHIC_MASK
-    return ModelParameters(
-        finding_embeddings=finding_embeddings,
-        projection=projection,
-        bias=bias,
-        demographic_embeddings=demographic,
-        vocab=vocab,
-    )
+    return ModelParameters(**blocks, demographic_embeddings=demographic, vocab=vocab)
 
 
 class Bags(NamedTuple):
@@ -282,10 +268,6 @@ def disease_log_probs(p: ModelParameters, bags: Bags, h: np.ndarray, rowwise: bo
     return log_softmax((z + p.bias + u).astype(np.float64, copy=False))
 
 
-def _ranked(ids: np.ndarray, probs: np.ndarray, order: np.ndarray) -> list[tuple[str, float]]:
-    return list(zip(ids[order].tolist(), probs[order].tolist()))
-
-
 def predict_topk(p: ModelParameters, x: ModelInput, k: int) -> list[tuple[str, float]]:
     """The k most probable diseases for one case, ties broken by ascending
     disease id: the first k entries of its rank_cases ranking. It stays as
@@ -301,16 +283,12 @@ def rank_cases(p: ModelParameters, xs: Sequence[ModelInput]) -> Iterator[list[tu
     """Every disease ranked for each case in turn, ties by ascending id,
     RANK_CHUNK cases per pass with the row-wise projection."""
     ids = p.vocab.disease_array
-
-    def chunks():
-        for start in range(0, len(xs), RANK_CHUNK):
-            bags = bag(xs[start : start + RANK_CHUNK])
-            probs = np.exp(disease_log_probs(p, bags, pooled_embedding(p, bags), rowwise=True))
-            # The vocabulary's diseases ascend by id, so a stable sort breaks ties by id.
-            orders = np.argsort(-probs, axis=-1, kind="stable")
-            yield from map(_ranked, repeat(ids), probs, orders)
-
-    return chunks()
+    for start in range(0, len(xs), RANK_CHUNK):
+        bags = bag(xs[start : start + RANK_CHUNK])
+        probs = np.exp(disease_log_probs(p, bags, pooled_embedding(p, bags), rowwise=True))
+        # The vocabulary's diseases ascend by id, so a stable sort breaks ties by id.
+        for row, order in zip(probs, np.argsort(-probs, axis=-1, kind="stable")):
+            yield list(zip(ids[order].tolist(), row[order].tolist()))
 
 
 def encode_case(
@@ -407,7 +385,7 @@ def checkpoint_from_json(text: str) -> ModelParameters:
     vocab = Vocabulary.from_dict(doc["vocab"], where="checkpoint vocab")
     if doc["dim"] < 1:
         raise ValueError("checkpoint: field 'dim' must be >= 1")
-    shapes = _block_shapes(vocab.n_findings, vocab.n_diseases, doc["dim"], vocab.n_demographics)
+    shapes = _block_shapes(vocab, doc["dim"])
     arrays = _checked(doc["arrays"], dict.fromkeys(shapes, str), "checkpoint arrays")
     p = ModelParameters(**{name: _decode_array(arrays, name, shape) for name, shape in shapes.items()}, vocab=vocab)
     p.validate()

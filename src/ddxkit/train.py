@@ -85,15 +85,6 @@ class TrainConfig:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
 
 
-class DivergedError(ValueError):
-    """An epoch ended with a mean loss that is not finite; training stopped there."""
-
-    def __init__(self, epoch: int, loss: float, learning_rate: float):
-        super().__init__(f"training diverged at epoch {epoch}: mean loss {loss} (learning_rate {learning_rate})")
-        self.epoch = epoch
-        self.loss = loss
-
-
 def zero_grads(p: ModelParameters) -> dict[str, np.ndarray]:
     """Zero arrays keyed and shaped like p.blocks()."""
     return {name: np.zeros_like(a) for name, a in p.blocks().items()}
@@ -249,8 +240,8 @@ def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[Mo
     Every epoch reshuffles with the config-seeded stream, walks batches of
     cfg.batch_size (the final short batch is kept), draws a new dropout
     mask per batch, and records the mean training loss and the epoch's
-    wall-clock seconds. The first epoch
-    whose mean loss is not finite raises DivergedError.
+    wall-clock seconds. The first epoch whose mean loss is not finite
+    raises ConfigError naming learning_rate and the epoch.
     """
     if len(train_set) == 0:
         raise ValueError("empty training set")
@@ -279,6 +270,6 @@ def train(p0: ModelParameters, train_set: CaseSet, cfg: TrainConfig) -> tuple[Mo
             total += loss * len(chunk)
         record = EpochRecord(epoch=epoch, mean_loss=total / n, seconds=time.perf_counter() - t0)
         if not math.isfinite(record.mean_loss):
-            raise DivergedError(epoch, record.mean_loss, cfg.learning_rate)
+            raise ConfigError("learning_rate", f"diverged at epoch {epoch}: mean loss {record.mean_loss}")
         history.append(record)
     return p, history

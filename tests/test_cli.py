@@ -430,7 +430,7 @@ def test_a_diverging_training_run_names_its_epoch_and_lr(workspace):
     before = sorted(p.name for p in workspace.iterdir())
     result = train(workspace, extra=("--dim", "4", "--lr", "1e308"))
     assert result.returncode == 1
-    assert "error: --lr 1e+308: training diverged at epoch " in result.stderr
+    assert "error: --lr 1e+308: learning_rate diverged at epoch " in result.stderr
     assert "mean loss nan" in result.stderr or "mean loss inf" in result.stderr
     assert sorted(p.name for p in workspace.iterdir()) == before
 
@@ -950,3 +950,19 @@ def test_each_command_writes_a_manifest_of_one_shape(fixture_files, tmp_path, ar
     assert written["wall_clock_seconds"] >= 0
     assert (written["metrics"] is None) == (argv[0] not in ("simulate", "train"))
     assert (written["timing"] is None) == (argv[0] != "train")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--ddx-top-k", "-1"), "--ddx-top-k must be >= 0 (0 ranks every disease), got -1"),
+        (("--topk", ","), "--topk list is empty"),
+    ],
+    ids=["ddx-top-k", "topk"],
+)
+def test_eval_names_a_bad_depth_flag(workspace, flags, message):
+    assert simulate(workspace).returncode == 0
+    before = sorted(p.name for p in workspace.iterdir())
+    argv = ["eval", "--engine", "expert", "--kb", "kb.json", "--cases", "cases.jsonl", *flags]
+    assert run_in(workspace, argv) == (1, "", f"error: {message}\n")
+    assert sorted(p.name for p in workspace.iterdir()) == before

@@ -399,3 +399,10 @@ def test_build_vocabulary_requires_diseases():
     empty = CaseSet(cases=(), provenance=("a",))
     with pytest.raises(ValueError, match="no diseases"):
         build_vocabulary([empty])
+
+
+def test_case_set_rejects_a_repeated_id():
+    case = ClinicalCase(id="c0", pos=frozenset({"f0"}), neg=frozenset(), ddx=normalize_ddx([("d0", 1.0)]))
+    with pytest.raises(ValueError) as raised:
+        CaseSet(cases=(case, case))
+    assert str(raised.value) == "duplicate case id: 'c0'"

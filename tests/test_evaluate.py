@@ -12,7 +12,6 @@ from ddxkit.evaluate import (
     format_table,
     model_predictor,
     rank_case_set,
-    truth_label,
 )
 from ddxkit.expert import ARRAY_PASS_CASES, CaseError, DifferentialDiagnosis
 from ddxkit.model import RANK_CHUNK, encode_case, init_parameters
@@ -34,9 +33,9 @@ def case(cid, ddx_weights, pos=("f0",), seed_disease=None):
 
 
 def test_truth_label_argmax_and_tie_break():
-    assert truth_label(case("a", [("meningitis", 1.0)])) == "meningitis"
-    assert truth_label(case("b", [("b", 0.5), ("a", 0.5)])) == "a"
-    assert truth_label(case("c", [("pneumonia", 0.9537), ("flu", 0.0288), ("sinusitis", 0.0175)])) == "pneumonia"
+    assert case("a", [("meningitis", 1.0)]).ddx.top() == "meningitis"
+    assert case("b", [("b", 0.5), ("a", 0.5)]).ddx.top() == "a"
+    assert case("c", [("pneumonia", 0.9537), ("flu", 0.0288), ("sinusitis", 0.0175)]).ddx.top() == "pneumonia"
 
 
 def uniform_model(n_diseases=4):
@@ -230,3 +229,10 @@ def test_report_serialization_and_table():
     assert doc["accuracy"]["3"] == 1.0
     table = format_table("base", report.accuracy)
     assert table == "top-k           base\n--------------------\n1             100.0%\n3             100.0%"
+
+
+def test_evaluate_rejects_a_depth_below_one():
+    cases = CaseSet(cases=(case("a", [("d0", 1.0)]),))
+    with pytest.raises(ValueError) as raised:
+        evaluate(model_predictor(uniform_model()), cases, ks=[0])
+    assert str(raised.value) == "ks must be positive integers"

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from ddxkit.expert import (
     CaseError,
     DifferentialDiagnosis,
-    SMOOTHING_EPS,
     expert_inference,
     expert_rankings,
 )
 from ddxkit import expert as expert_module
 from ddxkit import kb as kb_module
 from ddxkit.evaluate import expert_predictor
-from ddxkit.kb import DEMOGRAPHIC, parse_knowledge_base, serialize_knowledge_base
+from ddxkit.kb import DEMOGRAPHIC, SMOOTHING_EPS, parse_knowledge_base, serialize_knowledge_base
 from ddxkit.simulate import SimConfig, simulate_dataset
 from ddxkit.synthetic import make_separable_kb
 

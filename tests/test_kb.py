@@ -370,3 +370,9 @@ def test_the_warning_threshold_defaults_to_one_constant():
     for n in range(MIN_CLINICAL_FINDINGS + 1):
         kb = make_kb(["d"], findings, {("d", f): 0.5 for f in findings[:n]})
         assert len(validate_kb_document(serialize_knowledge_base(kb)).warnings) == (n < MIN_CLINICAL_FINDINGS)
+
+
+def test_an_unknown_finding_id_is_a_key_error_naming_it():
+    with pytest.raises(KeyError) as raised:
+        make_separable_kb(n_diseases=2).finding("nope")
+    assert raised.value.args == ("unknown finding id: 'nope'",)

@@ -64,7 +64,7 @@ def test_init_is_deterministic_and_bounded():
     assert np.all(np.abs(a.finding_embeddings) <= 0.05)
     assert np.all(np.abs(a.projection) <= 0.05)
     assert np.all(a.demographic_embeddings == 0.0)
-    assert a.dims == (6, 3, 8, 2)
+    assert [b.shape for b in a.blocks().values()] == [(12, 8), (8, 3), (3,), (2, 3)]
     c = init_parameters(vocab, dim=8, seed=4)
     assert not np.array_equal(a.finding_embeddings, c.finding_embeddings)
 
@@ -560,3 +560,17 @@ def test_a_garbage_checkpoint_field_raises_only_value_error(path, value):
         checkpoint_from_json(json.dumps(doc))
     except ValueError:
         pass
+
+
+def test_dropout_plan_rejects_a_rate_of_one():
+    with pytest.raises(ValueError) as raised:
+        make_dropout_plan(4, 3, 1.0, np.random.default_rng(0))
+    assert str(raised.value) == "dropout rate must be in [0, 1), got 1.0"
+
+
+def test_validate_names_a_block_of_the_wrong_shape():
+    p = init_parameters(small_vocab(), dim=8, seed=0)
+    p.projection = p.projection[:, :2]
+    with pytest.raises(ValueError) as raised:
+        p.validate()
+    assert str(raised.value) == "projection: shape (8, 2) != expected (8, 3)"

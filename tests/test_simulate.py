@@ -16,6 +16,7 @@ from ddxkit.simulate import (
     ClinicalCase,
     SimConfig,
     case_rng,
+    label_metrics,
     simulable_diseases,
     simulate_case,
     simulate_dataset,
@@ -361,3 +362,25 @@ def test_cases_are_labelled_at_the_experts_default_differential_size():
         SimConfig(cases_total=1, ddx_top_k=3)
     cases = simulate_dataset(make_separable_kb(20), SimConfig(cases_total=40, min_cases_per_disease=0, seed=3))
     assert max(len(c.ddx.entries) for c in cases) == DEFAULT_DDX_TOP_K
+
+
+def test_sim_config_seed_is_a_64_bit_unsigned_integer():
+    with pytest.raises(ConfigError) as raised:
+        SimConfig(cases_total=1, seed=2**64)
+    assert raised.value.field == "seed"
+    assert str(raised.value) == "seed must be a 64-bit unsigned integer"
+    assert SimConfig(cases_total=1, seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_label_metrics_rejects_an_empty_case_list():
+    with pytest.raises(ValueError) as raised:
+        label_metrics([])
+    assert str(raised.value) == "no cases to measure"
+
+
+def test_a_kb_with_no_simulable_disease_is_rejected():
+    kb = make_kb(["d"], ["a", ("old", DEMOGRAPHIC)], {("d", "a"): 0.0, ("d", "old"): 0.5})
+    assert simulable_diseases(kb) == []
+    with pytest.raises(ValueError) as raised:
+        simulate_dataset(kb, SimConfig(cases_total=1, min_cases_per_disease=0))
+    assert str(raised.value) == "no simulable disease in knowledge base"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ddxkit import train as train_module
 from ddxkit.data import CaseSet, Vocabulary, build_vocabulary, normalize_ddx
+from ddxkit.kb import ConfigError
 from ddxkit.model import (
     Bags,
     ModelInput,
@@ -589,3 +590,29 @@ def test_train_config_validation():
             TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         TrainConfig(seed=-1)
+
+
+def test_a_batch_of_one_is_accepted_and_trains_an_epoch():
+    vocab, p = toy_setup()
+    cases = toy_cases(vocab, 3, seed=4)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=1, epochs=1, dropout_rate=0.0, seed=0)
+    assert cfg.batch_size == 1
+    trained, history = train(p, cases, cfg)
+    assert [r.epoch for r in history] == [1]
+    assert not np.array_equal(trained.projection, p.projection)
+
+
+def test_train_rejects_an_empty_training_set():
+    _, p = toy_setup()
+    with pytest.raises(ValueError) as raised:
+        train(p, CaseSet(cases=(), provenance=("x",)), TrainConfig(epochs=1))
+    assert str(raised.value) == "empty training set"
+
+
+def test_a_diverging_run_is_a_config_error_of_learning_rate():
+    vocab, p = toy_setup()
+    cfg = TrainConfig(learning_rate=1e308, batch_size=64, epochs=3, dropout_rate=0.0, seed=0)
+    with pytest.warns(RuntimeWarning), pytest.raises(ConfigError) as raised:
+        train(p, toy_cases(vocab, 6, seed=2), cfg)
+    assert raised.value.field == "learning_rate"
+    assert str(raised.value) == "learning_rate diverged at epoch 2: mean loss nan"
