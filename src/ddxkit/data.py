@@ -38,11 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expert import DifferentialDiagnosis
+from .expert import PROB_TOL, DifferentialDiagnosis
 from .kb import CLINICAL, KnowledgeBase, check_object, read_utf8
 from .simulate import CASE_SOURCES, ClinicalCase
 
-_SUM_TOL = 1e-9
 _FIELDS = {"id": str, "pos": list, "neg": list, "ddx": list, "source": str, "seed_disease": str}
 _REQUIRED = frozenset(("id", "pos", "neg", "ddx", "source"))
 _ENTRY_FIELDS = frozenset(("disease", "p"))
@@ -187,7 +186,7 @@ def normalize_ddx(weights: list[tuple[str, float]]) -> DifferentialDiagnosis:
     scaled = [(did, w / total) for did, w in positive]
     # Weights already forming a distribution are kept verbatim so that
     # normalization is idempotent at the byte level.
-    if abs(total - 1.0) <= _SUM_TOL:
+    if abs(total - 1.0) <= PROB_TOL:
         scaled = positive
     order = sorted(range(len(scaled)), key=lambda i: (-scaled[i][1], scaled[i][0]))
     return DifferentialDiagnosis(entries=tuple(scaled[i] for i in order))

@@ -57,7 +57,8 @@ LABEL_CHUNK = 256
 # L = 20 and 200 and k = 5 and L: the array pass took 1.4-4.1x the per-case
 # time on 2 cases, 0.90-1.46x on 8, 0.83-1.02x on 12 and 0.55-0.75x on 32.
 ARRAY_PASS_CASES = 12
-_PROB_TOL = 1e-9
+# A label's sum may be this far from 1; normalize_ddx keeps weights this close verbatim.
+PROB_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class DifferentialDiagnosis:
                 raise ValueError("entries must be sorted by descending probability, ties by id")
             prev_p, prev_id = p, disease
             total += p
-        if abs(total - 1.0) > _PROB_TOL:
+        if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
     @property

@@ -19,8 +19,8 @@ case to ascending indices, the order every sum below adds in.
 
 Every per-case sum depends only on the case's own rows, so a case's pooled
 row has the same bytes in any batch. Rows 2 or more wide are added in order
-from 0.0. A batch of many small cases (see POSITION_MAJOR_CASE_SIZE) is
-summed position-major, one vectorised add per row position, by
+from 0.0. A batch of more than two cases, each with fewer rows than half the
+batch's case count, is summed position-major, one add per row position, by
 `sums.position_major_sums`, which expert scoring and the training scatter
 share; other batches and a lone case are summed per case. One-column rows
 (D = 1, or L = 1 in the demographic sum) are always summed per case by
@@ -70,15 +70,6 @@ BLOCK_NAMES = ("finding_embeddings", "projection", "bias", "demographic_embeddin
 # Cases per pass in rank_cases, so its temporaries stay (RANK_CHUNK, L). A memory
 # bound, not a tuned size: one chunk of 1024 ranked desk-cli no faster.
 RANK_CHUNK = 256
-# _bag_sums adds a batch position-major, one add per row position, when its
-# cases hold at most this many gathered numbers (rows x width) on average and
-# the batch has more than twice as many cases as its longest case has rows;
-# otherwise it adds each case's slice. Measured in float64 on a 2-core VM over
-# batches of 4 to 256 cases with 0-2, 0-9, 3-10, 1-40, 5-40 and 20-40 rows a
-# case at widths 2 to 1024: position-major took 0.05-0.95x the per-slice time
-# in all 64 settings inside both bounds, 0.4-2.2x past the size bound alone,
-# and up to 11x past the longest-case bound (4 cases of 5-40 rows).
-POSITION_MAJOR_CASE_SIZE = 1024
 
 
 class ModelInput(NamedTuple):
@@ -114,7 +105,9 @@ class ModelParameters:
         return ModelParameters(**{name: a.copy() for name, a in self.blocks().items()}, vocab=self.vocab)
 
     def validate(self) -> None:
-        expected = _block_shapes(self.vocab, self.finding_embeddings.shape[1])
+        # D is the finding block's width; a block of rank 0 or 1 has none and is checked against D = 0.
+        fe = self.finding_embeddings
+        expected = _block_shapes(self.vocab, fe.shape[1] if fe.ndim > 1 else 0)
         for name, arr in self.blocks().items():
             if arr.shape != expected[name]:
                 raise ValueError(f"{name}: shape {arr.shape} != expected {expected[name]}")
@@ -223,10 +216,13 @@ def _bag_sums(gathered: np.ndarray, offsets: np.ndarray, mean: bool) -> np.ndarr
     # order differs and would move trained bytes. Width 1 stays per slice,
     # because there the slice sum is pairwise from 8 rows on. The mean divides
     # by the count, as a slice's .mean(axis=0) does. Sums are in gathered's dtype.
+    # Position-major makes one add per row of the longest case; with at most
+    # twice as many cases as that case's rows it took up to 11x the per-slice
+    # time (float64, 2-core VM, 4 cases of 5-40 rows).
     B, width = len(offsets) - 1, gathered.shape[1]
     if B > 2 and width > 1:  # 1 or 2 cases pass the bound on the longest case only when empty
         counts = offsets[1:] - offsets[:-1]
-        if 2 * counts.max() < B and gathered.size <= POSITION_MAJOR_CASE_SIZE * B:
+        if 2 * counts.max() < B:
             out = position_major_sums(counts, offsets[:-1], gathered.__getitem__, width, gathered.dtype)
             if mean:
                 out /= np.maximum(counts, 1)[:, None].astype(out.dtype)

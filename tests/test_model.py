@@ -12,6 +12,7 @@ from ddxkit.data import Vocabulary
 from ddxkit.kb import DEMOGRAPHIC
 from ddxkit.model import (
     DEMOGRAPHIC_MASK,
+    DTYPE,
     RANK_CHUNK,
     bag,
     ModelInput,
@@ -176,13 +177,15 @@ def test_dropout_rate_zero_is_exactly_inference():
     assert np.array_equal(disease_log_probs(p, bags, pooled_embedding(p, bags, mask, 0.0))[0], reference_log_probs(p, x))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 64, 256, 257])
+@pytest.mark.parametrize("dtype", [np.float64, DTYPE])
 @pytest.mark.parametrize("rate", [0.0, 0.7])
-@pytest.mark.parametrize("n_cases", [1, 14, 40])
-def test_pooled_embedding_equals_per_slice_means_bytewise(dim, rate, n_cases):
+@pytest.mark.parametrize(
+    "n_cases,dim", [(n, d) for n in (1, 14, 40) for d in (1, 2, 64, 256, 257)] + [(64, 1024), (256, 1024)]
+)
+def test_pooled_embedding_equals_per_slice_means_bytewise(n_cases, dim, rate, dtype):
     vocab = small_vocab(n_findings=150)
     rng = np.random.default_rng(dim)
-    p = float64_parameters(vocab, dim=dim, seed=8)
+    p = float64_parameters(vocab, dim=dim, seed=8) if dtype == np.float64 else init_parameters(vocab, dim=dim, seed=8)
     p.finding_embeddings *= 10.0 ** rng.integers(-3, 4, size=p.finding_embeddings.shape)
     xs = [random_input(vocab, rng) for _ in range(12)] + [ModelInput((), (), ()), ModelInput((), (), (0, 1))]
     xs = [xs[i] for i in rng.permutation(len(xs))]
@@ -191,6 +194,10 @@ def test_pooled_embedding_equals_per_slice_means_bytewise(dim, rate, n_cases):
     if n_cases == 40:  # many cases of at most 6 rows, which narrow rows sum position-major
         xs += [random_input(vocab, rng) for _ in range(26)]
         xs = [ModelInput(x.pos_clinical[:3], x.neg_clinical[:3], x.demo) for x in xs]
+    if n_cases > 40:  # a dim-1024 training batch (64 cases), or one RANK_CHUNK: 0-9 rows a case
+        clinical = [i for i, f in enumerate(vocab.findings) if f not in vocab.demographic_ids]
+        sizes = rng.integers(0, 10, size=n_cases)
+        xs = [ModelInput(tuple(sorted(rng.choice(clinical, size=k, replace=False).tolist())), (), ()) for k in sizes]
     bags = bag(xs)
     mask = make_dropout_plan(len(bags.rows), dim, rate, rng) if rate > 0.0 else None
     got = pooled_embedding(p, bags, mask, rate)
@@ -198,7 +205,7 @@ def test_pooled_embedding_equals_per_slice_means_bytewise(dim, rate, n_cases):
     gathered = p.finding_embeddings[bags.rows]
     if mask is not None:
         gathered = gathered * mask / (1.0 - rate)
-    expected = np.zeros((len(xs), dim))
+    expected = np.zeros((len(xs), dim), dtype=dtype)
     for b, (s, e) in enumerate(zip(bags.offsets, bags.offsets[1:])):
         if e > s:
             expected[b] = gathered[s:e].mean(axis=0)
@@ -568,9 +575,30 @@ def test_dropout_plan_rejects_a_rate_of_one():
     assert str(raised.value) == "dropout rate must be in [0, 1), got 1.0"
 
 
-def test_validate_names_a_block_of_the_wrong_shape():
+@pytest.mark.parametrize(
+    "name,shape,expected",
+    [
+        ("projection", (8, 2), (8, 3)),
+        ("finding_embeddings", (), (12, 0)),
+        ("finding_embeddings", (12,), (12, 0)),
+        ("finding_embeddings", (12, 8, 1), (12, 8)),
+        ("projection", (), (8, 3)),
+        ("projection", (8,), (8, 3)),
+        ("projection", (8, 3, 1), (8, 3)),
+        ("bias", (), (3,)),
+        ("bias", (4,), (3,)),
+        ("bias", (3, 1), (3,)),
+        ("bias", (3, 1, 1), (3,)),
+        ("demographic_embeddings", (), (2, 3)),
+        ("demographic_embeddings", (2,), (2, 3)),
+        ("demographic_embeddings", (2, 3, 1), (2, 3)),
+    ],
+)
+def test_validate_names_a_block_of_the_wrong_shape(name, shape, expected):
     p = init_parameters(small_vocab(), dim=8, seed=0)
-    p.projection = p.projection[:, :2]
-    with pytest.raises(ValueError) as raised:
-        p.validate()
-    assert str(raised.value) == "projection: shape (8, 2) != expected (8, 3)"
+    setattr(p, name, np.zeros(shape, dtype=DTYPE))
+    message = f"{name}: shape {shape} != expected {expected}"
+    for call in (p.validate, lambda: checkpoint_to_json(p)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message

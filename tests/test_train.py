@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -612,7 +613,8 @@ def test_train_rejects_an_empty_training_set():
 def test_a_diverging_run_is_a_config_error_of_learning_rate():
     vocab, p = toy_setup()
     cfg = TrainConfig(learning_rate=1e308, batch_size=64, epochs=3, dropout_rate=0.0, seed=0)
-    with pytest.warns(RuntimeWarning), pytest.raises(ConfigError) as raised:
+    with warnings.catch_warnings(), pytest.raises(ConfigError) as raised:
+        warnings.simplefilter("error")  # the ConfigError is the run's one report
         train(p, toy_cases(vocab, 6, seed=2), cfg)
     assert raised.value.field == "learning_rate"
     assert str(raised.value) == "learning_rate diverged at epoch 2: mean loss nan"
